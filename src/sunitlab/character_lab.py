@@ -1,11 +1,19 @@
-"""Dirichlet character machinery and the analytic cross-checks built on it.
+"""Dirichlet characters mod m and the analytic cross-checks built on them.
 
-Characters are represented exactly as exponent vectors over generators of the
-unit group: a character maps each generator to a root of unity, recorded as an
-integer exponent of a fixed primitive root of unity of order E (the group
-exponent).  Values become floating complex numbers only at summation time,
-with explicit tolerances guarding every place a float is rounded back to an
-integer.
+A character mod m is an exponent vector c over generators g_1..g_r of the
+unit group, of orders o_1..o_r, with chi_c(g_j) = exp(2*pi*i*c_j/o_j).  The
+discrete log d(n) of a unit n is a point of the grid Z/o_1 x ... x Z/o_r and
+
+    chi_c(n) = exp(2*pi*i * sum_j c_j*d_j(n)/o_j),
+
+so the sums S_chi = sum_n a_n chi(n) for all phi(m) characters at once are
+one inverse DFT of the coefficients placed on that grid
+(``CharacterTable.sums``).  Primitivity is read off the local components of
+c (``UnitGroup.primitive_mask``).  Every census, large-sieve, moment and tail
+quantity below comes from that one transform; explicit tolerances guard each
+place a float is rounded back to an integer.  Single characters (``chi(n)``,
+the restriction-test ``conductor``, ``prime_char_sum``) are the independent
+slow route the transform is tested against.
 """
 
 from __future__ import annotations
@@ -15,15 +23,19 @@ import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+
+import numpy as np
 
 from .errors import CapacityError, ToleranceError, ValidationError
 from .prime_tools import PrimeStats, factorize, interval_stats
 from .tuple_census import (
     CensusParams,
     RepresentationTable,
+    _census_result,
+    _modulus_multisets,
     census_over,
     main_term,
     representation_counts,
@@ -61,61 +73,80 @@ def _primitive_root(p: int) -> int:
     raise ValidationError(f"{p} has no primitive root; not an odd prime?")
 
 
-def _prime_power_generators(p: int, e: int) -> list[tuple[int, int]]:
-    """Generators (residue, order) of the unit group mod p**e."""
+def _prime_power_generators(p: int, e: int) -> list[tuple[int, int, bool]]:
+    """Generators (residue, order, local) of the unit group mod p**e.
+
+    A character of Z/p^e is primitive iff p does not divide the exponent of
+    every generator flagged local; only -1 mod 2^e (e >= 3) is unflagged.
+    """
     if p == 2:
         if e == 1:
             return []
         if e == 2:
-            return [(3, 2)]
-        return [(2**e - 1, 2), (5, 2 ** (e - 2))]
+            return [(3, 2, True)]
+        return [(2**e - 1, 2, False), (5, 2 ** (e - 2), True)]
     g = _primitive_root(p)
     if e >= 2 and pow(g, p - 1, p * p) == 1:
         g += p  # the lift that stays a generator mod every power
-    return [(g % p**e, p ** (e - 1) * (p - 1))]
+    return [(g % p**e, p ** (e - 1) * (p - 1), True)]
 
 
 class UnitGroup:
-    """Multiplicative group mod m: generators, discrete logs, root-of-unity table."""
+    """Multiplicative group mod m: generators, discrete logs, primitive mask.
+
+    Characters and units are both indexed by the C-order flat index of their
+    exponent (log) vector on the grid of generator orders.  ``dlog[n]`` is
+    that index for n in [0, m), or -1 when gcd(n, m) > 1;
+    ``primitive_mask[i]`` says whether character i is primitive.
+    """
 
     def __init__(self, modulus: int):
         if modulus < 1:
             raise ValidationError(f"need modulus >= 1, got {modulus}")
         self.modulus = modulus
         gens: list[tuple[int, int]] = []
-        if modulus > 1:
-            for p, e in factorize(modulus).items():
-                pe = p**e
-                cofactor = modulus // pe
-                for g, order in _prime_power_generators(p, e):
-                    if cofactor == 1:
-                        lifted = g
-                    else:
-                        # CRT: equal to g mod p^e and to 1 mod the cofactor
-                        inv = pow(pe, -1, cofactor)
-                        lifted = (g + pe * ((1 - g) * inv % cofactor)) % modulus
-                    gens.append((lifted, order))
+        units = np.array([1 % modulus], dtype=np.int64)
+        # m = 2 mod 4 has no primitive characters: the factor 2 is never primitive
+        mask = np.array([modulus % 4 != 2])
+        for p, e in factorize(modulus).items():
+            pe = p**e
+            cofactor = modulus // pe
+            for g, order, local in _prime_power_generators(p, e):
+                if cofactor == 1:
+                    lifted = g
+                else:
+                    # CRT: equal to g mod p^e and to 1 mod the cofactor
+                    inv = pow(pe, -1, cofactor)
+                    lifted = (g + pe * ((1 - g) * inv % cofactor)) % modulus
+                gens.append((lifted, order))
+                powers = [1]
+                for _ in range(order - 1):
+                    powers.append(powers[-1] * lifted % modulus)
+                units = np.multiply.outer(units, powers).ravel() % modulus
+                exps = np.arange(order)
+                local_mask = exps % p != 0 if local else exps >= 0
+                mask = np.logical_and.outer(mask, local_mask).ravel()
         self.generators = tuple(gens)
-        self.exponent = math.lcm(*(o for _, o in gens)) if gens else 1
-        self.weights = tuple(self.exponent // o for _, o in gens)
-        self.totient = math.prod(o for _, o in gens) if gens else 1
+        self.orders = tuple(o for _, o in gens)
+        self.strides = tuple(math.prod(self.orders[i + 1 :]) for i in range(len(gens)))
+        self.exponent = math.lcm(*self.orders)
+        self.weights = tuple(self.exponent // o for o in self.orders)
+        self.totient = math.prod(self.orders)
+        self.primitive_mask = mask
 
-        dlog: dict[int, tuple[int, ...]] = {1 % modulus: (0,) * len(gens)}
-        for i, (g, order) in enumerate(gens):
-            current = dict(dlog)
-            power = 1
-            for j in range(1, order):
-                power = power * g % modulus
-                for a, vec in current.items():
-                    b = a * power % modulus
-                    dlog[b] = vec[:i] + (j,) + vec[i + 1 :]
-        if len(dlog) != self.totient:
+        dlog = np.full(modulus, -1, dtype=np.int64)
+        dlog[units] = np.arange(len(units))
+        found = int(np.count_nonzero(dlog >= 0))
+        if found != self.totient:
             raise ValidationError(
-                f"unit group mod {modulus}: built {len(dlog)} discrete logs, "
+                f"unit group mod {modulus}: built {found} discrete logs, "
                 f"expected {self.totient}"
             )
         self.dlog = dlog
-        self.roots = tuple(_unit_root(t, self.exponent) for t in range(self.exponent))
+
+    @cached_property
+    def roots(self) -> tuple[complex, ...]:
+        return tuple(_unit_root(t, self.exponent) for t in range(self.exponent))
 
 
 class DirichletCharacter:
@@ -139,13 +170,15 @@ class DirichletCharacter:
 
     def root_exponent(self, n: int) -> int | None:
         """Integer t with value = exp(2*pi*i*t/E), or None when gcd(n, m) > 1."""
-        vec = self.group.dlog.get(n % self.group.modulus)
-        if vec is None:
+        g = self.group
+        flat = int(g.dlog[n % g.modulus])
+        if flat < 0:
             return None
         total = sum(
-            c * w * d for c, w, d in zip(self.exponents, self.group.weights, vec)
+            c * w * (flat // s % o)
+            for c, w, s, o in zip(self.exponents, g.weights, g.strides, g.orders)
         )
-        return total % self.group.exponent
+        return total % g.exponent
 
     def __call__(self, n: int) -> complex:
         t = self.root_exponent(n)
@@ -176,44 +209,51 @@ class DirichletCharacter:
                 self._conductor = m
         return self._conductor
 
-    @property
-    def is_primitive(self) -> bool:
-        return self.conductor == self.group.modulus
-
     def __repr__(self) -> str:
         return f"DirichletCharacter(mod {self.modulus}, exponents={self.exponents})"
 
 
-@dataclass(frozen=True)
 class CharacterTable:
-    """All phi(m) characters mod m."""
+    """All phi(m) characters mod m, in C order of their exponent vectors."""
 
-    modulus: int
-    totient: int
-    generators: tuple[tuple[int, int], ...]
-    characters: tuple[DirichletCharacter, ...]
+    def __init__(self, group: UnitGroup):
+        self.group = group
+        self.modulus = group.modulus
+        self.totient = group.totient
+        self.generators = group.generators
+        self.primitive_mask = group.primitive_mask
+
+    @cached_property
+    def characters(self) -> tuple[DirichletCharacter, ...]:
+        ranges = [range(order) for order in self.group.orders]
+        return tuple(
+            DirichletCharacter(self.group, exps) for exps in itertools.product(*ranges)
+        )
 
     @property
     def principal(self) -> DirichletCharacter:
         return self.characters[0]
 
     def primitive(self) -> tuple[DirichletCharacter, ...]:
-        return tuple(chi for chi in self.characters if chi.is_primitive)
+        return tuple(itertools.compress(self.characters, self.primitive_mask))
+
+    def sums(self, ns, coefficients) -> np.ndarray:
+        """S_chi = sum_n a_n chi(n) for every chi mod m, in table order.
+
+        Places each a_n at dlog(n) on the grid of generator orders and returns
+        phi(m) times its inverse DFT.  Terms with gcd(n, m) > 1 drop out.
+        """
+        g = self.group
+        index = g.dlog[np.asarray(ns, dtype=np.int64) % g.modulus]
+        units = index >= 0
+        grid = np.zeros(g.totient, dtype=complex)
+        np.add.at(grid, index[units], np.asarray(coefficients, dtype=complex)[units])
+        return g.totient * np.fft.ifftn(grid.reshape(g.orders or (1,))).ravel()
 
 
 @lru_cache(maxsize=256)
 def _build_table(m: int) -> CharacterTable:
-    group = UnitGroup(m)
-    ranges = [range(order) for _, order in group.generators]
-    chars = tuple(
-        DirichletCharacter(group, exps) for exps in itertools.product(*ranges)
-    )
-    return CharacterTable(
-        modulus=m,
-        totient=group.totient,
-        generators=group.generators,
-        characters=chars,
-    )
+    return CharacterTable(UnitGroup(m))
 
 
 def character_table(m: int, limit: int = CHARACTER_MODULUS_LIMIT) -> CharacterTable:
@@ -261,11 +301,25 @@ def _phi_of_multiset(combo: tuple[int, ...]) -> int:
     return phi
 
 
-def _multiset_weight(combo: tuple[int, ...]) -> int:
-    w = math.factorial(len(combo))
-    for mult in Counter(combo).values():
-        w //= math.factorial(mult)
-    return w
+def _prime_sums(table: CharacterTable, st: PrimeStats) -> np.ndarray:
+    """S_chi = sum of chi(p) over the product-range primes p, for every chi mod m."""
+    return table.sums(st.product_primes, np.ones(len(st.product_primes)))
+
+
+def _primitive_power_sum(table: CharacterTable, sums: np.ndarray, k: int) -> float:
+    """Sum over the primitive characters chi mod m of |S_chi|^k."""
+    return float(np.sum(np.abs(sums[table.primitive_mask]) ** k))
+
+
+def _class_moments(
+    t: int, y: float, k: int, st: PrimeStats, limit: int
+) -> list[tuple[int, float]]:
+    """(q, sum over primitive chi mod q of |S_chi|^k) for every q in Q_t."""
+    moments = []
+    for q in enumerate_Qt(t, y, stats=st).moduli:
+        table = character_table(q, limit)
+        moments.append((q, _primitive_power_sum(table, _prime_sums(table, st), k)))
+    return moments
 
 
 def census_via_characters(
@@ -279,37 +333,23 @@ def census_via_characters(
     (1/phi(m)) * sum over chi mod m of S_chi^k.  The float accumulation is
     rounded to the nearest integer under a 10^-2 guard.
     """
-    from .tuple_census import CensusResult, error_term  # local to avoid cycle at import
-
     st = stats or interval_stats(params.y)
-    mt = main_term(params, st)
-    et = error_term(params, st)
-    if not st.modulus_primes:
-        return CensusResult(
-            count=0, main_term=mt, error_bound=et, ratio=None, method="characters",
-            in_hypothesis=params.in_hypothesis, empty_interval=True,
-        )
-    total = 0j
-    for combo in itertools.combinations_with_replacement(
-        st.modulus_primes, params.ell
-    ):
-        m = math.prod(combo)
-        table = character_table(m, limit)
-        acc = 0j
-        for chi in table.characters:
-            acc += prime_char_sum(chi, params.y, st) ** params.k
-        total += _multiset_weight(combo) * acc / table.totient
-    rounded = round(total.real)
-    if abs(total - rounded) >= ROUNDING_TOL:
-        raise ToleranceError(
-            f"character census {total} strays {abs(total - rounded):.3g} "
-            f"from integer {rounded}; guard is {ROUNDING_TOL}"
-        )
-    ratio = rounded / float(mt) if mt else None
-    return CensusResult(
-        count=rounded, main_term=mt, error_bound=et, ratio=ratio, method="characters",
-        in_hypothesis=params.in_hypothesis, empty_interval=False,
-    )
+
+    def count():
+        total = 0j
+        for m, _combo, weight in _modulus_multisets(st.modulus_primes, params.ell):
+            table = character_table(m, limit)
+            acc = complex(np.sum(_prime_sums(table, st) ** params.k))
+            total += weight * acc / table.totient
+        rounded = round(total.real)
+        if abs(total - rounded) >= ROUNDING_TOL:
+            raise ToleranceError(
+                f"character census {total} strays {abs(total - rounded):.3g} "
+                f"from integer {rounded}; guard is {ROUNDING_TOL}"
+            )
+        return rounded, None
+
+    return _census_result(params, st, "characters", count)
 
 
 def principal_contribution(
@@ -319,10 +359,8 @@ def principal_contribution(
     st = stats or interval_stats(params.y)
     pk = Fraction(st.prime_count) ** params.k
     total = Fraction(0)
-    for combo in itertools.combinations_with_replacement(
-        st.modulus_primes, params.ell
-    ):
-        total += _multiset_weight(combo) * pk / _phi_of_multiset(combo)
+    for _m, combo, weight in _modulus_multisets(st.modulus_primes, params.ell):
+        total += weight * pk / _phi_of_multiset(combo)
     return total
 
 
@@ -396,37 +434,21 @@ def nonprincipal_contribution(
     value = Fraction(count) - principal
 
     direct = 0.0
-    for combo in itertools.combinations_with_replacement(
-        st.modulus_primes, params.ell
-    ):
-        m = math.prod(combo)
-        table = character_table(m, limit)
-        s = sum(
-            abs(prime_char_sum(chi, params.y, st)) ** params.k
-            for chi in table.characters
-            if not chi.is_principal
-        )
-        direct += _multiset_weight(combo) * 2 / m * s
+    for m, _combo, weight in _modulus_multisets(st.modulus_primes, params.ell):
+        nonprincipal = _prime_sums(character_table(m, limit), st)[1:]  # chi_0 first
+        direct += weight * 2 / m * float(np.sum(np.abs(nonprincipal) ** params.k))
 
     lam = st.recip_sum
     fact_ell = math.factorial(params.ell)
     class_bounds: dict[int, float] = {}
     for t in range(1, params.ell + 1):
-        cls = enumerate_Qt(t, params.y, stats=st)
-        weight = (
+        weight = float(
             2
             * Fraction(fact_ell, math.factorial(params.ell - t))
             * lam ** (params.ell - t)
         )
-        acc = 0.0
-        for m, _combo in cls.entries:
-            table = character_table(m, limit)
-            s = sum(
-                abs(prime_char_sum(chi, params.y, st)) ** params.k
-                for chi in table.primitive()
-            )
-            acc += float(weight) / m * s
-        class_bounds[t] = acc
+        moments = _class_moments(t, params.y, params.k, st, limit)
+        class_bounds[t] = sum((weight / q * s for q, s in moments), 0.0)
     class_total = sum(class_bounds.values())
 
     slack = 1 + IDENTITY_TOL
@@ -473,10 +495,7 @@ def enumerate_Qt(
     size = math.comb(len(q_primes) + t - 1, t)
     if size > cap:
         raise CapacityError(f"|Q_{t}| = {size} exceeds cap {cap}")
-    entries = sorted(
-        (math.prod(combo), combo)
-        for combo in itertools.combinations_with_replacement(q_primes, t)
-    )
+    entries = sorted((m, combo) for m, combo, _w in _modulus_multisets(q_primes, t))
     reference = st.prime_count**t / math.factorial(t)
     return ModulusClass(
         t=t,
@@ -516,12 +535,6 @@ class SieveCheck:
     passed: bool
 
 
-def _char_sum(chi: DirichletCharacter, coefficients: tuple[complex, ...]) -> complex:
-    return sum(
-        a * chi(n) for n, a in enumerate(coefficients, start=1) if a != 0
-    )
-
-
 def large_sieve_check(
     instance: LargeSieveInstance,
     mode: str,
@@ -537,14 +550,12 @@ def large_sieve_check(
     not an interesting input.
     """
     norm = instance.norm()
+    ns = np.arange(1, instance.length + 1)
     if mode == "single-modulus":
         if instance.modulus is None:
             raise ValidationError("single-modulus mode needs a modulus")
-        table = character_table(instance.modulus, limit)
-        lhs = sum(
-            abs(_char_sum(chi, instance.coefficients)) ** 2
-            for chi in table.characters
-        )
+        sums = character_table(instance.modulus, limit).sums(ns, instance.coefficients)
+        lhs = float(np.sum(np.abs(sums) ** 2))
         rhs = (instance.length + instance.modulus) * norm
     elif mode == "primitive-family":
         if instance.modulus_bound is None:
@@ -552,10 +563,7 @@ def large_sieve_check(
         lhs = 0.0
         for q in range(1, instance.modulus_bound + 1):
             table = character_table(q, limit)
-            part = sum(
-                abs(_char_sum(chi, instance.coefficients)) ** 2
-                for chi in table.primitive()
-            )
+            part = _primitive_power_sum(table, table.sums(ns, instance.coefficients), 2)
             lhs += q / table.totient * part
         rhs = (instance.length + instance.modulus_bound**2 - 1) * norm
     else:
@@ -672,18 +680,11 @@ def moment_check(
     if which not in ("2t", "4t"):
         raise ValidationError(f"which must be '2t' or '4t', got {which!r}")
     st = stats or interval_stats(y)
-    cls = enumerate_Qt(t, y, stats=st)
     power = 2 * t if which == "2t" else 4 * t
     rep = representation_counts(power // 2, y, stats=st)
-
-    lhs = 0.0
-    lhs_exact = 0
-    for q, _combo in cls.entries:
-        table = character_table(q, limit)
-        lhs += sum(
-            abs(prime_char_sum(chi, y, st)) ** power for chi in table.primitive()
-        )
-        lhs_exact += moment_primitive_sum_exact(q, rep)
+    moments = _class_moments(t, y, power, st, limit)
+    lhs = sum((s for _q, s in moments), 0.0)
+    lhs_exact = sum(moment_primitive_sum_exact(q, rep) for q, _s in moments)
 
     big_p = st.prime_count
     reference = (
@@ -694,7 +695,7 @@ def moment_check(
     ratio = lhs_exact / reference if reference > 0 else None
     return MomentReport(
         t=t, y=y, which=which, lhs=lhs, lhs_exact=lhs_exact,
-        reference=reference, ratio=ratio, class_size=cls.size,
+        reference=reference, ratio=ratio, class_size=len(moments),
     )
 
 
@@ -720,17 +721,6 @@ class TailShapeReport:
     ratio: float | None
 
 
-def _moment_kth_abs_sum(t: int, y: float, k: int, st: PrimeStats, limit: int) -> float:
-    cls = enumerate_Qt(t, y, stats=st)
-    acc = 0.0
-    for q, _combo in cls.entries:
-        table = character_table(q, limit)
-        acc += sum(
-            abs(prime_char_sum(chi, y, st)) ** k for chi in table.primitive()
-        )
-    return acc
-
-
 def tail_shape(
     params: CensusParams,
     which: str,
@@ -753,10 +743,10 @@ def tail_shape(
         base = 4 / y
         reference = ell ** (k - ell) * (4 * lam * big_p) ** ell * y ** (k / 2)
 
-    terms = {
-        t: base**t * lam ** (ell - t) * _moment_kth_abs_sum(t, y, k, st, limit)
-        for t in t_values
-    }
+    terms = {}
+    for t in t_values:
+        moment = sum((s for _q, s in _class_moments(t, y, k, st, limit)), 0.0)
+        terms[t] = base**t * lam ** (ell - t) * moment
     lhs = sum(terms.values())
     ratio = lhs / reference if reference > 0 else None
     return TailShapeReport(

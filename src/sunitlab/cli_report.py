@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import decimal
 import io
 import json
 import math
@@ -66,14 +67,16 @@ def encode(obj):
 
     bool must be tested before int (bool is an int subclass); all true
     integers become decimal strings and Fractions become string pairs, so no
-    consumer ever sees a rounded big integer.
+    consumer ever sees a rounded big integer.  Digits go through Decimal,
+    which the interpreter's int-to-str digit limit does not bind: lambda's
+    denominator passes that limit near y = 40,000.
     """
     if obj is None or isinstance(obj, (bool, float, str)):
         return obj
     if isinstance(obj, int):
-        return str(obj)
+        return str(decimal.Decimal(obj))
     if isinstance(obj, Fraction):
-        return {"num": str(obj.numerator), "den": str(obj.denominator)}
+        return {"num": encode(obj.numerator), "den": encode(obj.denominator)}
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
     if dataclasses.is_dataclass(obj):
@@ -271,12 +274,15 @@ def _parse_s_primes(args) -> tuple[int, ...]:
         except ValueError as exc:
             raise ValidationError(f"cannot parse --s-primes: {exc}") from exc
     if args.s_file is not None:
-        payload = json.loads(Path(args.s_file).read_text())
-        if isinstance(payload, dict):
-            payload = payload.get("primes")
-        if not isinstance(payload, list):
-            raise ValidationError(f"{args.s_file} holds no prime list")
-        return tuple(int(p) for p in payload)
+        try:
+            payload = json.loads(Path(args.s_file).read_text())
+            if isinstance(payload, dict):
+                payload = payload.get("primes")
+            if not isinstance(payload, list):
+                raise ValidationError(f"{args.s_file} holds no prime list")
+            return tuple(int(p) for p in payload)
+        except (OSError, ValueError, TypeError) as exc:
+            raise ValidationError(f"cannot read --s-file {args.s_file}: {exc}") from exc
     raise ValidationError("verify requires --s-primes or --s-file")
 
 
@@ -306,6 +312,8 @@ def _diag_large_sieve(args, warnings):
     if args.seed is None:
         raise ValidationError("large-sieve diagnostics draw random instances; --seed is required")
     trials = args.trials
+    if trials < 1:
+        raise ValidationError(f"need --trials >= 1, got {trials}")
     records = {}
     for mode, fixed in (
         ("single-modulus", {"fixed_modulus": args.q}),

@@ -72,7 +72,7 @@ def plan_parameters(
     keep the pipeline running; the clamp flags make that visible.  Explicit k
     or ell overrides skip the corresponding derivation.
     """
-    if y < 10:
+    if not y >= 10:  # also refuses nan
         raise ValidationError(f"need y >= 10 for parameter planning, got {y}")
     alpha = Fraction(alpha)
     beta = Fraction(beta)

@@ -25,7 +25,13 @@ _SEGMENT = 1 << 21
 def sieve_limit() -> int:
     """Active sieve capacity: the SUNIT_MAX_SIEVE env override or the default."""
     raw = os.environ.get("SUNIT_MAX_SIEVE")
-    return int(raw) if raw else DEFAULT_SIEVE_LIMIT
+    try:
+        limit = int(raw) if raw else DEFAULT_SIEVE_LIMIT
+    except ValueError:
+        limit = 0  # refused below, like every non-positive value
+    if limit < 1:
+        raise ValidationError(f"SUNIT_MAX_SIEVE needs a positive integer, got {raw!r}")
+    return limit
 
 
 @dataclass(frozen=True)
@@ -80,7 +86,7 @@ def sieve_interval(lo: float, hi: float, limit: int | None = None) -> PrimeInter
     Raises CapacityError when hi exceeds the configured sieve limit; the
     limit exists so that a typo never silently turns into an hour-long run.
     """
-    if lo < 0 or hi < lo:
+    if not 0 <= lo <= hi:  # also refuses nan
         raise ValidationError(f"need 0 <= lo <= hi, got lo={lo}, hi={hi}")
     cap = sieve_limit() if limit is None else limit
     if hi > cap:
@@ -111,7 +117,7 @@ def sieve_interval(lo: float, hi: float, limit: int | None = None) -> PrimeInter
 
 def interval_stats(y: float, limit: int | None = None) -> PrimeStats:
     """Compute the modulus-range reciprocal sum and the product-range count at y."""
-    if y < 2:
+    if not y >= 2:  # also refuses nan
         raise ValidationError(f"need y >= 2, got {y}")
     q_interval = sieve_interval(y / 4, y / 2, limit)
     p_interval = sieve_interval(y / 2, y, limit)

@@ -42,7 +42,7 @@ class CensusParams:
     enforce_range: bool = False
 
     def __post_init__(self) -> None:
-        if self.y < 2:
+        if not self.y >= 2:  # also refuses nan
             raise ValidationError(f"need y >= 2, got y={self.y}")
         if not (1 <= self.ell <= self.k):
             raise ValidationError(
@@ -113,22 +113,38 @@ def error_term(params: CensusParams, stats: PrimeStats | None = None) -> ErrorTe
     return ErrorTerm(applicable=applicable, value=value, exact=exact, note=note)
 
 
-def _modulus_multisets(q_primes: tuple[int, ...], ell: int):
-    """Yield (modulus, ordered-tuple weight) per multiset of ell modulus primes.
+def _modulus_multisets(primes: tuple[int, ...], t: int):
+    """Yield (product, multiset, ordered-tuple weight) per multiset of t primes.
 
     The weight is the multinomial count of ordered tuples realizing the
-    multiset, so summing weighted per-modulus counts reproduces the ordered
-    census.
+    multiset, so summing weighted per-multiset counts reproduces the ordered
+    count.  This is the one place the multinomial weight is computed.
     """
-    fact_ell = math.factorial(ell)
-    for combo in itertools.combinations_with_replacement(q_primes, ell):
-        m = 1
-        for q in combo:
-            m *= q
-        weight = fact_ell
+    fact_t = math.factorial(t)
+    for combo in itertools.combinations_with_replacement(primes, t):
+        weight = fact_t
         for mult in Counter(combo).values():
             weight //= math.factorial(mult)
-        yield m, combo, weight
+        yield math.prod(combo), combo, weight
+
+
+def _census_result(
+    params: CensusParams, st: PrimeStats, method: str, count, empty=(0, None)
+) -> CensusResult:
+    """One census record: main and error terms, ratio, empty-interval flag.
+
+    ``count()`` returns (count, std_error) and runs only when the modulus
+    range holds primes; otherwise the record carries ``empty`` instead.
+    """
+    mt = main_term(params, st)
+    et = error_term(params, st)
+    value, std_error = count() if st.modulus_primes else empty
+    return CensusResult(
+        count=value, main_term=mt, error_bound=et,
+        ratio=value / float(mt) if mt else None, method=method,
+        in_hypothesis=params.in_hypothesis,
+        empty_interval=not st.modulus_primes, std_error=std_error,
+    )
 
 
 def _count_products_congruent_one(
@@ -165,20 +181,12 @@ def _count_products_congruent_one(
 def count_exact(params: CensusParams, stats: PrimeStats | None = None) -> CensusResult:
     """Exact ordered census via per-modulus residue folding."""
     st = stats or interval_stats(params.y)
-    p_primes, q_primes = st.product_primes, st.modulus_primes
-    mt = main_term(params, st)
-    et = error_term(params, st)
-    if not q_primes:
-        return CensusResult(
-            count=0, main_term=mt, error_bound=et, ratio=None, method="residue-dp",
-            in_hypothesis=params.in_hypothesis, empty_interval=True,
-        )
-    count = census_over(p_primes, q_primes, params.k, params.ell)
-    ratio = count / float(mt) if mt else None
-    return CensusResult(
-        count=count, main_term=mt, error_bound=et, ratio=ratio, method="residue-dp",
-        in_hypothesis=params.in_hypothesis, empty_interval=False,
-    )
+
+    def count():
+        census = census_over(st.product_primes, st.modulus_primes, params.k, params.ell)
+        return census, None
+
+    return _census_result(params, st, "residue-dp", count)
 
 
 def census_over(
@@ -197,29 +205,22 @@ def count_direct(params: CensusParams, stats: PrimeStats | None = None) -> Censu
     """Reference counter: enumerate every ordered tuple.  Only for tiny inputs."""
     st = stats or interval_stats(params.y)
     p_primes, q_primes = st.product_primes, st.modulus_primes
-    mt = main_term(params, st)
-    et = error_term(params, st)
-    if not q_primes:
-        return CensusResult(
-            count=0, main_term=mt, error_bound=et, ratio=None, method="direct",
-            in_hypothesis=params.in_hypothesis, empty_interval=True,
-        )
-    ops = len(p_primes) ** params.k * len(q_primes) ** params.ell
-    if ops > DIRECT_OP_LIMIT:
-        raise CapacityError(
-            f"direct enumeration needs {ops} tuple visits, over {DIRECT_OP_LIMIT}"
-        )
-    count = 0
-    for qs in itertools.product(q_primes, repeat=params.ell):
-        m = math.prod(qs)
-        for ps in itertools.product(p_primes, repeat=params.k):
-            if math.prod(ps) % m == 1:
-                count += 1
-    ratio = count / float(mt) if mt else None
-    return CensusResult(
-        count=count, main_term=mt, error_bound=et, ratio=ratio, method="direct",
-        in_hypothesis=params.in_hypothesis, empty_interval=False,
-    )
+
+    def count():
+        ops = len(p_primes) ** params.k * len(q_primes) ** params.ell
+        if ops > DIRECT_OP_LIMIT:
+            raise CapacityError(
+                f"direct enumeration needs {ops} tuple visits, over {DIRECT_OP_LIMIT}"
+            )
+        hits = 0
+        for qs in itertools.product(q_primes, repeat=params.ell):
+            m = math.prod(qs)
+            for ps in itertools.product(p_primes, repeat=params.k):
+                if math.prod(ps) % m == 1:
+                    hits += 1
+        return hits, None
+
+    return _census_result(params, st, "direct", count)
 
 
 def count_sampled(
@@ -237,31 +238,23 @@ def count_sampled(
         raise ValidationError(f"need samples >= 1, got {samples}")
     st = stats or interval_stats(params.y)
     p_primes, q_primes = st.product_primes, st.modulus_primes
-    mt = main_term(params, st)
-    et = error_term(params, st)
-    if not q_primes:
-        return CensusResult(
-            count=0.0, main_term=mt, error_bound=et, ratio=None, method="sampled",
-            in_hypothesis=params.in_hypothesis, empty_interval=True, std_error=0.0,
-        )
-    rng = random.Random(seed)
-    hits = 0
-    for _ in range(samples):
-        m = math.prod(rng.choice(q_primes) for _ in range(params.ell))
-        r = 1
-        for _ in range(params.k):
-            r = r * rng.choice(p_primes) % m
-        if r == 1:
-            hits += 1
-    space = len(q_primes) ** params.ell * len(p_primes) ** params.k
-    p_hat = hits / samples
-    estimate = p_hat * space
-    std_error = space * math.sqrt(max(p_hat * (1 - p_hat), 0.0) / samples)
-    ratio = estimate / float(mt) if mt else None
-    return CensusResult(
-        count=estimate, main_term=mt, error_bound=et, ratio=ratio, method="sampled",
-        in_hypothesis=params.in_hypothesis, empty_interval=False, std_error=std_error,
-    )
+
+    def count():
+        rng = random.Random(seed)
+        hits = 0
+        for _ in range(samples):
+            m = math.prod(rng.choice(q_primes) for _ in range(params.ell))
+            r = 1
+            for _ in range(params.k):
+                r = r * rng.choice(p_primes) % m
+            if r == 1:
+                hits += 1
+        space = len(q_primes) ** params.ell * len(p_primes) ** params.k
+        p_hat = hits / samples
+        std_error = space * math.sqrt(max(p_hat * (1 - p_hat), 0.0) / samples)
+        return p_hat * space, std_error
+
+    return _census_result(params, st, "sampled", count, empty=(0.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -297,12 +290,5 @@ def representation_counts(
     size = math.comb(len(p_primes) + t - 1, t)
     if size > cap:
         raise CapacityError(f"{size} multisets exceeds cap {cap}")
-    fact_t = math.factorial(t)
-    counts: dict[int, int] = {}
-    for combo in itertools.combinations_with_replacement(p_primes, t):
-        n = math.prod(combo)
-        w = fact_t
-        for mult in Counter(combo).values():
-            w //= math.factorial(mult)
-        counts[n] = w
+    counts = {n: w for n, _combo, w in _modulus_multisets(p_primes, t)}
     return RepresentationTable(t=t, y=y, counts=counts)

@@ -22,7 +22,7 @@ from sunitlab.character_lab import (
     tail_shape,
 )
 from sunitlab.errors import CapacityError, ValidationError
-from sunitlab.prime_tools import interval_stats
+from sunitlab.prime_tools import factorize, interval_stats
 from sunitlab.tuple_census import CensusParams, count_exact, representation_counts
 
 from oracles import oracle_phi
@@ -146,6 +146,39 @@ def test_conductor_is_minimal_induced_modulus(m):
                 and abs(chi(a) - chi(b)) > 1e-9
             ]
             assert witnesses, (m, f, d)
+
+
+# the primitive mask comes from the local rule on exponent vectors; the
+# restriction-test conductor is the independent route it must agree with
+MASK_MODULI = (
+    list(range(1, 401))
+    + [2**e for e in range(9, 11)]  # 2^e up to 2^10
+    + [2 * 211, 2 * 3 * 5 * 17, 2 * 27 * 11]  # 2 * odd
+    + [29**2, 31**2]  # p^2
+    + [11**3, 3**6]  # p^3 and beyond
+)
+
+
+def test_primitive_mask_matches_restriction_test():
+    for m in MASK_MODULI:
+        table = character_table(m)
+        by_conductor = [chi.conductor == m for chi in table.characters]
+        assert table.primitive_mask.tolist() == by_conductor, m
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 8, 16, 12, 45, 2310, 41 * 43, 73**2])
+def test_sums_kernel_matches_character_values(m):
+    rng = random.Random(m)
+    ns = [rng.randrange(0, 3 * m + 2) for _ in range(24)]
+    ns += [p * rng.randrange(1, 40) for p in factorize(m)]  # non-units mod m
+    ns += [0, 1, m, m + 1]
+    coeffs = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in ns]
+    table = character_table(m)
+    sums = table.sums(ns, coeffs)
+    assert sums.shape == (table.totient,)
+    tol = 1e-12 * sum(abs(a) for a in coeffs)
+    for chi, s in zip(table.characters, sums):
+        assert abs(s - sum(a * chi(n) for n, a in zip(ns, coeffs))) <= tol, chi
 
 
 def test_prime_char_sum_principal_is_prime_count():

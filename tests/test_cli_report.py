@@ -1,8 +1,11 @@
 import json
+import sys
+from decimal import Decimal
 
 import pytest
 
 from sunitlab.cli_report import encode, main, solutions_csv
+from sunitlab.prime_tools import interval_stats
 from sunitlab.smooth_verifier import SmoothPair
 
 
@@ -241,6 +244,58 @@ def test_verify_validation(capsys):
         ["verify", "--s-primes", "2,4", "--limit", "50"], capsys
     )
     assert status == 2 and "prime" in err["message"]
+
+
+# ---------------------------------------------------------------- boundary
+
+def test_census_encodes_lambda_past_the_int_digit_limit(capsys):
+    # lambda's denominator at y = 5e4 has 5,414 digits, past the
+    # interpreter's 4,300-digit int-to-str conversion limit
+    report = run_json(
+        ["census", "--y", "50000", "--k", "2", "--ell", "1",
+         "--method", "sampled", "--samples", "10", "--seed", "1"],
+        capsys,
+    )
+    got = report["results"]["interval"]["recip_sum"]
+    want = interval_stats(50000).recip_sum
+    assert len(got["den"]) > sys.get_int_max_str_digits()
+    # Decimal reads the digits without int(str), which trips the same limit
+    assert Decimal(got["num"]) == want.numerator
+    assert Decimal(got["den"]) == want.denominator
+
+
+CENSUS_30 = ["census", "--y", "30", "--k", "2", "--ell", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv,env",
+    [
+        (["census", "--y", "nan", "--k", "2", "--ell", "1"], {}),
+        (["diagnose", "large-sieve", "--seed", "1", "--trials", "0"], {}),
+        (["diagnose", "large-sieve", "--seed", "1", "--trials", "-4"], {}),
+        (["verify", "--s-file", "{missing}", "--limit", "10"], {}),
+        (["verify", "--s-file", "{malformed}", "--limit", "10"], {}),
+        (CENSUS_30, {"SUNIT_MAX_SIEVE": "abc"}),
+        (CENSUS_30, {"SUNIT_MAX_SIEVE": "-5"}),
+    ],
+    ids=[
+        "y-nan", "trials-zero", "trials-negative", "s-file-missing",
+        "s-file-malformed", "max-sieve-text", "max-sieve-negative",
+    ],
+)
+def test_boundary_input_gives_one_validation_error_line(
+    argv, env, tmp_path, monkeypatch, capsys
+):
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text("{not json")
+    argv = [a.format(missing=tmp_path / "missing.json", malformed=malformed) for a in argv]
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    status, out, err = run_cli(argv, capsys)
+    assert status == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"]["code"] == "validation"
 
 
 # ---------------------------------------------------------------- diagnose
