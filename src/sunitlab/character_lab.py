@@ -30,7 +30,16 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import CapacityError, ToleranceError, ValidationError
-from .prime_tools import PrimeStats, factorize, interval_stats
+from .prime_tools import (
+    PrimeStats,
+    _divisors,
+    _mobius,
+    _phi,
+    _phi_of_multiset,
+    _primitive_root,
+    factorize,
+    interval_stats,
+)
 from .tuple_census import (
     CensusParams,
     RepresentationTable,
@@ -42,6 +51,7 @@ from .tuple_census import (
 )
 
 CHARACTER_MODULUS_LIMIT = 1_000_000
+CHARACTER_WORK_LIMIT = 100_000_000
 
 IDENTITY_TOL = 1e-9
 ROUNDING_TOL = 1e-2
@@ -62,15 +72,6 @@ def _unit_root(t: int, order: int) -> complex:
     """
     angle = 2 * cmath.pi * t / order
     return complex(_snap(math.cos(angle)), _snap(math.sin(angle)))
-
-
-def _primitive_root(p: int) -> int:
-    """Smallest primitive root modulo an odd prime p."""
-    order_factors = factorize(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // r, p) != 1 for r in order_factors):
-            return g
-    raise ValidationError(f"{p} has no primitive root; not an odd prime?")
 
 
 def _prime_power_generators(p: int, e: int) -> list[tuple[int, int, bool]]:
@@ -265,13 +266,6 @@ def character_table(m: int, limit: int = CHARACTER_MODULUS_LIMIT) -> CharacterTa
     return _build_table(m)
 
 
-def _divisors(n: int) -> list[int]:
-    divs = [1]
-    for p, e in factorize(n).items():
-        divs = [d * p**j for d in divs for j in range(e + 1)]
-    return sorted(divs)
-
-
 def prime_char_sum(
     chi: DirichletCharacter, y: float, stats: PrimeStats | None = None
 ) -> complex:
@@ -281,6 +275,8 @@ def prime_char_sum(
     Terms with gcd(p, modulus) > 1 contribute 0; for census moduli this never
     happens since the modulus and product prime intervals are disjoint.
     """
+    if stats is not None and stats.y != y:
+        raise ValidationError(f"stats are for y = {stats.y}, not y = {y}")
     st = stats or interval_stats(y)
     # aggregate by root exponent first: fewer float additions, exact principal case
     exponent_counts: Counter[int] = Counter()
@@ -293,14 +289,6 @@ def prime_char_sum(
     )
 
 
-def _phi_of_multiset(combo: tuple[int, ...]) -> int:
-    """Euler phi of the product of a prime multiset, exactly."""
-    phi = 1
-    for q, e in Counter(combo).items():
-        phi *= q ** (e - 1) * (q - 1)
-    return phi
-
-
 def _prime_sums(table: CharacterTable, st: PrimeStats) -> np.ndarray:
     """S_chi = sum of chi(p) over the product-range primes p, for every chi mod m."""
     return table.sums(st.product_primes, np.ones(len(st.product_primes)))
@@ -309,6 +297,27 @@ def _prime_sums(table: CharacterTable, st: PrimeStats) -> np.ndarray:
 def _primitive_power_sum(table: CharacterTable, sums: np.ndarray, k: int) -> float:
     """Sum over the primitive characters chi mod m of |S_chi|^k."""
     return float(np.sum(np.abs(sums[table.primitive_mask]) ** k))
+
+
+def _check_character_work(st: PrimeStats, ts) -> None:
+    """Refuse, before any table is built, work over Q_t for t in ts that
+    transforms more than CHARACTER_WORK_LIMIT grid points in all.
+
+    A table mod q has phi(q) points, and the sum of phi(q) over Q_t is the
+    x^t coefficient of the product over modulus primes p of
+    1 + (p-1)x/(1 - px), because phi(p^e) = p^(e-1)(p-1).
+    """
+    coeffs = [1] + [0] * max(ts, default=0)
+    for p in st.modulus_primes:
+        tail = 0  # coefficients of coeffs/(1 - px), one degree behind
+        for d, c in enumerate(coeffs):
+            tail, coeffs[d] = c + p * tail, c + (p - 1) * tail
+    total = sum(coeffs[t] for t in ts)
+    if total > CHARACTER_WORK_LIMIT:
+        raise CapacityError(
+            f"character tables over Q_t, t in {list(ts)}, hold {total} points "
+            f"(sum of phi(q)); cap {CHARACTER_WORK_LIMIT}"
+        )
 
 
 def _class_moments(
@@ -334,6 +343,7 @@ def census_via_characters(
     rounded to the nearest integer under a 10^-2 guard.
     """
     st = stats or interval_stats(params.y)
+    _check_character_work(st, [params.ell])
 
     def count():
         total = 0j
@@ -429,6 +439,8 @@ def nonprincipal_contribution(
     limit: int = CHARACTER_MODULUS_LIMIT,
 ) -> NonprincipalReport:
     st = stats or interval_stats(params.y)
+    # the direct bound walks Q_ell, the class bounds Q_1 .. Q_ell
+    _check_character_work(st, [params.ell, *range(1, params.ell + 1)])
     count = census_over(st.product_primes, st.modulus_primes, params.k, params.ell)
     principal = principal_contribution(params, st)
     value = Fraction(count) - principal
@@ -619,22 +631,6 @@ class MomentReport:
     class_size: int
 
 
-def _mobius(n: int) -> int:
-    mu = 1
-    for _p, e in factorize(n).items():
-        if e > 1:
-            return 0
-        mu = -mu
-    return mu
-
-
-def _phi(n: int) -> int:
-    phi = 1
-    for p, e in factorize(n).items():
-        phi *= p ** (e - 1) * (p - 1)
-    return phi
-
-
 def _residue_pair_sum(table: RepresentationTable, c: int) -> int:
     """Sum over pairs m == n (mod c) of a(m)*a(n), exactly."""
     by_residue: Counter[int] = Counter()
@@ -680,6 +676,7 @@ def moment_check(
     if which not in ("2t", "4t"):
         raise ValidationError(f"which must be '2t' or '4t', got {which!r}")
     st = stats or interval_stats(y)
+    _check_character_work(st, [t])
     power = 2 * t if which == "2t" else 4 * t
     rep = representation_counts(power // 2, y, stats=st)
     moments = _class_moments(t, y, power, st, limit)
@@ -742,6 +739,7 @@ def tail_shape(
         t_values = [t for t in range(1, ell + 1) if t > k / 4]
         base = 4 / y
         reference = ell ** (k - ell) * (4 * lam * big_p) ** ell * y ** (k / 2)
+    _check_character_work(st, t_values)
 
     terms = {}
     for t in t_values:

@@ -334,12 +334,8 @@ def _diag_large_sieve(args, warnings):
     return records
 
 
-def _diag_moments(args, warnings):
+def _diag_moments(args, stats, warnings):
     t = args.t if args.t is not None else 1
-    stats = interval_stats(args.y)
-    if not stats.modulus_primes:
-        warnings.append(f"empty modulus prime interval at y = {args.y}; no moments")
-        return {}
     return {
         which: encode(moment_check(t, args.y, which, stats=stats))
         | {"method": "character-enumeration+representation-identity"}
@@ -347,11 +343,7 @@ def _diag_moments(args, warnings):
     }
 
 
-def _diag_tails(args, warnings):
-    stats = interval_stats(args.y)
-    if not stats.modulus_primes:
-        warnings.append(f"empty modulus prime interval at y = {args.y}; no tail shapes")
-        return {}
+def _diag_tails(args, stats, warnings):
     if args.k is not None and args.ell is not None:
         k, ell = args.k, args.ell
     else:
@@ -360,17 +352,13 @@ def _diag_tails(args, warnings):
         warnings.append(f"tail shapes defaulted to planned k={k}, ell={ell}")
     params = CensusParams(args.y, k, ell)
     return {
-        which: encode(tail_shape(params, which)) | {"method": "tail-shape"}
+        which: encode(tail_shape(params, which, stats=stats)) | {"method": "tail-shape"}
         for which in ("low", "high")
     }
 
 
-def _diag_qt(args, warnings):
+def _diag_qt(args, stats, warnings):
     t = args.t if args.t is not None else 1
-    stats = interval_stats(args.y)
-    if not stats.modulus_primes:
-        warnings.append(f"empty modulus prime interval at y = {args.y}; Q_t is empty")
-        return {}
     cls = enumerate_Qt(t, args.y, stats=stats)
     record = {
         "method": "multiset-enumeration",
@@ -386,11 +374,7 @@ def _diag_qt(args, warnings):
     return record
 
 
-def _diag_decomposition(args, warnings):
-    stats = interval_stats(args.y)
-    if not stats.modulus_primes:
-        warnings.append(f"empty modulus prime interval at y = {args.y}; no decomposition")
-        return {}
+def _diag_decomposition(args, stats, warnings):
     k = args.k if args.k is not None else 2
     ell = args.ell if args.ell is not None else 1
     params = CensusParams(args.y, k, ell)
@@ -417,14 +401,24 @@ def run_diagnose(args):
             warnings.append("skipping large-sieve diagnostics: no --seed given")
         else:
             results["large_sieve"] = _diag_large_sieve(args, warnings)
-    for name, fn in (
-        ("moments", _diag_moments),
-        ("tails", _diag_tails),
-        ("qt", _diag_qt),
-        ("decomposition", _diag_decomposition),
-    ):
-        if topic == name or (topic == "all" and args.y is not None):
-            results[name] = fn(args, warnings)
+    topics = {
+        name: fn
+        for name, fn in (
+            ("moments", _diag_moments),
+            ("tails", _diag_tails),
+            ("qt", _diag_qt),
+            ("decomposition", _diag_decomposition),
+        )
+        if topic == name or (topic == "all" and args.y is not None)
+    }
+    if topics:
+        stats = interval_stats(args.y)
+        if not stats.modulus_primes:
+            warnings.append(
+                f"empty modulus prime interval at y = {args.y}; skipped {', '.join(topics)}"
+            )
+        for name, fn in topics.items():
+            results[name] = fn(args, stats, warnings) if stats.modulus_primes else {}
     if topic == "all" and args.y is None:
         warnings.append("no --y given; skipped moments, tails, qt, decomposition")
     return results, []
@@ -454,8 +448,15 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--format", choices=("json", "csv"), default="json", help="primary artifact format")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ValidationError, so it leaves as one JSON line."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sunitlab",
         description=(
             "Census of prime-product congruences and pigeonhole construction "
@@ -518,24 +519,13 @@ def _config_echo(args) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.format == "csv":
-        if args.command not in ("construct", "verify"):
-            print(
-                json.dumps({"error": {"code": "validation", "message": "csv format applies only to construct and verify"}}),
-                file=sys.stderr,
-            )
-            return 2
-        if not args.out:
-            print(
-                json.dumps({"error": {"code": "validation", "message": "--format csv requires --out"}}),
-                file=sys.stderr,
-            )
-            return 2
-
-    start = time.perf_counter()
     try:
+        args = build_parser().parse_args(argv)
+        if args.format == "csv" and args.command not in ("construct", "verify"):
+            raise ValidationError("csv format applies only to construct and verify")
+        if args.format == "csv" and not args.out:
+            raise ValidationError("--format csv requires --out")
+        start = time.perf_counter()
         results, artifacts = _DISPATCH[args.command](args)
     except SUnitError as exc:
         print(

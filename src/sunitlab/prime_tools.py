@@ -1,5 +1,8 @@
 """Prime enumeration over half-open intervals and the derived interval statistics.
 
+Also the integer arithmetic the other modules build on: primality,
+factorization, and phi, Moebius, divisors and primitive roots on top of it.
+
 All intervals here are half-open (lo, hi]: the lower endpoint is excluded and
 the upper endpoint included.  This convention is fixed once, in this module,
 and reused by every consumer.
@@ -9,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,8 +50,23 @@ class PrimeInterval:
         return len(self.primes)
 
     def reciprocal_sum(self) -> Fraction:
-        """Exact rational sum of 1/p over the listed primes."""
-        return sum((Fraction(1, p) for p in self.primes), Fraction(0))
+        """Exact rational sum of 1/p over the listed primes.
+
+        Binary splitting (Haible & Papanikolaou 1998): each node of a product
+        tree returns its partial sum as a numerator over the product of its
+        primes, so the big multiplications are balanced and the one gcd comes
+        at the end.  The primes are distinct, so that gcd is 1.
+        """
+
+        def split(lo: int, hi: int) -> tuple[int, int]:
+            if hi - lo == 1:
+                return 1, self.primes[lo]
+            mid = (lo + hi) // 2
+            num_lo, den_lo = split(lo, mid)
+            num_hi, den_hi = split(mid, hi)
+            return num_lo * den_hi + num_hi * den_lo, den_lo * den_hi
+
+        return Fraction(*split(0, len(self.primes))) if self.primes else Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -229,3 +248,43 @@ def factorize(n: int, trial_bound: int = TRIAL_DIVISION_BOUND) -> dict[int, int]
             g = _pollard_brent(m)
             stack.extend((g, m // g))
     return dict(sorted(factors.items()))
+
+
+def _divisors(n: int) -> list[int]:
+    divs = [1]
+    for p, e in factorize(n).items():
+        divs = [d * p**j for d in divs for j in range(e + 1)]
+    return sorted(divs)
+
+
+def _mobius(n: int) -> int:
+    mu = 1
+    for _p, e in factorize(n).items():
+        if e > 1:
+            return 0
+        mu = -mu
+    return mu
+
+
+def _phi(n: int) -> int:
+    phi = 1
+    for p, e in factorize(n).items():
+        phi *= p ** (e - 1) * (p - 1)
+    return phi
+
+
+def _phi_of_multiset(combo: tuple[int, ...]) -> int:
+    """Euler phi of the product of a prime multiset, exactly."""
+    phi = 1
+    for q, e in Counter(combo).items():
+        phi *= q ** (e - 1) * (q - 1)
+    return phi
+
+
+def _primitive_root(p: int) -> int:
+    """Smallest primitive root modulo an odd prime p."""
+    order_factors = factorize(p - 1)
+    for g in range(2, p):
+        if all(pow(g, (p - 1) // r, p) != 1 for r in order_factors):
+            return g
+    raise ValidationError(f"{p} has no primitive root; not an odd prime?")

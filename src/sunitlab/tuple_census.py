@@ -5,7 +5,7 @@ Counts ordered tuples (p_1, ..., p_k, q_1, ..., q_l) with each p_i a prime in
 
     p_1 * ... * p_k == 1  (mod q_1 * ... * q_l).
 
-Exposes an exact counter built on per-modulus residue folding, a brute-force
+Exposes an exact counter built on a per-modulus numpy residue fold, a brute-force
 direct counter for cross-checks, a Monte Carlo estimator, and the exact
 rational main/error reference terms the count is compared against.
 """
@@ -19,12 +19,17 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import CapacityError, ValidationError
-from .prime_tools import PrimeStats, interval_stats
+from .prime_tools import PrimeStats, _phi_of_multiset, interval_stats
 
 MODULUS_LIMIT = 2**31
 DIRECT_OP_LIMIT = 50_000_000
 FOLD_OP_LIMIT = 200_000_000
+# products materialized per sort-merge: one fold near FOLD_OP_LIMIT would
+# otherwise hold 2*10^8 products and their sort order (gigabytes) at once
+_FOLD_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -147,35 +152,73 @@ def _census_result(
     )
 
 
-def _count_products_congruent_one(
-    p_primes: tuple[int, ...], k: int, m: int, op_limit: int = FOLD_OP_LIMIT
-) -> int:
-    """Number of ordered k-tuples of p_primes whose product is 1 mod m.
+def _merge(values: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort (value, count) pairs by value and add up the counts of equal values."""
+    order = np.argsort(values)
+    values, counts = values[order], counts[order]
+    starts = np.flatnonzero(np.diff(values, prepend=-1))
+    return values[starts], np.add.reduceat(counts, starts)
 
-    Folds the residue distribution of one factor k-1 times; the last fold is
-    read off via modular inverses instead of a full convolution, which is the
-    difference between minutes and hours at interesting sizes.  Every p is
-    coprime to m here (the p and q intervals are disjoint), so the inverses
-    exist.
+
+def _euler_inverses(units: np.ndarray, m: int, phi: int) -> np.ndarray:
+    """u^(phi(m)-1) mod m, the inverse of each unit u, by square-and-multiply."""
+    result = np.full_like(units, 1 % m)
+    power = units.copy()
+    e = phi - 1
+    while e:
+        if e & 1:
+            np.remainder(np.multiply(result, power, out=result), m, out=result)
+        e >>= 1
+        if e:
+            np.remainder(np.multiply(power, power, out=power), m, out=power)
+    return result
+
+
+def _count_products_congruent_one(
+    p: np.ndarray, k: int, m: int, combo: tuple[int, ...]
+) -> int:
+    """Number of ordered k-tuples of the primes p whose product is 1 mod m.
+
+    m is the product of the prime multiset combo.  Residues sharing a prime
+    with m never reach 1 and are dropped; the rest collapse to sorted
+    (value, count) pairs, folded k-2 times by an outer product mod m and a
+    sort-merge (in slices of _FOLD_CHUNK products).  The last factor is read
+    off instead of folded: s completes a tuple exactly when the other k-1
+    factors multiply to s^-1, and every s^-1 comes at once as s^(phi(m)-1).
+    int64 residue products are exact because m < MODULUS_LIMIT = 2^31;
+    counts are Python ints whenever n^k tuples could pass 2^63.
     """
-    base = Counter(p % m for p in p_primes)
+    r = p % m
+    for q in set(combo):
+        r = r[r % q != 0]
+    if not len(r):
+        return 0
+    values, counts = np.unique(r, return_counts=True)
+    counts = counts.astype(np.int64 if len(r) ** k < 2**63 else object)
     if k == 1:
-        return base.get(1 % m, 0)
-    dist = base
+        return int(counts[values == 1 % m].sum())
+    dist, dist_counts = values, counts
+    rows = max(1, _FOLD_CHUNK // len(values))
     for _ in range(k - 2):
-        if len(dist) * len(base) > op_limit:
+        if len(dist) * len(values) > FOLD_OP_LIMIT:
             raise CapacityError(
-                f"residue fold size {len(dist)}x{len(base)} exceeds {op_limit} ops"
+                f"residue fold size {len(dist)}x{len(values)} exceeds {FOLD_OP_LIMIT} ops"
             )
-        nxt: Counter[int] = Counter()
-        for r, c in dist.items():
-            for s, d in base.items():
-                nxt[r * s % m] += c * d
-        dist = nxt
-    total = 0
-    for s, d in base.items():
-        total += d * dist.get(pow(s, -1, m), 0)
-    return total
+        folded, folded_counts = dist[:0], dist_counts[:0]
+        for i in range(0, len(dist), rows):
+            products = np.multiply.outer(dist[i : i + rows], values) % m
+            weights = np.multiply.outer(dist_counts[i : i + rows], counts)
+            folded, folded_counts = _merge(
+                np.concatenate((folded, products.ravel())),
+                np.concatenate((folded_counts, weights.ravel())),
+            )
+        dist, dist_counts = folded, folded_counts
+    inverses = _euler_inverses(values, m, _phi_of_multiset(combo))
+    order = np.argsort(inverses)
+    inverses, counts = inverses[order], counts[order]
+    at = np.minimum(np.searchsorted(dist, inverses), len(dist) - 1)
+    hit = dist[at] == inverses
+    return int(np.sum(counts[hit] * dist_counts[at[hit]]))
 
 
 def count_exact(params: CensusParams, stats: PrimeStats | None = None) -> CensusResult:
@@ -192,12 +235,17 @@ def count_exact(params: CensusParams, stats: PrimeStats | None = None) -> Census
 def census_over(
     p_primes: tuple[int, ...], q_primes: tuple[int, ...], k: int, ell: int
 ) -> int:
-    """Ordered census over explicit prime lists (the engine under count_exact)."""
+    """Ordered census over explicit prime lists (the engine under count_exact).
+
+    A p sharing a prime with the modulus is never part of a counted tuple.
+    """
+    largest = max(q_primes, default=1) ** ell
+    if largest > MODULUS_LIMIT:
+        raise CapacityError(f"modulus {largest} exceeds limit {MODULUS_LIMIT}")
+    p = np.asarray(p_primes, dtype=np.int64)
     total = 0
-    for m, _combo, weight in _modulus_multisets(tuple(q_primes), ell):
-        if m > MODULUS_LIMIT:
-            raise CapacityError(f"modulus {m} exceeds limit {MODULUS_LIMIT}")
-        total += weight * _count_products_congruent_one(tuple(p_primes), k, m)
+    for m, combo, weight in _modulus_multisets(tuple(q_primes), ell):
+        total += weight * _count_products_congruent_one(p, k, m, combo)
     return total
 
 

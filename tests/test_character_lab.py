@@ -22,8 +22,14 @@ from sunitlab.character_lab import (
     tail_shape,
 )
 from sunitlab.errors import CapacityError, ValidationError
-from sunitlab.prime_tools import factorize, interval_stats
-from sunitlab.tuple_census import CensusParams, count_exact, representation_counts
+import sunitlab.character_lab as cl
+from sunitlab.prime_tools import _phi_of_multiset, factorize, interval_stats
+from sunitlab.tuple_census import (
+    CensusParams,
+    _modulus_multisets,
+    count_exact,
+    representation_counts,
+)
 
 from oracles import oracle_phi
 
@@ -179,6 +185,12 @@ def test_sums_kernel_matches_character_values(m):
     tol = 1e-12 * sum(abs(a) for a in coeffs)
     for chi, s in zip(table.characters, sums):
         assert abs(s - sum(a * chi(n) for n, a in zip(ns, coeffs))) <= tol, chi
+
+
+def test_prime_char_sum_refuses_stats_of_another_y():
+    chi = character_table(11).principal
+    with pytest.raises(ValidationError):
+        prime_char_sum(chi, 60, interval_stats(30))
 
 
 def test_prime_char_sum_principal_is_prime_count():
@@ -380,3 +392,40 @@ def test_tail_shape_empty_range():
     assert rep.lhs == 0.0
     with pytest.raises(ValidationError):
         tail_shape(CensusParams(30, 2, 1), "sideways")
+
+
+@pytest.mark.parametrize("y", [30, 100, 300])
+def test_character_work_estimate_is_the_phi_sum(y, monkeypatch):
+    st = interval_stats(y)
+    for t in (1, 2, 3):
+        phi_sum = sum(
+            _phi_of_multiset(combo)
+            for _m, combo, _w in _modulus_multisets(st.modulus_primes, t)
+        )
+        monkeypatch.setattr(cl, "CHARACTER_WORK_LIMIT", phi_sum)
+        cl._check_character_work(st, [t])  # exactly at the cap: allowed
+        monkeypatch.setattr(cl, "CHARACTER_WORK_LIMIT", phi_sum - 1)
+        with pytest.raises(CapacityError, match=str(phi_sum)):
+            cl._check_character_work(st, [t])
+
+
+@pytest.mark.parametrize(
+    "run,points",
+    [
+        (lambda: census_via_characters(CensusParams(100, 2, 1)), 222),
+        # the direct bound and the class bound each walk Q_1
+        (lambda: nonprincipal_contribution(CensusParams(100, 2, 1)), 444),
+        (lambda: moment_check(1, 100, "2t"), 222),
+        (lambda: tail_shape(CensusParams(100, 4, 1), "low"), 222),
+    ],
+    ids=["census", "nonprincipal", "moment", "tail"],
+)
+def test_character_work_refused_before_any_table(run, points, monkeypatch):
+    # Q_1 at y = 100 holds 222 grid points (sum of phi(q)); allow 100
+    def no_tables(*args, **kwargs):
+        raise AssertionError("a character table was built before the refusal")
+
+    monkeypatch.setattr(cl, "CHARACTER_WORK_LIMIT", 100)
+    monkeypatch.setattr(cl, "character_table", no_tables)
+    with pytest.raises(CapacityError, match=f"hold {points} points"):
+        run()

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
 import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
+import sunitlab
 from sunitlab.cli_report import encode, main, solutions_csv
 from sunitlab.prime_tools import interval_stats
 from sunitlab.smooth_verifier import SmoothPair
@@ -298,7 +302,56 @@ def test_boundary_input_gives_one_validation_error_line(
     assert json.loads(line)["error"]["code"] == "validation"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census", "--y", "30", "--k", "abc", "--ell", "1"],
+        ["census", "--y", "thirty", "--k", "2", "--ell", "1"],
+        ["construct", "--y", "30", "--alpha", "1/0"],
+        CENSUS_30 + ["--format", "xml"],
+        ["diagnose", "everything", "--y", "30"],
+        CENSUS_30 + ["--bogus"],
+        ["fly"],
+        [],
+    ],
+    ids=[
+        "int-type", "float-type", "rational-type", "flag-choice", "topic-choice",
+        "unknown-flag", "unknown-command", "no-command",
+    ],
+)
+def test_usage_error_gives_one_validation_error_line(argv, capsys):
+    status, out, err = run_cli(argv, capsys)
+    assert status == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"]["code"] == "validation"
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_zero(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([flag])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
+def test_character_work_refused_up_front():
+    # Q_1 at y = 1e6 holds about 19,000 primes near 3.75e5: about 7e9 grid
+    # points, which would take minutes to transform
+    env = dict(os.environ, PYTHONPATH=str(Path(sunitlab.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sunitlab", "diagnose", "tails",
+         "--y", "1e6", "--k", "4", "--ell", "2"],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert json.loads(line)["error"]["code"] == "capacity"
+
+
 # ---------------------------------------------------------------- diagnose
+
 
 def test_diagnose_moments_goldens(capsys):
     report = run_json(["diagnose", "moments", "--y", "20", "--t", "1"], capsys)
@@ -356,6 +409,29 @@ def test_diagnose_empty_interval(capsys):
     report = run_json(["diagnose", "moments", "--y", "3"], capsys)
     assert report["results"]["moments"] == {}
     assert report["results"]["warnings"] != []
+
+
+def test_diagnose_all_computes_interval_stats_once(capsys, monkeypatch):
+    import sunitlab.character_lab as cl
+    import sunitlab.cli_report as cli
+    import sunitlab.tuple_census as tc
+
+    calls = []
+
+    def counted(y, limit=None):
+        calls.append(y)
+        return interval_stats(y, limit)
+
+    for module in (cli, cl, tc):
+        monkeypatch.setattr(module, "interval_stats", counted)
+    run_json(["diagnose", "all", "--y", "30", "--seed", "7", "--trials", "2"], capsys)
+    assert calls == [30]
+
+    report = run_json(["diagnose", "all", "--y", "3"], capsys)
+    res = report["results"]
+    empty = [w for w in res["warnings"] if "empty" in w]
+    assert len(empty) == 1 and "moments, tails, qt, decomposition" in empty[0]
+    assert [res[t] for t in ("moments", "tails", "qt", "decomposition")] == [{}] * 4
 
 
 # ------------------------------------------------------------- determinism

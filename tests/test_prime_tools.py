@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
@@ -79,6 +81,15 @@ def test_reciprocal_sum_method():
     assert iv.primes == (11, 13)
     assert iv.reciprocal_sum() == Fraction(1, 11) + Fraction(1, 13)
     assert sieve_interval(13, 13).reciprocal_sum() == 0
+
+
+@pytest.mark.parametrize("y", [3, 30, 10**3, 10**5])
+def test_split_lambda_matches_sequential_sum(y):
+    st = interval_stats(y)
+    sequential = sum((Fraction(1, q) for q in st.modulus_primes), Fraction(0))
+    assert st.recip_sum == sequential == oracle_recip_sum(y)
+    # distinct primes: the sum over their product is already in lowest terms
+    assert st.recip_sum.denominator == math.prod(st.modulus_primes)
 
 
 def test_segment_crossing():

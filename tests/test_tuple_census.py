@@ -1,7 +1,9 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +11,8 @@ from sunitlab.errors import CapacityError, ValidationError
 from sunitlab.prime_tools import interval_stats
 from sunitlab.tuple_census import (
     CensusParams,
+    _count_products_congruent_one,
+    _modulus_multisets,
     census_over,
     count_direct,
     count_exact,
@@ -178,3 +182,91 @@ def test_direct_capacity(monkeypatch):
     monkeypatch.setattr(tc, "DIRECT_OP_LIMIT", 100)
     with pytest.raises(CapacityError):
         count_direct(CensusParams(60, 3, 2))
+
+
+def _reference_fold(p_primes, k, m):
+    """The Python Counter fold the numpy fold replaced; p_primes coprime to m.
+
+    Folds the residue distribution of one factor k-1 times and reads the last
+    fold off through one pow(s, -1, m) per residue.
+    """
+    base = Counter(p % m for p in p_primes)
+    if k == 1:
+        return base.get(1 % m, 0)
+    dist = base
+    for _ in range(k - 2):
+        nxt = Counter()
+        for r, c in dist.items():
+            for s, d in base.items():
+                nxt[r * s % m] += c * d
+        dist = nxt
+    return sum(d * dist.get(pow(s, -1, m), 0) for s, d in base.items())
+
+
+@pytest.mark.parametrize("y", [12, 30, 60, 150, 300])
+@pytest.mark.parametrize("ell", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_numpy_fold_matches_reference_fold(y, k, ell):
+    st = interval_stats(y)
+    p = np.asarray(st.product_primes, dtype=np.int64)
+    multisets = list(_modulus_multisets(st.modulus_primes, ell))
+    # all multisets up to 40, else 40 spread evenly: the reference is slow at y = 300
+    for m, combo, _w in multisets[:: -(-len(multisets) // 40)]:
+        got = _count_products_congruent_one(p, k, m, combo)
+        assert got == _reference_fold(st.product_primes, k, m), (m, combo)
+
+
+def test_fold_in_slices_matches_reference(monkeypatch):
+    # slices of 5 products force several sort-merges per fold
+    import sunitlab.tuple_census as tc
+
+    monkeypatch.setattr(tc, "_FOLD_CHUNK", 5)
+    st = interval_stats(60)
+    want = sum(
+        w * _reference_fold(st.product_primes, 4, m)
+        for m, _c, w in _modulus_multisets(st.modulus_primes, 2)
+    )
+    assert census_over(st.product_primes, st.modulus_primes, 4, 2) == want
+
+
+def test_fold_exact_past_int64():
+    st = interval_stats(30)
+    got = census_over(st.product_primes, st.modulus_primes, 40, 1)
+    assert got == 221636398685820811511780 > 2**63
+    assert got == sum(_reference_fold(st.product_primes, 40, q) for q in st.modulus_primes)
+
+
+def test_fold_drops_residues_sharing_a_prime_with_the_modulus():
+    # 11 = 0 mod 11 can never be part of a product == 1 mod 11
+    assert census_over((11, 13), (11,), 2, 1) == 0
+    assert census_over((11, 23), (11,), 1, 1) == 1
+    # moduli 9, 15 (twice) and 25: the prime 3 drops out of the first two only
+    want = (
+        _reference_fold((7, 13), 2, 9)
+        + 2 * _reference_fold((7, 13), 2, 15)
+        + _reference_fold((3, 7, 13), 2, 25)
+    )
+    assert census_over((3, 7, 13), (3, 5), 2, 2) == want
+
+
+def test_fold_capacity(monkeypatch):
+    # the fold must refuse rather than grind: force a tiny budget
+    import sunitlab.tuple_census as tc
+
+    monkeypatch.setattr(tc, "FOLD_OP_LIMIT", 10)
+    st = interval_stats(60)
+    with pytest.raises(CapacityError, match="residue fold"):
+        census_over(st.product_primes, st.modulus_primes, 3, 1)
+
+
+def test_modulus_limit_refused_before_any_fold(monkeypatch):
+    # the largest modulus 1499^3 > 2^31 comes last in multiset order
+    import sunitlab.tuple_census as tc
+
+    def no_folds(*args):
+        raise AssertionError("a residue fold ran before the refusal")
+
+    monkeypatch.setattr(tc, "_count_products_congruent_one", no_folds)
+    st = interval_stats(3000)
+    with pytest.raises(CapacityError, match=str(1499**3)):
+        census_over(st.product_primes, st.modulus_primes, 2, 3)
