@@ -9,9 +9,9 @@ discrete log d(n) of a unit n is a point of the grid Z/o_1 x ... x Z/o_r and
 so the sums S_chi = sum_n a_n chi(n) for all phi(m) characters at once are
 one inverse DFT of the coefficients placed on that grid
 (``CharacterTable.sums``).  Primitivity is read off the local components of
-c (``UnitGroup.primitive_mask``).  Every census, large-sieve, moment and tail
-quantity below comes from that one transform; explicit tolerances guard each
-place a float is rounded back to an integer.  Single characters (``chi(n)``,
+c (``CharacterTable.primitive_mask``).  Every census, large-sieve, moment and
+tail quantity below comes from that one transform; explicit tolerances guard
+each place a float is rounded back to an integer.  Single characters (``chi(n)``,
 the restriction-test ``conductor``, ``prime_char_sum``) are the independent
 slow route the transform is tested against.
 """
@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import CapacityError, ToleranceError, ValidationError
+from .errors import CapacityError, ToleranceError, ValidationError, check_capacity
 from .prime_tools import (
     PrimeStats,
     _divisors,
@@ -44,6 +44,7 @@ from .tuple_census import (
     CensusParams,
     RepresentationTable,
     _census_result,
+    _check_multisets,
     _modulus_multisets,
     census_over,
     main_term,
@@ -52,6 +53,11 @@ from .tuple_census import (
 
 CHARACTER_MODULUS_LIMIT = 1_000_000
 CHARACTER_WORK_LIMIT = 100_000_000
+QT_LIMIT = 2_000_000
+# ranges of the random large-sieve instances: length, modulus, family bound
+SIEVE_MAX_LENGTH = 50
+SIEVE_MAX_MODULUS = 101
+SIEVE_MAX_BOUND = 20
 
 IDENTITY_TOL = 1e-9
 ROUNDING_TOL = 1e-2
@@ -92,20 +98,19 @@ def _prime_power_generators(p: int, e: int) -> list[tuple[int, int, bool]]:
     return [(g % p**e, p ** (e - 1) * (p - 1), True)]
 
 
-class UnitGroup:
-    """Multiplicative group mod m: generators, discrete logs, primitive mask.
+class CharacterTable:
+    """All phi(m) characters mod m: generator orders, discrete logs, primitive mask.
 
     Characters and units are both indexed by the C-order flat index of their
     exponent (log) vector on the grid of generator orders.  ``dlog[n]`` is
     that index for n in [0, m), or -1 when gcd(n, m) > 1;
-    ``primitive_mask[i]`` says whether character i is primitive.
+    ``primitive_mask[i]`` says whether character i is primitive.  Build
+    tables through ``character_table``, which caches them.
     """
 
     def __init__(self, modulus: int):
-        if modulus < 1:
-            raise ValidationError(f"need modulus >= 1, got {modulus}")
         self.modulus = modulus
-        gens: list[tuple[int, int]] = []
+        orders: list[int] = []
         units = np.array([1 % modulus], dtype=np.int64)
         # m = 2 mod 4 has no primitive characters: the factor 2 is never primitive
         mask = np.array([modulus % 4 != 2])
@@ -113,13 +118,9 @@ class UnitGroup:
             pe = p**e
             cofactor = modulus // pe
             for g, order, local in _prime_power_generators(p, e):
-                if cofactor == 1:
-                    lifted = g
-                else:
-                    # CRT: equal to g mod p^e and to 1 mod the cofactor
-                    inv = pow(pe, -1, cofactor)
-                    lifted = (g + pe * ((1 - g) * inv % cofactor)) % modulus
-                gens.append((lifted, order))
+                # CRT: equal to g mod p^e and to 1 mod the cofactor
+                lifted = (g + pe * ((1 - g) * pow(pe, -1, cofactor) % cofactor)) % modulus
+                orders.append(order)
                 powers = [1]
                 for _ in range(order - 1):
                     powers.append(powers[-1] * lifted % modulus)
@@ -127,9 +128,8 @@ class UnitGroup:
                 exps = np.arange(order)
                 local_mask = exps % p != 0 if local else exps >= 0
                 mask = np.logical_and.outer(mask, local_mask).ravel()
-        self.generators = tuple(gens)
-        self.orders = tuple(o for _, o in gens)
-        self.strides = tuple(math.prod(self.orders[i + 1 :]) for i in range(len(gens)))
+        self.orders = tuple(orders)
+        self.strides = tuple(math.prod(self.orders[i + 1 :]) for i in range(len(orders)))
         self.exponent = math.lcm(*self.orders)
         self.weights = tuple(self.exponent // o for o in self.orders)
         self.totient = math.prod(self.orders)
@@ -149,6 +149,30 @@ class UnitGroup:
     def roots(self) -> tuple[complex, ...]:
         return tuple(_unit_root(t, self.exponent) for t in range(self.exponent))
 
+    @cached_property
+    def characters(self) -> tuple[DirichletCharacter, ...]:
+        ranges = [range(order) for order in self.orders]
+        return tuple(DirichletCharacter(self, exps) for exps in itertools.product(*ranges))
+
+    @property
+    def principal(self) -> DirichletCharacter:
+        return self.characters[0]
+
+    def primitive(self) -> tuple[DirichletCharacter, ...]:
+        return tuple(itertools.compress(self.characters, self.primitive_mask))
+
+    def sums(self, ns, coefficients) -> np.ndarray:
+        """S_chi = sum_n a_n chi(n) for every chi mod m, in table order.
+
+        Places each a_n at dlog(n) on the grid of generator orders and returns
+        phi(m) times its inverse DFT.  Terms with gcd(n, m) > 1 drop out.
+        """
+        index = self.dlog[np.asarray(ns, dtype=np.int64) % self.modulus]
+        units = index >= 0
+        grid = np.zeros(self.totient, dtype=complex)
+        np.add.at(grid, index[units], np.asarray(coefficients, dtype=complex)[units])
+        return self.totient * np.fft.ifftn(grid.reshape(self.orders or (1,))).ravel()
+
 
 class DirichletCharacter:
     """A character mod m, stored as one exponent per unit-group generator.
@@ -158,20 +182,20 @@ class DirichletCharacter:
     value is 0.
     """
 
-    __slots__ = ("group", "exponents", "_conductor")
+    __slots__ = ("table", "exponents", "_conductor")
 
-    def __init__(self, group: UnitGroup, exponents: tuple[int, ...]):
-        self.group = group
+    def __init__(self, table: CharacterTable, exponents: tuple[int, ...]):
+        self.table = table
         self.exponents = exponents
         self._conductor: int | None = None
 
     @property
     def modulus(self) -> int:
-        return self.group.modulus
+        return self.table.modulus
 
     def root_exponent(self, n: int) -> int | None:
         """Integer t with value = exp(2*pi*i*t/E), or None when gcd(n, m) > 1."""
-        g = self.group
+        g = self.table
         flat = int(g.dlog[n % g.modulus])
         if flat < 0:
             return None
@@ -183,7 +207,7 @@ class DirichletCharacter:
 
     def __call__(self, n: int) -> complex:
         t = self.root_exponent(n)
-        return 0j if t is None else self.group.roots[t]
+        return 0j if t is None else self.table.roots[t]
 
     @property
     def is_principal(self) -> bool:
@@ -197,7 +221,7 @@ class DirichletCharacter:
         every unit congruent to 1 mod d.
         """
         if self._conductor is None:
-            m = self.group.modulus
+            m = self.table.modulus
             for d in sorted(_divisors(m)):
                 if all(
                     self.root_exponent(a) == 0
@@ -214,56 +238,15 @@ class DirichletCharacter:
         return f"DirichletCharacter(mod {self.modulus}, exponents={self.exponents})"
 
 
-class CharacterTable:
-    """All phi(m) characters mod m, in C order of their exponent vectors."""
-
-    def __init__(self, group: UnitGroup):
-        self.group = group
-        self.modulus = group.modulus
-        self.totient = group.totient
-        self.generators = group.generators
-        self.primitive_mask = group.primitive_mask
-
-    @cached_property
-    def characters(self) -> tuple[DirichletCharacter, ...]:
-        ranges = [range(order) for order in self.group.orders]
-        return tuple(
-            DirichletCharacter(self.group, exps) for exps in itertools.product(*ranges)
-        )
-
-    @property
-    def principal(self) -> DirichletCharacter:
-        return self.characters[0]
-
-    def primitive(self) -> tuple[DirichletCharacter, ...]:
-        return tuple(itertools.compress(self.characters, self.primitive_mask))
-
-    def sums(self, ns, coefficients) -> np.ndarray:
-        """S_chi = sum_n a_n chi(n) for every chi mod m, in table order.
-
-        Places each a_n at dlog(n) on the grid of generator orders and returns
-        phi(m) times its inverse DFT.  Terms with gcd(n, m) > 1 drop out.
-        """
-        g = self.group
-        index = g.dlog[np.asarray(ns, dtype=np.int64) % g.modulus]
-        units = index >= 0
-        grid = np.zeros(g.totient, dtype=complex)
-        np.add.at(grid, index[units], np.asarray(coefficients, dtype=complex)[units])
-        return g.totient * np.fft.ifftn(grid.reshape(g.orders or (1,))).ravel()
+_cached_table = lru_cache(maxsize=256)(CharacterTable)
 
 
-@lru_cache(maxsize=256)
-def _build_table(m: int) -> CharacterTable:
-    return CharacterTable(UnitGroup(m))
-
-
-def character_table(m: int, limit: int = CHARACTER_MODULUS_LIMIT) -> CharacterTable:
-    """Build the full character table mod m (cached; m capped by ``limit``)."""
+def character_table(m: int) -> CharacterTable:
+    """The character table mod m, cached; m is checked on every call."""
     if m < 1:
         raise ValidationError(f"need modulus >= 1, got {m}")
-    if m > limit:
-        raise CapacityError(f"modulus {m} exceeds character table cap {limit}")
-    return _build_table(m)
+    check_capacity("character table modulus {}", m, CHARACTER_MODULUS_LIMIT)
+    return _cached_table(m)
 
 
 def prime_char_sum(
@@ -285,7 +268,7 @@ def prime_char_sum(
         if t is not None:
             exponent_counts[t] += 1
     return sum(
-        (count * chi.group.roots[t] for t, count in exponent_counts.items()), 0j
+        (count * chi.table.roots[t] for t, count in exponent_counts.items()), 0j
     )
 
 
@@ -305,37 +288,35 @@ def _check_character_work(st: PrimeStats, ts) -> None:
 
     A table mod q has phi(q) points, and the sum of phi(q) over Q_t is the
     x^t coefficient of the product over modulus primes p of
-    1 + (p-1)x/(1 - px), because phi(p^e) = p^(e-1)(p-1).
+    1 + (p-1)x/(1 - px), because phi(p^e) = p^(e-1)(p-1).  Every q in Q_t
+    has phi(q) >= 2^(t-1), so no degree past the cap's bit length is expanded.
     """
-    coeffs = [1] + [0] * max(ts, default=0)
+    top = max(ts, default=0)
+    if st.modulus_primes and top > CHARACTER_WORK_LIMIT.bit_length():
+        raise CapacityError(
+            f"character tables over Q_{top} hold at least 2^{top - 1} points "
+            f"(phi(q) >= 2^(t-1)), over the cap {CHARACTER_WORK_LIMIT}"
+        )
+    coeffs = [1] + [0] * top
     for p in st.modulus_primes:
         tail = 0  # coefficients of coeffs/(1 - px), one degree behind
         for d, c in enumerate(coeffs):
             tail, coeffs[d] = c + p * tail, c + (p - 1) * tail
     total = sum(coeffs[t] for t in ts)
-    if total > CHARACTER_WORK_LIMIT:
-        raise CapacityError(
-            f"character tables over Q_t, t in {list(ts)}, hold {total} points "
-            f"(sum of phi(q)); cap {CHARACTER_WORK_LIMIT}"
-        )
+    what = f"character tables over Q_t, t in {list(ts)}, hold {{}} points (sum of phi(q))"
+    check_capacity(what, total, CHARACTER_WORK_LIMIT)
 
 
-def _class_moments(
-    t: int, y: float, k: int, st: PrimeStats, limit: int
-) -> list[tuple[int, float]]:
+def _class_moments(t: int, y: float, k: int, st: PrimeStats) -> list[tuple[int, float]]:
     """(q, sum over primitive chi mod q of |S_chi|^k) for every q in Q_t."""
     moments = []
     for q in enumerate_Qt(t, y, stats=st).moduli:
-        table = character_table(q, limit)
+        table = character_table(q)
         moments.append((q, _primitive_power_sum(table, _prime_sums(table, st), k)))
     return moments
 
 
-def census_via_characters(
-    params: CensusParams,
-    stats: PrimeStats | None = None,
-    limit: int = CHARACTER_MODULUS_LIMIT,
-):
+def census_via_characters(params: CensusParams, stats: PrimeStats | None = None):
     """Census recomputed by character orthogonality; must equal count_exact.
 
     For each modulus m = q_1*...*q_l the tuple count with product 1 mod m is
@@ -348,7 +329,7 @@ def census_via_characters(
     def count():
         total = 0j
         for m, _combo, weight in _modulus_multisets(st.modulus_primes, params.ell):
-            table = character_table(m, limit)
+            table = character_table(m)
             acc = complex(np.sum(_prime_sums(table, st) ** params.k))
             total += weight * acc / table.totient
         rounded = round(total.real)
@@ -434,9 +415,7 @@ class NonprincipalReport:
 
 
 def nonprincipal_contribution(
-    params: CensusParams,
-    stats: PrimeStats | None = None,
-    limit: int = CHARACTER_MODULUS_LIMIT,
+    params: CensusParams, stats: PrimeStats | None = None
 ) -> NonprincipalReport:
     st = stats or interval_stats(params.y)
     # the direct bound walks Q_ell, the class bounds Q_1 .. Q_ell
@@ -447,7 +426,7 @@ def nonprincipal_contribution(
 
     direct = 0.0
     for m, _combo, weight in _modulus_multisets(st.modulus_primes, params.ell):
-        nonprincipal = _prime_sums(character_table(m, limit), st)[1:]  # chi_0 first
+        nonprincipal = _prime_sums(character_table(m), st)[1:]  # chi_0 first
         direct += weight * 2 / m * float(np.sum(np.abs(nonprincipal) ** params.k))
 
     lam = st.recip_sum
@@ -459,7 +438,7 @@ def nonprincipal_contribution(
             * Fraction(fact_ell, math.factorial(params.ell - t))
             * lam ** (params.ell - t)
         )
-        moments = _class_moments(t, params.y, params.k, st, limit)
+        moments = _class_moments(t, params.y, params.k, st)
         class_bounds[t] = sum((weight / q * s for q, s in moments), 0.0)
     class_total = sum(class_bounds.values())
 
@@ -482,37 +461,28 @@ class ModulusClass:
 
     t: int
     y: float
-    entries: tuple[tuple[int, tuple[int, ...]], ...]
+    moduli: tuple[int, ...]
     size: int
     size_reference: float
     within_reference: bool
 
-    @property
-    def moduli(self) -> tuple[int, ...]:
-        return tuple(m for m, _ in self.entries)
 
-
-def enumerate_Qt(
-    t: int, y: float, cap: int = 2_000_000, stats: PrimeStats | None = None
-) -> ModulusClass:
+def enumerate_Qt(t: int, y: float, stats: PrimeStats | None = None) -> ModulusClass:
     """Enumerate the modulus class of t-prime products from (y/4, y/2].
 
     size_reference is P^t/t! where P counts the (y/2, y] primes; the
     comparison is a recorded diagnostic (it can fail for small y).
     """
-    if t < 1:
-        raise ValidationError(f"need t >= 1, got {t}")
     st = stats or interval_stats(y)
     q_primes = st.modulus_primes
-    size = math.comb(len(q_primes) + t - 1, t)
-    if size > cap:
-        raise CapacityError(f"|Q_{t}| = {size} exceeds cap {cap}")
-    entries = sorted((m, combo) for m, combo, _w in _modulus_multisets(q_primes, t))
+    # t prime factors per modulus: a huge t makes few moduli but long products
+    size = _check_multisets(QT_LIMIT, f"prime factors over Q_{t}", (len(q_primes), t), per=t)
+    moduli = sorted(m for m, _combo, _w in _modulus_multisets(q_primes, t))
     reference = st.prime_count**t / math.factorial(t)
     return ModulusClass(
         t=t,
         y=y,
-        entries=tuple(entries),
+        moduli=tuple(moduli),
         size=size,
         size_reference=reference,
         within_reference=size <= reference,
@@ -547,11 +517,7 @@ class SieveCheck:
     passed: bool
 
 
-def large_sieve_check(
-    instance: LargeSieveInstance,
-    mode: str,
-    limit: int = CHARACTER_MODULUS_LIMIT,
-) -> SieveCheck:
+def large_sieve_check(instance: LargeSieveInstance, mode: str) -> SieveCheck:
     """Verify a mean-square character sum inequality on one instance.
 
     single-modulus: sum over all chi mod q of |sum a_n chi(n)|^2
@@ -559,25 +525,30 @@ def large_sieve_check(
     primitive-family: sum over q <= Q of (q/phi(q)) * sum over primitive chi
                     of |...|^2 <= (N + Q^2 - 1) * sum |a_n|^2.
     Both inequalities hold unconditionally; passed=False means a bug,
-    not an interesting input.
+    not an interesting input.  The family tables hold sum_{q <= Q} phi(q)
+    <= Q(Q+1)/2 points; that bound is refused over CHARACTER_WORK_LIMIT
+    before any table is built.
     """
     norm = instance.norm()
     ns = np.arange(1, instance.length + 1)
     if mode == "single-modulus":
         if instance.modulus is None:
             raise ValidationError("single-modulus mode needs a modulus")
-        sums = character_table(instance.modulus, limit).sums(ns, instance.coefficients)
+        sums = character_table(instance.modulus).sums(ns, instance.coefficients)
         lhs = float(np.sum(np.abs(sums) ** 2))
         rhs = (instance.length + instance.modulus) * norm
     elif mode == "primitive-family":
         if instance.modulus_bound is None:
             raise ValidationError("primitive-family mode needs a modulus bound")
+        bound = instance.modulus_bound
+        what = f"character tables for q <= {bound} hold up to {{}} points"
+        check_capacity(what, bound * (bound + 1) // 2, CHARACTER_WORK_LIMIT)
         lhs = 0.0
-        for q in range(1, instance.modulus_bound + 1):
-            table = character_table(q, limit)
+        for q in range(1, bound + 1):
+            table = character_table(q)
             part = _primitive_power_sum(table, table.sums(ns, instance.coefficients), 2)
             lhs += q / table.totient * part
-        rhs = (instance.length + instance.modulus_bound**2 - 1) * norm
+        rhs = (instance.length + bound**2 - 1) * norm
     else:
         raise ValidationError(f"unknown mode {mode!r}")
     return SieveCheck(mode=mode, lhs=lhs, rhs=rhs, passed=lhs <= rhs * (1 + IDENTITY_TOL))
@@ -587,27 +558,25 @@ def random_sieve_instances(
     trials: int,
     seed: int,
     mode: str,
-    max_length: int = 50,
-    max_modulus: int = 101,
-    max_modulus_bound: int = 20,
     fixed_modulus: int | None = None,
     fixed_bound: int | None = None,
 ):
     """Seeded stream of random instances for the large sieve checks.
 
-    Moduli are drawn uniformly unless pinned via fixed_modulus / fixed_bound.
+    Lengths, moduli and family bounds are drawn uniformly up to the SIEVE_MAX_*
+    constants unless pinned via fixed_modulus / fixed_bound.
     """
     rng = random.Random(seed)
     for _ in range(trials):
-        n = rng.randint(1, max_length)
+        n = rng.randint(1, SIEVE_MAX_LENGTH)
         coeffs = tuple(
             complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)
         )
         if mode == "single-modulus":
-            q = fixed_modulus if fixed_modulus is not None else rng.randint(1, max_modulus)
+            q = fixed_modulus if fixed_modulus is not None else rng.randint(1, SIEVE_MAX_MODULUS)
             yield LargeSieveInstance(length=n, coefficients=coeffs, modulus=q)
         else:
-            b = fixed_bound if fixed_bound is not None else rng.randint(1, max_modulus_bound)
+            b = fixed_bound if fixed_bound is not None else rng.randint(1, SIEVE_MAX_BOUND)
             yield LargeSieveInstance(length=n, coefficients=coeffs, modulus_bound=b)
 
 
@@ -661,11 +630,7 @@ def moment_primitive_sum_exact(q: int, table: RepresentationTable) -> int:
 
 
 def moment_check(
-    t: int,
-    y: float,
-    which: str,
-    limit: int = CHARACTER_MODULUS_LIMIT,
-    stats: PrimeStats | None = None,
+    t: int, y: float, which: str, stats: PrimeStats | None = None
 ) -> MomentReport:
     """Moment of prime character sums over the t-prime modulus class.
 
@@ -679,7 +644,7 @@ def moment_check(
     _check_character_work(st, [t])
     power = 2 * t if which == "2t" else 4 * t
     rep = representation_counts(power // 2, y, stats=st)
-    moments = _class_moments(t, y, power, st, limit)
+    moments = _class_moments(t, y, power, st)
     lhs = sum((s for _q, s in moments), 0.0)
     lhs_exact = sum(moment_primitive_sum_exact(q, rep) for q, _s in moments)
 
@@ -719,10 +684,7 @@ class TailShapeReport:
 
 
 def tail_shape(
-    params: CensusParams,
-    which: str,
-    limit: int = CHARACTER_MODULUS_LIMIT,
-    stats: PrimeStats | None = None,
+    params: CensusParams, which: str, stats: PrimeStats | None = None
 ) -> TailShapeReport:
     if which not in ("low", "high"):
         raise ValidationError(f"which must be 'low' or 'high', got {which!r}")
@@ -743,7 +705,7 @@ def tail_shape(
 
     terms = {}
     for t in t_values:
-        moment = sum((s for _q, s in _class_moments(t, y, k, st, limit)), 0.0)
+        moment = sum((s for _q, s in _class_moments(t, y, k, st)), 0.0)
         terms[t] = base**t * lam ** (ell - t) * moment
     lhs = sum(terms.values())
     ratio = lhs / reference if reference > 0 else None

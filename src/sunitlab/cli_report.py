@@ -7,7 +7,7 @@ own block outside the determinism contract.  Every record in results carries
 a method tag naming the operation that produced it.
 
 Exit codes: 0 success, 2 validation error, 3 capacity exceeded, 4 internal
-verification failure.
+verification failure, 1 a file write failed after the report was printed.
 """
 
 from __future__ import annotations
@@ -311,9 +311,10 @@ def run_verify(args):
 def _diag_large_sieve(args, warnings):
     if args.seed is None:
         raise ValidationError("large-sieve diagnostics draw random instances; --seed is required")
-    trials = args.trials
-    if trials < 1:
-        raise ValidationError(f"need --trials >= 1, got {trials}")
+    for flag in ("trials", "q", "Q"):
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            raise ValidationError(f"need --{flag} >= 1, got {value}")
     records = {}
     for mode, fixed in (
         ("single-modulus", {"fixed_modulus": args.q}),
@@ -321,12 +322,12 @@ def _diag_large_sieve(args, warnings):
     ):
         checks = [
             large_sieve_check(inst, mode)
-            for inst in random_sieve_instances(trials, args.seed, mode, **fixed)
+            for inst in random_sieve_instances(args.trials, args.seed, mode, **fixed)
         ]
         failures = [c for c in checks if not c.passed]
         records[mode] = {
             "method": "large-sieve-check",
-            "trials": encode(trials),
+            "trials": encode(args.trials),
             "passed": encode(sum(c.passed for c in checks)),
             "failures": [encode(c) for c in failures],
             "max_lhs_over_rhs": max((c.lhs / c.rhs) for c in checks if c.rhs > 0),
@@ -525,6 +526,8 @@ def main(argv=None) -> int:
             raise ValidationError("csv format applies only to construct and verify")
         if args.format == "csv" and not args.out:
             raise ValidationError("--format csv requires --out")
+        if args.out and not Path(args.out).parent.is_dir():
+            raise ValidationError(f"--out directory {Path(args.out).parent} does not exist")
         start = time.perf_counter()
         results, artifacts = _DISPATCH[args.command](args)
     except SUnitError as exc:

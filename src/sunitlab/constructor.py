@@ -16,9 +16,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CapacityError, ValidationError, VerificationError
+from .errors import ValidationError, VerificationError
 from .prime_tools import PrimeStats, factorize, interval_stats, sieve_interval
 from .smooth_verifier import SmoothPair, verify_solution
+from .tuple_census import _check_multisets, _modulus_multisets
 
 PAIR_OP_LIMIT = 20_000_000
 
@@ -72,8 +73,8 @@ def plan_parameters(
     keep the pipeline running; the clamp flags make that visible.  Explicit k
     or ell overrides skip the corresponding derivation.
     """
-    if not y >= 10:  # also refuses nan
-        raise ValidationError(f"need y >= 10 for parameter planning, got {y}")
+    if not 10 <= y < math.inf:  # also refuses nan
+        raise ValidationError(f"need finite y >= 10 for parameter planning, got {y}")
     alpha = Fraction(alpha)
     beta = Fraction(beta)
     if not (0 <= alpha <= Fraction(1, 2)):
@@ -151,7 +152,6 @@ def solve_congruence_pairs(
     k: int,
     ell: int,
     stats: PrimeStats | None = None,
-    op_limit: int = PAIR_OP_LIMIT,
 ) -> list[CongruencePair]:
     """All unordered (product multiset, modulus multiset) pairs with the congruence.
 
@@ -159,26 +159,18 @@ def solve_congruence_pairs(
     k! * ell! times, so len(result) >= census / (k! * ell!).  The quotient
     range bound quotient < 4^ell * y^(k-ell) is checked on every pair.
     """
-    if k < 1 or ell < 1:
-        raise ValidationError(f"need k, ell >= 1, got k={k}, ell={ell}")
     st = stats or interval_stats(y)
     p_primes, q_primes = st.product_primes, st.modulus_primes
-    n_r = math.comb(len(p_primes) + k - 1, k)
-    n_q = math.comb(len(q_primes) + ell - 1, ell)
-    if n_r * n_q > op_limit:
-        raise CapacityError(
-            f"{n_r} product multisets x {n_q} modulus multisets exceeds "
-            f"op limit {op_limit}"
-        )
+    _check_multisets(
+        PAIR_OP_LIMIT, f"pair tests of {k}-prime products by {ell}-prime moduli",
+        (len(p_primes), k), (len(q_primes), ell),
+    )
     quotient_cap = 4**ell * Fraction(y) ** (k - ell)
     pairs: list[CongruencePair] = []
-    moduli = [
-        (math.prod(combo), combo)
-        for combo in itertools.combinations_with_replacement(q_primes, ell)
-    ]
+    moduli = list(_modulus_multisets(q_primes, ell))
     for r_combo in itertools.combinations_with_replacement(p_primes, k):
         r = math.prod(r_combo)
-        for m, q_combo in moduli:
+        for m, q_combo, _weight in moduli:
             if (r - 1) % m == 0:
                 u = (r - 1) // m
                 if u > quotient_cap:
@@ -275,13 +267,11 @@ class AssembledSet:
     size_reference: float
 
 
-def assemble_set(
-    y: float, u0: int, limit: int | None = None
-) -> AssembledSet:
+def assemble_set(y: float, u0: int) -> AssembledSet:
     """S = primes in (y/4, y] together with the distinct prime factors of u0."""
     if u0 < 1:
         raise ValidationError(f"need u0 >= 1, got {u0}")
-    interval = sieve_interval(y / 4, y, limit)
+    interval = sieve_interval(y / 4, y)
     u0_factors = factorize(u0)
     primes = tuple(sorted(set(interval.primes) | set(u0_factors)))
     loglog = math.log(math.log(u0)) if u0 >= 3 else 0.0

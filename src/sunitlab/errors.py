@@ -6,6 +6,8 @@ status the CLI maps it to.
 
 from __future__ import annotations
 
+import decimal
+
 
 class SUnitError(Exception):
     """Base class for all package errors."""
@@ -26,6 +28,18 @@ class CapacityError(SUnitError):
 
     code = "capacity"
     exit_status = 3
+
+
+def check_capacity(what: str, estimate: int | float, cap: int) -> None:
+    """Refuse work whose estimate passes its cap, before the work starts.
+
+    ``what`` names the estimate, with ``{}`` where its value goes.  Integers
+    are written through Decimal, which the int-to-str digit limit does not
+    bind: a large t makes a multiset count thousands of digits long.
+    """
+    if estimate > cap:
+        value = decimal.Decimal(estimate) if isinstance(estimate, int) else estimate
+        raise CapacityError(f"{what.format(value)}, over the cap {cap}")
 
 
 class FactorizationError(CapacityError):

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CapacityError, FactorizationError, ValidationError
+from .errors import CapacityError, FactorizationError, ValidationError, check_capacity
 
 DEFAULT_SIEVE_LIMIT = 100_000_000
 TRIAL_DIVISION_BOUND = 10_000_000
@@ -99,7 +99,7 @@ def _simple_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(is_prime).astype(np.int64)
 
 
-def sieve_interval(lo: float, hi: float, limit: int | None = None) -> PrimeInterval:
+def sieve_interval(lo: float, hi: float) -> PrimeInterval:
     """Enumerate the primes in (lo, hi] with a segmented sieve.
 
     Raises CapacityError when hi exceeds the configured sieve limit; the
@@ -107,9 +107,7 @@ def sieve_interval(lo: float, hi: float, limit: int | None = None) -> PrimeInter
     """
     if not 0 <= lo <= hi:  # also refuses nan
         raise ValidationError(f"need 0 <= lo <= hi, got lo={lo}, hi={hi}")
-    cap = sieve_limit() if limit is None else limit
-    if hi > cap:
-        raise CapacityError(f"sieve bound {hi} exceeds capacity {cap}")
+    check_capacity("sieve bound {}", hi, sieve_limit())
 
     first = math.floor(lo) + 1  # smallest integer strictly above lo
     last = math.floor(hi)  # largest integer at most hi
@@ -134,12 +132,12 @@ def sieve_interval(lo: float, hi: float, limit: int | None = None) -> PrimeInter
     return PrimeInterval(lo, hi, tuple(primes))
 
 
-def interval_stats(y: float, limit: int | None = None) -> PrimeStats:
+def interval_stats(y: float) -> PrimeStats:
     """Compute the modulus-range reciprocal sum and the product-range count at y."""
     if not y >= 2:  # also refuses nan
         raise ValidationError(f"need y >= 2, got {y}")
-    q_interval = sieve_interval(y / 4, y / 2, limit)
-    p_interval = sieve_interval(y / 2, y, limit)
+    q_interval = sieve_interval(y / 4, y / 2)
+    p_interval = sieve_interval(y / 2, y)
     log_y = math.log(y)
     return PrimeStats(
         y=y,
@@ -217,8 +215,8 @@ def _pollard_brent(n: int) -> int:
     raise FactorizationError(f"no factor of {n} found")
 
 
-def factorize(n: int, trial_bound: int = TRIAL_DIVISION_BOUND) -> dict[int, int]:
-    """Full prime factorization: trial division first, then deterministic rho.
+def factorize(n: int) -> dict[int, int]:
+    """Full prime factorization: trial division up to TRIAL_DIVISION_BOUND, then rho.
 
     Returns an ascending prime -> exponent map; factorize(1) == {}.
     """
@@ -232,7 +230,7 @@ def factorize(n: int, trial_bound: int = TRIAL_DIVISION_BOUND) -> dict[int, int]
     d = 7
     wheel = (4, 2, 4, 2, 4, 6, 2, 6)
     i = 0
-    while d * d <= n and d <= trial_bound:
+    while d * d <= n and d <= TRIAL_DIVISION_BOUND:
         while n % d == 0:
             factors[d] = factors.get(d, 0) + 1
             n //= d

@@ -8,12 +8,11 @@ other way around.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError
+from .errors import ValidationError, VerificationError, check_capacity
 from .prime_tools import is_prime, sieve_limit
 
 _SEGMENT = 1 << 20
@@ -50,6 +49,16 @@ def _checked_primes(primes) -> tuple[int, ...]:
     return out
 
 
+def _divide_out(n: int, prime_list: tuple[int, ...]) -> dict[int, int] | None:
+    """factor_over for an already checked prime list."""
+    factors: dict[int, int] = {}
+    for p in prime_list:
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+    return factors if n == 1 else None
+
+
 def factor_over(n: int, primes) -> dict[int, int] | None:
     """Exponent map of n over the given primes, or None if n has other factors.
 
@@ -57,20 +66,16 @@ def factor_over(n: int, primes) -> dict[int, int] | None:
     """
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
-    factors: dict[int, int] = {}
-    for p in _checked_primes(primes):
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    return factors if n == 1 else None
+    return _divide_out(n, _checked_primes(primes))
 
 
 def verify_solution(a: int, primes) -> SolutionCertificate:
     """Certificate that a and a + 1 are both smooth over the prime set."""
     if a < 1:
         raise ValidationError(f"need a >= 1, got {a}")
-    fa = factor_over(a, primes)
-    fc = factor_over(a + 1, primes)
+    prime_list = _checked_primes(primes)
+    fa = _divide_out(a, prime_list)
+    fc = _divide_out(a + 1, prime_list)
     ok = fa is not None and fc is not None
     return SolutionCertificate(
         a=a,
@@ -81,7 +86,7 @@ def verify_solution(a: int, primes) -> SolutionCertificate:
     )
 
 
-def enumerate_smooth_pairs(primes, limit: int, cap: int | None = None) -> list[SmoothPair]:
+def enumerate_smooth_pairs(primes, limit: int) -> list[SmoothPair]:
     """All a <= limit with a and a + 1 smooth over the primes, ascending.
 
     Sieve method: over each window, divide every entry by the highest power
@@ -90,9 +95,7 @@ def enumerate_smooth_pairs(primes, limit: int, cap: int | None = None) -> list[S
     """
     if limit < 1:
         raise ValidationError(f"need limit >= 1, got {limit}")
-    max_n = sieve_limit() if cap is None else cap
-    if limit + 1 > max_n:
-        raise CapacityError(f"limit {limit} exceeds sieve capacity {max_n}")
+    check_capacity("smoothness sieve up to {}", limit + 1, sieve_limit())
     prime_list = _checked_primes(primes)
     if not prime_list:
         return []
@@ -120,8 +123,8 @@ def enumerate_smooth_pairs(primes, limit: int, cap: int | None = None) -> list[S
 
 
 def _build_pair(a: int, prime_list: tuple[int, ...]) -> SmoothPair:
-    fa = factor_over(a, prime_list)
-    fc = factor_over(a + 1, prime_list)
+    fa = _divide_out(a, prime_list)
+    fc = _divide_out(a + 1, prime_list)
     if fa is None or fc is None:
-        raise ValidationError(f"sieve marked non-smooth pair ({a}, {a + 1})")
+        raise VerificationError(f"sieve marked non-smooth pair ({a}, {a + 1})")
     return SmoothPair(a=a, c=a + 1, factorization_a=fa, factorization_c=fc)

@@ -12,6 +12,7 @@ rational main/error reference terms the count is compared against.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -21,14 +22,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError
+from .errors import ValidationError, check_capacity
 from .prime_tools import PrimeStats, _phi_of_multiset, interval_stats
 
 MODULUS_LIMIT = 2**31
 DIRECT_OP_LIMIT = 50_000_000
-FOLD_OP_LIMIT = 200_000_000
-# products materialized per sort-merge: one fold near FOLD_OP_LIMIT would
-# otherwise hold 2*10^8 products and their sort order (gigabytes) at once
+FOLD_OP_LIMIT = 300_000_000
+REPRESENTATION_LIMIT = 5_000_000
+# products materialized per sort-merge: a fold within FOLD_OP_LIMIT could
+# otherwise hold 3*10^8 products and their sort order (gigabytes) at once
 _FOLD_CHUNK = 1 << 20
 
 
@@ -133,6 +135,30 @@ def _modulus_multisets(primes: tuple[int, ...], t: int):
         yield math.prod(combo), combo, weight
 
 
+def _check_multisets(cap: int, what: str, *classes: tuple[int, int], per: int = 1) -> int:
+    """Number of ways to pick one t-multiset (t >= 1) of n items from each (n, t)
+    class; refused when ``per`` units of work for each pass ``cap``.
+    """
+    for _n, t in classes:
+        if t < 1:
+            raise ValidationError(f"need multisets of t >= 1 primes, got t={t}")
+    size = math.prod(math.comb(n + t - 1, t) for n, t in classes)
+    check_capacity(what + ": {}", size * per, cap)
+    return size
+
+
+def _fold_products(n: int, k: int, largest: int) -> int:
+    """Upper bound on the residue products of _count_products_congruent_one
+    for n primes, k factors and a modulus up to ``largest``: n reductions, then
+    fold j takes the at most min(C(v+j-1, j), largest) products of j residues
+    times v = min(n, largest); the C terms below ``largest`` sum to C(v+J, J) - 1.
+    """
+    v = min(n, largest)
+    folds = range(1, max(k - 1, 1))
+    small = bisect.bisect_left(folds, True, key=lambda j: math.comb(v + j - 1, j) >= largest)
+    return n + v * (math.comb(v + small, small) - 1) + (len(folds) - small) * largest * v
+
+
 def _census_result(
     params: CensusParams, st: PrimeStats, method: str, count, empty=(0, None)
 ) -> CensusResult:
@@ -200,10 +226,6 @@ def _count_products_congruent_one(
     dist, dist_counts = values, counts
     rows = max(1, _FOLD_CHUNK // len(values))
     for _ in range(k - 2):
-        if len(dist) * len(values) > FOLD_OP_LIMIT:
-            raise CapacityError(
-                f"residue fold size {len(dist)}x{len(values)} exceeds {FOLD_OP_LIMIT} ops"
-            )
         folded, folded_counts = dist[:0], dist_counts[:0]
         for i in range(0, len(dist), rows):
             products = np.multiply.outer(dist[i : i + rows], values) % m
@@ -238,10 +260,15 @@ def census_over(
     """Ordered census over explicit prime lists (the engine under count_exact).
 
     A p sharing a prime with the modulus is never part of a counted tuple.
+    Before any fold, the largest modulus is checked against MODULUS_LIMIT and
+    the residue products of all moduli (_fold_products) against FOLD_OP_LIMIT.
     """
     largest = max(q_primes, default=1) ** ell
-    if largest > MODULUS_LIMIT:
-        raise CapacityError(f"modulus {largest} exceeds limit {MODULUS_LIMIT}")
+    check_capacity("modulus {}", largest, MODULUS_LIMIT)
+    _check_multisets(
+        FOLD_OP_LIMIT, f"residue fold products over the {ell}-prime moduli",
+        (len(q_primes), ell), per=_fold_products(len(p_primes), k, largest),
+    )
     p = np.asarray(p_primes, dtype=np.int64)
     total = 0
     for m, combo, weight in _modulus_multisets(tuple(q_primes), ell):
@@ -256,10 +283,7 @@ def count_direct(params: CensusParams, stats: PrimeStats | None = None) -> Censu
 
     def count():
         ops = len(p_primes) ** params.k * len(q_primes) ** params.ell
-        if ops > DIRECT_OP_LIMIT:
-            raise CapacityError(
-                f"direct enumeration needs {ops} tuple visits, over {DIRECT_OP_LIMIT}"
-            )
+        check_capacity("direct enumeration of {} tuples", ops, DIRECT_OP_LIMIT)
         hits = 0
         for qs in itertools.product(q_primes, repeat=params.ell):
             m = math.prod(qs)
@@ -323,7 +347,7 @@ class RepresentationTable:
 
 
 def representation_counts(
-    t: int, y: float, cap: int = 5_000_000, stats: PrimeStats | None = None
+    t: int, y: float, stats: PrimeStats | None = None
 ) -> RepresentationTable:
     """Tabulate a_t(n) over products of t primes from (y/2, y].
 
@@ -331,12 +355,8 @@ def representation_counts(
     arrangements; distinct multisets give distinct products by unique
     factorization, so no collisions occur.
     """
-    if t < 1:
-        raise ValidationError(f"need t >= 1, got {t}")
     st = stats or interval_stats(y)
     p_primes = st.product_primes
-    size = math.comb(len(p_primes) + t - 1, t)
-    if size > cap:
-        raise CapacityError(f"{size} multisets exceeds cap {cap}")
+    _check_multisets(REPRESENTATION_LIMIT, f"multisets of {t} product primes", (len(p_primes), t))
     counts = {n: w for n, _combo, w in _modulus_multisets(p_primes, t)}
     return RepresentationTable(t=t, y=y, counts=counts)

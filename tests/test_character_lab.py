@@ -265,9 +265,10 @@ def test_enumerate_Qt_structure():
         assert all(m > (30 / 4) ** t for m in cls.moduli)
 
 
-def test_enumerate_Qt_capacity_and_validation():
+def test_enumerate_Qt_capacity_and_validation(monkeypatch):
+    monkeypatch.setattr(cl, "QT_LIMIT", 10)
     with pytest.raises(CapacityError):
-        enumerate_Qt(4, 400, cap=10)
+        enumerate_Qt(4, 400)
     with pytest.raises(ValidationError):
         enumerate_Qt(0, 30)
 

@@ -1,11 +1,16 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sunitlab
 from sunitlab.cli_report import encode, main, solutions_csv
@@ -281,10 +286,15 @@ CENSUS_30 = ["census", "--y", "30", "--k", "2", "--ell", "1"]
         (["verify", "--s-file", "{malformed}", "--limit", "10"], {}),
         (CENSUS_30, {"SUNIT_MAX_SIEVE": "abc"}),
         (CENSUS_30, {"SUNIT_MAX_SIEVE": "-5"}),
+        (["diagnose", "large-sieve", "--seed", "31", "--Q", "0", "--trials", "1"], {}),
+        (["diagnose", "large-sieve", "--seed", "31", "--q", "-2", "--trials", "1"], {}),
+        (["construct", "--y", "inf"], {}),
+        (CENSUS_30 + ["--out", "{missing_dir}/run.json"], {}),
     ],
     ids=[
         "y-nan", "trials-zero", "trials-negative", "s-file-missing",
         "s-file-malformed", "max-sieve-text", "max-sieve-negative",
+        "family-bound-zero", "modulus-negative", "plan-y-inf", "out-missing-dir",
     ],
 )
 def test_boundary_input_gives_one_validation_error_line(
@@ -292,7 +302,10 @@ def test_boundary_input_gives_one_validation_error_line(
 ):
     malformed = tmp_path / "malformed.json"
     malformed.write_text("{not json")
-    argv = [a.format(missing=tmp_path / "missing.json", malformed=malformed) for a in argv]
+    argv = [
+        a.format(missing=tmp_path / "missing.json", malformed=malformed, missing_dir=tmp_path / "nodir")
+        for a in argv
+    ]
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     status, out, err = run_cli(argv, capsys)
@@ -335,19 +348,42 @@ def test_help_and_version_exit_zero(flag, capsys):
     assert capsys.readouterr().out
 
 
-def test_character_work_refused_up_front():
-    # Q_1 at y = 1e6 holds about 19,000 primes near 3.75e5: about 7e9 grid
-    # points, which would take minutes to transform
+@pytest.mark.parametrize(
+    "argv,estimate",
+    [
+        # Q_1 at y = 1e6 holds about 19,000 primes near 3.75e5: about 7e9
+        # character-table points, which would take minutes to transform
+        (["diagnose", "tails", "--y", "1e6", "--k", "4", "--ell", "2"], 7291185550),
+        # 2,333,880 moduli x 4,038 residues, with no fold at k = 2
+        (["census", "--y", "9e4", "--k", "2", "--ell", "2"], 9424207440),
+        # 2,160 moduli x (4,038 residues + one 4,038 x 4,038 fold)
+        (["census", "--y", "9e4", "--k", "3", "--ell", "1"], 35228481120),
+        # the family tables for q <= 1e5 hold up to Q(Q+1)/2 points
+        (["diagnose", "large-sieve", "--seed", "1", "--Q", "100000", "--trials", "100"], 5000050000),
+    ],
+    ids=["tails-1e6", "census-k2-ell2", "census-k3-ell1", "large-sieve-family"],
+)
+def test_runaway_command_refused_up_front(argv, estimate):
     env = dict(os.environ, PYTHONPATH=str(Path(sunitlab.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-m", "sunitlab", "diagnose", "tails",
-         "--y", "1e6", "--k", "4", "--ell", "2"],
+        [sys.executable, "-m", "sunitlab", *argv],
         capture_output=True, text=True, env=env, timeout=30,
     )
     assert proc.returncode == 3
     assert proc.stdout == ""
     (line,) = proc.stderr.splitlines()
-    assert json.loads(line)["error"]["code"] == "capacity"
+    error = json.loads(line)["error"]
+    assert error["code"] == "capacity"
+    assert str(estimate) in error["message"]
+
+
+def test_write_failure_after_the_report_exits_1(tmp_path, capsys):
+    # the directory exists, so the run goes ahead; writing onto it then fails
+    status, out, err = run_cli(CENSUS_30 + ["--out", str(tmp_path)], capsys)
+    assert status == 1
+    assert json.loads(out)["results"]["census"]
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"]["code"] == "io"
 
 
 # ---------------------------------------------------------------- diagnose
@@ -418,9 +454,9 @@ def test_diagnose_all_computes_interval_stats_once(capsys, monkeypatch):
 
     calls = []
 
-    def counted(y, limit=None):
+    def counted(y):
         calls.append(y)
-        return interval_stats(y, limit)
+        return interval_stats(y)
 
     for module in (cli, cl, tc):
         monkeypatch.setattr(module, "interval_stats", counted)
@@ -446,3 +482,75 @@ def test_reports_are_deterministic_modulo_timing(capsys):
         b["results"], sort_keys=True
     )
     assert a["config"] == b["config"]
+
+
+# ------------------------------------------------------- contract, any input
+
+# A bounded grammar.  Each command starts from a mostly valid base of its
+# required flags; up to three more flags follow, drawn from every flag with
+# valid, boundary and junk values (a later flag overrides an earlier one),
+# and at most one rare token.
+Y = ["2", "5", "10", "30", "60", "nan", "inf", "-1", "1e300"]
+BASE = {
+    "census": {"--y": Y, "--k": ["1", "2", "3"], "--ell": ["1", "2"]},
+    "construct": {"--y": Y},
+    "verify": {"--s-primes": ["2,3,5", "2,3,5,7"], "--limit": ["100", "1000"]},
+    "diagnose": {"--y": Y, "--seed": ["1", "7"], "--trials": ["1", "3"]},
+}
+COMMON_FLAGS = {
+    "--y": Y,
+    "--k": ["1", "2", "3", "0", "-1", "x"],
+    "--ell": ["1", "2", "0", "x"],
+    "--alpha": ["1/3", "1/2", "2", "1/0"],
+    "--beta": ["1/4", "1/5", "0"],
+    "--limit": ["100", "1000", "0", "-5"],
+    "--samples": ["10", "0"],
+    "--seed": ["1", "7", "-3"],
+    "--format": ["json", "csv", "xml"],
+}
+COMMAND_FLAGS = {
+    "census": {"--method": ["exact", "direct", "characters", "sampled", "exact,characters", "psychic"]},
+    "construct": {},
+    "verify": {"--s-primes": ["2,3,5", "2,4", "", "x"], "--check-a": ["390", "0"]},
+    "diagnose": {"--t": ["1", "2", "0", "-1"], "--q": ["1", "7", "0"], "--Q": ["1", "5", "0"],
+                 "--trials": ["1", "3", "0"]},
+}
+TOPICS = ["all", "large-sieve", "moments", "tails", "qt", "decomposition", "bogus"]
+# the paths under {missing} are never created, so no run writes a file
+RARE = [[]] * 8 + [
+    ["--out", "{missing}/run.json"], ["--s-file", "{missing}/S.json"], ["--enforce-range"],
+    ["--bogus"], ["-"], ["--"], ["%"], ["fly"],
+]
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(BASE)))
+    argv = [command] + ([draw(st.sampled_from(TOPICS))] if command == "diagnose" else [])
+    for flag, values in BASE[command].items():
+        argv += [flag, draw(st.sampled_from(values))]
+    flags = {**COMMON_FLAGS, **COMMAND_FLAGS[command]}
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=3, unique=True)):
+        argv += [flag, draw(st.sampled_from(flags[flag]))]
+    return argv + draw(st.sampled_from(RARE))
+
+
+@given(argv=_argv(), max_sieve=st.sampled_from([None, "1000", "20", "0", "abc"]))
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+def test_any_argv_and_env_keep_the_cli_contract(argv, max_sieve):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [tok.format(missing=Path(tmp) / "missing") for tok in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ), redirect_stdout(out), redirect_stderr(err):
+            os.environ.pop("SUNIT_MAX_SIEVE", None)
+            if max_sieve is not None:
+                os.environ["SUNIT_MAX_SIEVE"] = max_sieve
+            status = main(argv)
+    if status == 0:
+        assert set(json.loads(out.getvalue())) == {"config", "version", "results", "timing"}
+        assert err.getvalue() == "", argv
+    else:
+        assert status in (2, 3, 4), (argv, status)
+        assert out.getvalue() == "", argv
+        (line,) = err.getvalue().splitlines()
+        assert set(json.loads(line)["error"]) == {"code", "message"}

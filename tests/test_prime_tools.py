@@ -163,7 +163,9 @@ def test_sieve_capacity_env(monkeypatch):
     assert sieve_limit() == DEFAULT_SIEVE_LIMIT
 
 
-def test_sieve_explicit_limit_overrides():
+def test_sieve_explicit_limit_overrides(monkeypatch):
+    monkeypatch.setenv("SUNIT_MAX_SIEVE", "500")
     with pytest.raises(CapacityError):
-        sieve_interval(10, 2000, limit=500)
-    assert sieve_interval(10, 2000, limit=5000).primes[0] == 11
+        sieve_interval(10, 2000)
+    monkeypatch.setenv("SUNIT_MAX_SIEVE", "5000")
+    assert sieve_interval(10, 2000).primes[0] == 11

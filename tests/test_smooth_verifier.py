@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sunitlab.errors import CapacityError, ValidationError
+from sunitlab.errors import CapacityError, ValidationError, VerificationError
+import sunitlab.prime_tools as pt
+import sunitlab.smooth_verifier as sv
 from sunitlab.smooth_verifier import (
     SmoothPair,
     enumerate_smooth_pairs,
@@ -64,6 +66,27 @@ def test_prime_set_is_validated():
         enumerate_smooth_pairs((6, 35), 100)
 
 
+def test_prime_set_is_validated_once_per_call(monkeypatch):
+    tested = []
+
+    def counted(n):
+        tested.append(n)
+        return pt.is_prime(n)
+
+    monkeypatch.setattr(sv, "is_prime", counted)
+    assert len(enumerate_smooth_pairs(S9, 10**4)) > 1
+    assert sorted(tested) == list(S9)
+    tested.clear()
+    assert verify_solution(390, S9).ok
+    assert sorted(tested) == list(S9)
+
+
+def test_sieve_and_division_disagreeing_is_a_verification_error():
+    # 6 = 2 * 3 is not {2}-smooth: a sieve that marked it smooth has a bug
+    with pytest.raises(VerificationError):
+        sv._build_pair(6, (2,))
+
+
 def test_enumerate_goldens():
     assert [p.a for p in enumerate_smooth_pairs((2, 3), 100)] == [1, 2, 3, 8]
     assert [p.a for p in enumerate_smooth_pairs((2, 3, 5), 10**4)] == [
@@ -115,11 +138,13 @@ def test_enumerate_crosses_window_boundary():
     assert short[-1] == (4374, 4375)
 
 
-def test_enumerate_capacity():
+def test_enumerate_capacity(monkeypatch):
     with pytest.raises(ValidationError):
         enumerate_smooth_pairs((2, 3), 0)
+    monkeypatch.setattr(pt, "DEFAULT_SIEVE_LIMIT", 100)
+    monkeypatch.delenv("SUNIT_MAX_SIEVE", raising=False)
     with pytest.raises(CapacityError):
-        enumerate_smooth_pairs((2, 3), 1000, cap=100)
+        enumerate_smooth_pairs((2, 3), 1000)
 
 
 def test_enumerate_capacity_env(monkeypatch):

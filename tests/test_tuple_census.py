@@ -168,9 +168,12 @@ def test_representation_counts_match_oracle(t, y):
     assert table.counts == dict(oracle_rep_counts(t, y))
 
 
-def test_representation_counts_capacity():
+def test_representation_counts_capacity(monkeypatch):
+    import sunitlab.tuple_census as tc
+
+    monkeypatch.setattr(tc, "REPRESENTATION_LIMIT", 10)
     with pytest.raises(CapacityError):
-        representation_counts(3, 60, cap=10)
+        representation_counts(3, 60)
     with pytest.raises(ValidationError):
         representation_counts(0, 30)
 
