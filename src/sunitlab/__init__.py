@@ -2,7 +2,7 @@
 
 Modules:
   prime_tools      prime intervals, interval statistics, factorization
-  tuple_census     exact/direct/sampled census of the congruence count
+  tuple_census     congruence engine; exact/direct/sampled census of its count
   character_lab    Dirichlet characters, large sieve and moment checks
   constructor      parameter planning, pigeonhole, prime set assembly
   smooth_verifier  independent smoothness oracle

@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import CapacityError, ToleranceError, ValidationError, check_capacity
+from .errors import CapacityError, ToleranceError, ValidationError, check_capacity, finite_float
 from .prime_tools import (
     PrimeStats,
     _divisors,
@@ -54,6 +54,7 @@ from .tuple_census import (
 CHARACTER_MODULUS_LIMIT = 1_000_000
 CHARACTER_WORK_LIMIT = 100_000_000
 QT_LIMIT = 2_000_000
+SIEVE_TRIALS_LIMIT = 10_000
 # ranges of the random large-sieve instances: length, modulus, family bound
 SIEVE_MAX_LENGTH = 50
 SIEVE_MAX_MODULUS = 101
@@ -278,8 +279,9 @@ def _prime_sums(table: CharacterTable, st: PrimeStats) -> np.ndarray:
 
 
 def _primitive_power_sum(table: CharacterTable, sums: np.ndarray, k: int) -> float:
-    """Sum over the primitive characters chi mod m of |S_chi|^k."""
-    return float(np.sum(np.abs(sums[table.primitive_mask]) ** k))
+    """Sum over the primitive characters chi mod m of |S_chi|^k (inf past the double range)."""
+    with np.errstate(over="ignore"):
+        return float(np.sum(np.abs(sums[table.primitive_mask]) ** k))
 
 
 def _check_character_work(st: PrimeStats, ts) -> None:
@@ -321,7 +323,8 @@ def census_via_characters(params: CensusParams, stats: PrimeStats | None = None)
 
     For each modulus m = q_1*...*q_l the tuple count with product 1 mod m is
     (1/phi(m)) * sum over chi mod m of S_chi^k.  The float accumulation is
-    rounded to the nearest integer under a 10^-2 guard.
+    rounded to the nearest integer under a 10^-2 guard; a sum past the double
+    range fails the guard.
     """
     st = stats or interval_stats(params.y)
     _check_character_work(st, [params.ell])
@@ -330,8 +333,14 @@ def census_via_characters(params: CensusParams, stats: PrimeStats | None = None)
         total = 0j
         for m, _combo, weight in _modulus_multisets(st.modulus_primes, params.ell):
             table = character_table(m)
-            acc = complex(np.sum(_prime_sums(table, st) ** params.k))
+            with np.errstate(over="ignore", invalid="ignore"):
+                acc = complex(np.sum(_prime_sums(table, st) ** params.k))
             total += weight * acc / table.totient
+        if not cmath.isfinite(total):
+            raise ToleranceError(
+                f"character census {total} left the double range at k = {params.k}; "
+                "no integer can be rounded from it"
+            )
         rounded = round(total.real)
         if abs(total - rounded) >= ROUNDING_TOL:
             raise ToleranceError(
@@ -346,11 +355,16 @@ def census_via_characters(params: CensusParams, stats: PrimeStats | None = None)
 def principal_contribution(
     params: CensusParams, stats: PrimeStats | None = None
 ) -> Fraction:
-    """Exact rational principal-character part: sum over tuples of P^k/phi(m)."""
+    """Exact rational principal-character part: sum over tuples of P^k/phi(m).
+
+    Walks Q_ell, so its ell prime factors per modulus count against QT_LIMIT.
+    """
     st = stats or interval_stats(params.y)
+    q_primes, ell = st.modulus_primes, params.ell
+    _check_multisets(QT_LIMIT, f"prime factors over Q_{ell}", (len(q_primes), ell), per=ell)
     pk = Fraction(st.prime_count) ** params.k
     total = Fraction(0)
-    for _m, combo, weight in _modulus_multisets(st.modulus_primes, params.ell):
+    for _m, combo, weight in _modulus_multisets(q_primes, ell):
         total += weight * pk / _phi_of_multiset(combo)
     return total
 
@@ -401,17 +415,18 @@ class NonprincipalReport:
     is the primitive-conductor regrouping with the combinatorial weight
     (2/q) * (l!/(l-t)!) * lambda^(l-t) per conductor in the t-prime class.
     The holds flags can fail for tiny y where 1/phi(m) > 2/m; that is
-    recorded, not hidden.
+    recorded, not hidden.  A bound past the double range is None, and so is
+    its holds flag.
     """
 
     census: int
     principal: Fraction
     value: Fraction
-    direct_bound: float
-    direct_bound_holds: bool
-    class_bounds: dict[int, float]
-    class_bound_total: float
-    class_bound_holds: bool
+    direct_bound: float | None
+    direct_bound_holds: bool | None
+    class_bounds: dict[int, float | None]
+    class_bound_total: float | None
+    class_bound_holds: bool | None
 
 
 def nonprincipal_contribution(
@@ -427,11 +442,12 @@ def nonprincipal_contribution(
     direct = 0.0
     for m, _combo, weight in _modulus_multisets(st.modulus_primes, params.ell):
         nonprincipal = _prime_sums(character_table(m), st)[1:]  # chi_0 first
-        direct += weight * 2 / m * float(np.sum(np.abs(nonprincipal) ** params.k))
+        with np.errstate(over="ignore"):
+            direct += weight * 2 / m * float(np.sum(np.abs(nonprincipal) ** params.k))
 
     lam = st.recip_sum
     fact_ell = math.factorial(params.ell)
-    class_bounds: dict[int, float] = {}
+    class_bounds: dict[int, float | None] = {}
     for t in range(1, params.ell + 1):
         weight = float(
             2
@@ -439,19 +455,22 @@ def nonprincipal_contribution(
             * lam ** (params.ell - t)
         )
         moments = _class_moments(t, params.y, params.k, st)
-        class_bounds[t] = sum((weight / q * s for q, s in moments), 0.0)
-    class_total = sum(class_bounds.values())
+        class_bounds[t] = finite_float(lambda: sum((weight / q * s for q, s in moments), 0.0))
+    direct_bound = finite_float(lambda: direct)
+    class_total = None if None in class_bounds.values() else sum(class_bounds.values())
 
-    slack = 1 + IDENTITY_TOL
+    def holds(bound):
+        return None if bound is None else abs(value) <= bound * (1 + IDENTITY_TOL)
+
     return NonprincipalReport(
         census=count,
         principal=principal,
         value=value,
-        direct_bound=direct,
-        direct_bound_holds=abs(value) <= direct * slack,
+        direct_bound=direct_bound,
+        direct_bound_holds=holds(direct_bound),
         class_bounds=class_bounds,
         class_bound_total=class_total,
-        class_bound_holds=abs(value) <= class_total * slack,
+        class_bound_holds=holds(class_total),
     )
 
 
@@ -564,8 +583,20 @@ def random_sieve_instances(
     """Seeded stream of random instances for the large sieve checks.
 
     Lengths, moduli and family bounds are drawn uniformly up to the SIEVE_MAX_*
-    constants unless pinned via fixed_modulus / fixed_bound.
+    constants unless pinned via fixed_modulus / fixed_bound.  Refused at the
+    call, before the first instance: more than SIEVE_TRIALS_LIMIT trials, and
+    family tables over all trials, trials * Q(Q+1)/2 points for the largest
+    bound Q, past CHARACTER_WORK_LIMIT.
     """
+    check_capacity("{} large-sieve trials", trials, SIEVE_TRIALS_LIMIT)
+    if mode == "primitive-family":
+        bound = fixed_bound if fixed_bound is not None else SIEVE_MAX_BOUND
+        what = f"character tables for q <= {bound} over {trials} trials hold up to {{}} points"
+        check_capacity(what, trials * (bound * (bound + 1) // 2), CHARACTER_WORK_LIMIT)
+    return _sieve_instances(trials, seed, mode, fixed_modulus, fixed_bound)
+
+
+def _sieve_instances(trials, seed, mode, fixed_modulus, fixed_bound):
     rng = random.Random(seed)
     for _ in range(trials):
         n = rng.randint(1, SIEVE_MAX_LENGTH)
@@ -670,16 +701,17 @@ class TailShapeReport:
     (4/y)^t * lambda^(l-t) * M_k(t) against l^(k-l) * (4*lambda*P)^l *
     y^(k/2), where M_k(t) sums |S_chi|^k over primitive characters of the
     t-prime modulus class.  The two ranges deliberately carry different
-    per-term weights, matching the bounds they come from.  Ratios only.
+    per-term weights, matching the bounds they come from.  Ratios only; a
+    float past the double range is None, and so is whatever is built on it.
     """
 
     which: str
     k: int
     ell: int
     y: float
-    terms: dict[int, float]
-    lhs: float
-    reference: float
+    terms: dict[int, float | None]
+    lhs: float | None
+    reference: float | None
     ratio: float | None
 
 
@@ -696,19 +728,21 @@ def tail_shape(
     if which == "low":
         t_values = [t for t in range(1, ell + 1) if t <= k / 4]
         base = 4 * ell / y
-        reference = big_p**k * lam**ell / math.log(y)
+        reference = finite_float(lambda: big_p**k * lam**ell / math.log(y))
     else:
         t_values = [t for t in range(1, ell + 1) if t > k / 4]
         base = 4 / y
-        reference = ell ** (k - ell) * (4 * lam * big_p) ** ell * y ** (k / 2)
+        reference = finite_float(
+            lambda: ell ** (k - ell) * (4 * lam * big_p) ** ell * y ** (k / 2)
+        )
     _check_character_work(st, t_values)
 
     terms = {}
     for t in t_values:
         moment = sum((s for _q, s in _class_moments(t, y, k, st)), 0.0)
-        terms[t] = base**t * lam ** (ell - t) * moment
-    lhs = sum(terms.values())
-    ratio = lhs / reference if reference > 0 else None
+        terms[t] = finite_float(lambda: base**t * lam ** (ell - t) * moment)
+    lhs = None if None in terms.values() else sum(terms.values())
+    ratio = finite_float(lambda: lhs / reference) if lhs is not None and reference else None
     return TailShapeReport(
         which=which, k=k, ell=ell, y=y, terms=terms,
         lhs=lhs, reference=reference, ratio=ratio,

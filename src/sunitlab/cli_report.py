@@ -3,8 +3,9 @@
 Report contract: a JSON object {config, version, results, timing} on stdout.
 The results block is deterministic for a fixed config (sorted keys, integers
 as decimal strings, rationals as {num, den} string pairs); timing sits in its
-own block outside the determinism contract.  Every record in results carries
-a method tag naming the operation that produced it.
+own block outside the determinism contract.  A float copy of an exact value
+that leaves the double range is null (errors.finite_float).  Every record in
+results carries a method tag naming the operation that produced it.
 
 Exit codes: 0 success, 2 validation error, 3 capacity exceeded, 4 internal
 verification failure, 1 a file write failed after the report was printed.
@@ -44,7 +45,7 @@ from .constructor import (
     popular_residue,
     solve_congruence_pairs,
 )
-from .errors import SUnitError, ValidationError, VerificationError
+from .errors import SUnitError, ValidationError, VerificationError, finite_float
 from .prime_tools import interval_stats
 from .smooth_verifier import enumerate_smooth_pairs, verify_solution
 from .tuple_census import (
@@ -53,6 +54,7 @@ from .tuple_census import (
     count_direct,
     count_exact,
     count_sampled,
+    ordered_weight,
 )
 
 PAIR_LIST_THRESHOLD = 50
@@ -187,6 +189,12 @@ def run_construct(args):
     stats = interval_stats(args.y)
     pairs = solve_congruence_pairs(args.y, k, ell, stats)
     census = census_over(stats.product_primes, stats.modulus_primes, k, ell)
+    listed = ordered_weight((p.product_factors, p.modulus_factors) for p in pairs)
+    if listed != census:
+        raise VerificationError(
+            f"the {len(pairs)} listed pairs stand for {listed} ordered tuples, "
+            f"the census counts {census}"
+        )
     kl = math.factorial(k) * math.factorial(ell)
     results = {
         "plan": encode(plan) if plan else {"k": encode(k), "ell": encode(ell), "method": "explicit"},
@@ -315,15 +323,17 @@ def _diag_large_sieve(args, warnings):
         value = getattr(args, flag)
         if value is not None and value < 1:
             raise ValidationError(f"need --{flag} >= 1, got {value}")
+    # both streams are drawn (and their capacity checked) before either runs
+    streams = {
+        mode: random_sieve_instances(args.trials, args.seed, mode, **fixed)
+        for mode, fixed in (
+            ("single-modulus", {"fixed_modulus": args.q}),
+            ("primitive-family", {"fixed_bound": args.Q}),
+        )
+    }
     records = {}
-    for mode, fixed in (
-        ("single-modulus", {"fixed_modulus": args.q}),
-        ("primitive-family", {"fixed_bound": args.Q}),
-    ):
-        checks = [
-            large_sieve_check(inst, mode)
-            for inst in random_sieve_instances(args.trials, args.seed, mode, **fixed)
-        ]
+    for mode, instances in streams.items():
+        checks = [large_sieve_check(inst, mode) for inst in instances]
         failures = [c for c in checks if not c.passed]
         records[mode] = {
             "method": "large-sieve-check",
@@ -368,7 +378,7 @@ def _diag_qt(args, stats, warnings):
         "size_reference": cls.size_reference,
         "within_reference": cls.within_reference,
         "min_modulus": encode(min(cls.moduli)),
-        "range_floor": float(args.y / 4) ** t,
+        "range_floor": finite_float(lambda: float(args.y / 4) ** t),
     }
     if cls.size <= QT_LIST_THRESHOLD:
         record["moduli"] = [encode(m) for m in cls.moduli]

@@ -1,16 +1,17 @@
 """Pipeline from census parameters to a prime set rich in consecutive smooth pairs.
 
 The chain: pick exponents (alpha, beta) and derive tuple lengths (k, ell);
-enumerate congruence solutions product == 1 (mod modulus) over prime multisets;
-pigeonhole the quotients u = (product - 1)/modulus to find a popular value u0;
-take S = primes in (y/4, y] together with the prime factors of u0.  Every pair
-with quotient u0 then gives consecutive S-smooth integers a = modulus * u0 and
+list the congruence solutions product == 1 (mod modulus) over prime multisets
+with the congruence engine of tuple_census (by modulus, or by quotient when
+k = ell), which bounds its work by tuple_census.PAIR_OP_LIMIT; pigeonhole the
+quotients u = (product - 1)/modulus to find a popular value u0; take S =
+primes in (y/4, y] together with the prime factors of u0.  Every pair with
+quotient u0 then gives consecutive S-smooth integers a = modulus * u0 and
 c = product.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -19,9 +20,7 @@ from fractions import Fraction
 from .errors import ValidationError, VerificationError
 from .prime_tools import PrimeStats, factorize, interval_stats, sieve_interval
 from .smooth_verifier import SmoothPair, verify_solution
-from .tuple_census import _check_multisets, _modulus_multisets
-
-PAIR_OP_LIMIT = 20_000_000
+from .tuple_census import congruence_solutions
 
 DEFAULT_ALPHA = Fraction(1, 3)
 DEFAULT_BETA = Fraction(1, 4)
@@ -156,38 +155,31 @@ def solve_congruence_pairs(
     """All unordered (product multiset, modulus multiset) pairs with the congruence.
 
     Each congruence solution appears once; the ordered census counts it up to
-    k! * ell! times, so len(result) >= census / (k! * ell!).  The quotient
-    range bound quotient < 4^ell * y^(k-ell) is checked on every pair.
+    k! * ell! times, so len(result) >= census / (k! * ell!).  Exact division
+    and the quotient range bound quotient < 4^ell * y^(k-ell) are checked on
+    every pair the engine lists.
     """
     st = stats or interval_stats(y)
-    p_primes, q_primes = st.product_primes, st.modulus_primes
-    _check_multisets(
-        PAIR_OP_LIMIT, f"pair tests of {k}-prime products by {ell}-prime moduli",
-        (len(p_primes), k), (len(q_primes), ell),
-    )
+    matches = congruence_solutions(st.product_primes, st.modulus_primes, k, ell, listing=True)
     quotient_cap = 4**ell * Fraction(y) ** (k - ell)
+    cap = math.floor(quotient_cap)
     pairs: list[CongruencePair] = []
-    moduli = list(_modulus_multisets(q_primes, ell))
-    for r_combo in itertools.combinations_with_replacement(p_primes, k):
-        r = math.prod(r_combo)
-        for m, q_combo, _weight in moduli:
-            if (r - 1) % m == 0:
-                u = (r - 1) // m
-                if u > quotient_cap:
-                    raise VerificationError(
-                        f"quotient {u} exceeds range bound {quotient_cap} "
-                        f"for pair ({r}, {m}); enumeration bug"
-                    )
-                pairs.append(
-                    CongruencePair(
-                        product=r,
-                        modulus=m,
-                        quotient=u,
-                        product_factors=r_combo,
-                        modulus_factors=q_combo,
-                    )
-                )
-    pairs.sort(key=lambda pr: (pr.modulus, pr.product))
+    for m, r, r_combo, q_combo in matches:
+        u, rest = divmod(r - 1, m)
+        if rest or u > cap:
+            raise VerificationError(
+                f"pair ({r}, {m}) has (r - 1)/m = {Fraction(r - 1, m)}, not an integer "
+                f"within the range bound {quotient_cap}; enumeration bug"
+            )
+        pairs.append(
+            CongruencePair(
+                product=r,
+                modulus=m,
+                quotient=u,
+                product_factors=r_combo,
+                modulus_factors=q_combo,
+            )
+        )
     return pairs
 
 

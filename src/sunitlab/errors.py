@@ -7,6 +7,7 @@ status the CLI maps it to.
 from __future__ import annotations
 
 import decimal
+import math
 
 
 class SUnitError(Exception):
@@ -40,6 +41,21 @@ def check_capacity(what: str, estimate: int | float, cap: int) -> None:
     if estimate > cap:
         value = decimal.Decimal(estimate) if isinstance(estimate, int) else estimate
         raise CapacityError(f"{what.format(value)}, over the cap {cap}")
+
+
+def finite_float(compute) -> float | None:
+    """compute() as a float, or None where it leaves the double range.
+
+    The report rule for float copies of exact values: one that overflows
+    (an OverflowError, an infinity or a nan, or a division by a nonzero
+    value whose float copy underflowed to 0) is reported as null, and the
+    exact value next to it stays exact.
+    """
+    try:
+        value = float(compute())
+    except (OverflowError, ZeroDivisionError):
+        return None
+    return value if math.isfinite(value) else None
 
 
 class FactorizationError(CapacityError):

@@ -5,9 +5,11 @@ Counts ordered tuples (p_1, ..., p_k, q_1, ..., q_l) with each p_i a prime in
 
     p_1 * ... * p_k == 1  (mod q_1 * ... * q_l).
 
-Exposes an exact counter built on a per-modulus numpy residue fold, a brute-force
-direct counter for cross-checks, a Monte Carlo estimator, and the exact
-rational main/error reference terms the count is compared against.
+Exposes the one congruence engine (congruence_solutions), which counts or
+lists the matching (product multiset, modulus multiset) pairs by modulus or by
+quotient, the exact counter built on it, a brute-force direct counter for
+cross-checks, a Monte Carlo estimator, and the exact rational main/error
+reference terms the count is compared against.
 """
 
 from __future__ import annotations
@@ -22,15 +24,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ValidationError, check_capacity
+from .errors import ValidationError, check_capacity, finite_float
 from .prime_tools import PrimeStats, _phi_of_multiset, interval_stats
 
 MODULUS_LIMIT = 2**31
 DIRECT_OP_LIMIT = 50_000_000
 FOLD_OP_LIMIT = 300_000_000
+PAIR_OP_LIMIT = 5_000_000
 REPRESENTATION_LIMIT = 5_000_000
-# products materialized per sort-merge: a fold within FOLD_OP_LIMIT could
-# otherwise hold 3*10^8 products and their sort order (gigabytes) at once
+# products materialized per sort-merge, and k-products per quotient pass: work
+# within FOLD_OP_LIMIT could otherwise hold 3*10^8 products (gigabytes) at once
 _FOLD_CHUNK = 1 << 20
 
 
@@ -74,12 +77,13 @@ class ErrorTerm:
     """Reference error bound l^(k-l) * (4*lambda*P)^l * y^(k/2).
 
     ``applicable`` records whether (k, l) sits in the regime k/4 <= l <= k/2
-    where the bound is proved; the value is reported either way.  ``exact``
-    is the bound as a Fraction when y^(k/2) is rational (k even), else None.
+    where the bound is proved; the value is reported either way (None past
+    the double range).  ``exact`` is the bound as a Fraction when y^(k/2) is
+    rational (k even), else None.
     """
 
     applicable: bool
-    value: float
+    value: float | None
     exact: Fraction | None
     note: str = ""
 
@@ -112,27 +116,36 @@ def error_term(params: CensusParams, stats: PrimeStats | None = None) -> ErrorTe
     if k % 2 == 0:
         y_half = Fraction(params.y) ** (k // 2)
         exact: Fraction | None = base * y_half
-        value = float(exact)
+        value = finite_float(lambda: exact)
     else:
         exact = None
-        value = float(base) * params.y ** (k / 2)
+        value = finite_float(lambda: float(base) * params.y ** (k / 2))
     note = "" if applicable else f"outside regime k/4 <= l <= k/2 for k={k}, l={ell}"
     return ErrorTerm(applicable=applicable, value=value, exact=exact, note=note)
 
 
-def _modulus_multisets(primes: tuple[int, ...], t: int):
-    """Yield (product, multiset, ordered-tuple weight) per multiset of t primes.
+def _multiset_weight(combo: tuple[int, ...]) -> int:
+    """Ordered tuples realizing the multiset combo: len(combo)! / prod(mult!).
 
-    The weight is the multinomial count of ordered tuples realizing the
-    multiset, so summing weighted per-multiset counts reproduces the ordered
-    count.  This is the one place the multinomial weight is computed.
+    Summing weighted per-multiset counts reproduces the ordered count.  This
+    is the one place the multinomial weight is computed.
     """
-    fact_t = math.factorial(t)
-    for combo in itertools.combinations_with_replacement(primes, t):
-        weight = fact_t
+    weight = math.factorial(len(combo))
+    if len(set(combo)) < len(combo):  # distinct primes, the common case, divide by 1
         for mult in Counter(combo).values():
             weight //= math.factorial(mult)
-        yield math.prod(combo), combo, weight
+    return weight
+
+
+def ordered_weight(matches) -> int:
+    """Ordered tuples behind (product multiset, modulus multiset) matches: sum w(r) w(m)."""
+    return sum(_multiset_weight(r) * _multiset_weight(m) for r, m in matches)
+
+
+def _modulus_multisets(primes: tuple[int, ...], t: int):
+    """Yield (product, multiset, ordered-tuple weight) per multiset of t primes."""
+    for combo in itertools.combinations_with_replacement(primes, t):
+        yield math.prod(combo), combo, _multiset_weight(combo)
 
 
 def _check_multisets(cap: int, what: str, *classes: tuple[int, int], per: int = 1) -> int:
@@ -152,11 +165,14 @@ def _fold_products(n: int, k: int, largest: int) -> int:
     for n primes, k factors and a modulus up to ``largest``: n reductions, then
     fold j takes the at most min(C(v+j-1, j), largest) products of j residues
     times v = min(n, largest); the C terms below ``largest`` sum to C(v+J, J) - 1.
+    Once counts pass int64 (n^k >= 2^63) each product counts once per 64-bit
+    word of its Python-int count, which is what it costs.
     """
     v = min(n, largest)
     folds = range(1, max(k - 1, 1))
     small = bisect.bisect_left(folds, True, key=lambda j: math.comb(v + j - 1, j) >= largest)
-    return n + v * (math.comb(v + small, small) - 1) + (len(folds) - small) * largest * v
+    products = n + v * (math.comb(v + small, small) - 1) + (len(folds) - small) * largest * v
+    return products * ((n**k).bit_length() // 64 + 1)
 
 
 def _census_result(
@@ -172,7 +188,8 @@ def _census_result(
     value, std_error = count() if st.modulus_primes else empty
     return CensusResult(
         count=value, main_term=mt, error_bound=et,
-        ratio=value / float(mt) if mt else None, method=method,
+        ratio=finite_float(lambda: value / float(mt)) if mt and value is not None else None,
+        method=method,
         in_hypothesis=params.in_hypothesis,
         empty_interval=not st.modulus_primes, std_error=std_error,
     )
@@ -260,20 +277,161 @@ def census_over(
     """Ordered census over explicit prime lists (the engine under count_exact).
 
     A p sharing a prime with the modulus is never part of a counted tuple.
-    Before any fold, the largest modulus is checked against MODULUS_LIMIT and
-    the residue products of all moduli (_fold_products) against FOLD_OP_LIMIT.
     """
+    return congruence_solutions(p_primes, q_primes, k, ell)
+
+
+def _multiset_rows(n: int, t: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Index rows i_1 <= ... <= i_t < n with lo <= i_1 < hi, one per t-multiset,
+    in itertools.combinations_with_replacement order; t = 0 gives one empty row.
+
+    Column j is built once, with a pointer from each entry to the entry of
+    column j-1 it extends; the rows are read back along those pointers.
+    """
+    if t == 0:
+        return np.zeros((1, 0), dtype=np.int64)
+    cols = [np.arange(lo, n if hi is None else hi, dtype=np.int64)]
+    parents = []
+    for _ in range(t - 1):
+        last = cols[-1]
+        reps = n - last
+        parents.append(np.repeat(np.arange(len(last)), reps))
+        cols.append(np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps - last, reps))
+    rows = np.empty((len(cols[-1]), t), dtype=np.int64)
+    at = np.arange(len(rows))
+    for j in range(t - 1, -1, -1):
+        rows[:, j] = cols[j][at]
+        if j:
+            at = parents[j - 1][at]
+    return rows
+
+
+def _quotients(p_primes, q_primes, k: int) -> range:
+    """A range holding every quotient u = (r - 1)/m of a k-product r of
+    p_primes by a k-product m of q_primes (k = ell)."""
+    hi = (max(p_primes) ** k - 1) // min(q_primes) ** k
+    return range(max(1, -(-(min(p_primes) ** k - 1) // max(q_primes) ** k)), hi + 1)
+
+
+def _plan(p_primes, q_primes, k: int, ell: int, listing: bool) -> str:
+    """The eligible plan with the smaller work estimate, refused over its cap.
+
+    By modulus (every modulus below MODULUS_LIMIT, so residue products stay in
+    int64): per modulus, |P| residues, then a count folds them (_fold_products)
+    and a listing multiplies out k-1 residues and takes one inverse per
+    (k-1)-prefix multiset.  By quotient
+    (k = ell, every product and modulus in int64): one pass over the
+    k-products per quotient u, then a sorted join against the moduli.
+    """
+    for t in (k, ell):
+        if t < 1:
+            raise ValidationError(f"need multisets of t >= 1 primes, got t={t}")
+    n = len(p_primes)
     largest = max(q_primes, default=1) ** ell
-    check_capacity("modulus {}", largest, MODULUS_LIMIT)
-    _check_multisets(
-        FOLD_OP_LIMIT, f"residue fold products over the {ell}-prime moduli",
-        (len(q_primes), ell), per=_fold_products(len(p_primes), k, largest),
-    )
+    moduli = math.comb(len(q_primes) + ell - 1, ell)
+    work = {}
+    if largest <= MODULUS_LIMIT:
+        if listing:
+            what = f"pair search residues over the {ell}-prime moduli: {{}}"
+            per = n + (k - 1) * (math.comb(n + k - 2, k - 1) if n else 0)
+        else:
+            what = f"residue fold products over the {ell}-prime moduli: {{}}"
+            per = _fold_products(n, k, largest)
+        work["modulus"] = (what, moduli * per)
+    if k == ell and n and moduli and max(max(p_primes) ** k, largest) < 2**63:
+        passes = len(_quotients(p_primes, q_primes, k)) * math.comb(n + k - 1, k) + moduli
+        work["quotient"] = (f"quotient passes over the {k}-prime products: {{}}", passes)
+    if not work:
+        check_capacity("modulus {}", largest, MODULUS_LIMIT)
+    plan = min(work, key=lambda name: work[name][1])
+    check_capacity(*work[plan], PAIR_OP_LIMIT if listing else FOLD_OP_LIMIT)
+    return plan
+
+
+def _matches_by_modulus(p_primes, q_primes, k: int, ell: int):
+    """Yield (r, m) multisets with r == 1 (mod m), modulus by modulus.
+
+    Per modulus m: the residue of every (k-1)-prefix multiset, its inverse
+    (prefixes sharing a prime with m have none), and every prime of P in that
+    inverse's residue class whose index is at least the prefix's last index.
+    """
     p = np.asarray(p_primes, dtype=np.int64)
-    total = 0
-    for m, combo, weight in _modulus_multisets(tuple(q_primes), ell):
-        total += weight * _count_products_congruent_one(p, k, m, combo)
-    return total
+    prefixes = _multiset_rows(len(p), k - 1)
+    last = prefixes[:, -1] if k > 1 else np.zeros(1, dtype=np.int64)
+    for m, combo, _weight in _modulus_multisets(tuple(q_primes), ell):
+        res = p % m
+        order = np.argsort(res, kind="stable")
+        classes = res[order]
+        pre = np.full(len(prefixes), 1 % m, dtype=np.int64)
+        for j in range(k - 1):
+            pre = pre * res[prefixes[:, j]] % m
+        units = np.flatnonzero(np.gcd(pre, m) == 1)
+        inverses = _euler_inverses(pre[units], m, _phi_of_multiset(combo))
+        lo = np.searchsorted(classes, inverses, "left")
+        counts = np.searchsorted(classes, inverses, "right") - lo
+        owner = np.repeat(units, counts)
+        tail = order[np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - lo, counts)]
+        keep = tail >= last[owner]
+        rows = np.column_stack((prefixes[owner[keep]], tail[keep]))
+        for r in p[rows].tolist():
+            yield tuple(r), combo
+
+
+def _matches_by_quotient(p_primes, q_primes, k: int, ell: int):
+    """Yield (r, m) multisets with r == 1 (mod m), quotient by quotient (k = ell).
+
+    The k-products come in blocks of about _FOLD_CHUNK; per block and quotient
+    u, (r - 1)/u over the r == 1 (mod u) is looked up among the sorted moduli.
+    """
+    p = np.asarray(p_primes, dtype=np.int64)
+    q = np.asarray(q_primes, dtype=np.int64)
+    m_rows = _multiset_rows(len(q), ell)
+    moduli = np.prod(q[m_rows], axis=1)
+    order = np.argsort(moduli)
+    moduli = moduli[order]
+    quotients = _quotients(p_primes, q_primes, k)
+    step = max(1, _FOLD_CHUNK // math.comb(len(p) + k - 2, k - 1))
+    for lo in range(0, len(p), step):
+        r_rows = _multiset_rows(len(p), k, lo, min(lo + step, len(p)))
+        r = np.prod(p[r_rows], axis=1)
+        for u in quotients:
+            sel = np.flatnonzero((r - 1) % u == 0)
+            v = (r[sel] - 1) // u
+            at = np.minimum(np.searchsorted(moduli, v), len(moduli) - 1)
+            hit = moduli[at] == v
+            rs = p[r_rows[sel[hit]]].tolist()
+            ms = q[m_rows[order[at[hit]]]].tolist()
+            yield from zip(map(tuple, rs), map(tuple, ms))
+
+
+def congruence_solutions(
+    p_primes: tuple[int, ...],
+    q_primes: tuple[int, ...],
+    k: int,
+    ell: int,
+    listing: bool = False,
+):
+    """Every k-multiset r of p_primes and ell-multiset m of q_primes with
+    r == 1 (mod m): counted as ordered tuples, sum w(r) w(m), or listed as
+    (prod m, prod r, r, m) in sorted order when ``listing``.
+
+    The one congruence engine under census_over and the pair search.  _plan
+    picks by modulus or by quotient and refuses over FOLD_OP_LIMIT (counting)
+    or PAIR_OP_LIMIT (listing) before any work; counting by modulus is the
+    residue fold of _count_products_congruent_one.
+    """
+    plan = _plan(p_primes, q_primes, k, ell, listing)
+    if plan == "modulus" and not listing:
+        p = np.asarray(p_primes, dtype=np.int64)
+        return sum(
+            weight * _count_products_congruent_one(p, k, m, combo)
+            for m, combo, weight in _modulus_multisets(tuple(q_primes), ell)
+        )
+    find = _matches_by_quotient if plan == "quotient" else _matches_by_modulus
+    matches = find(p_primes, q_primes, k, ell)
+    if listing:
+        return sorted((math.prod(m), math.prod(r), r, m) for r, m in matches)
+    return ordered_weight(matches)
 
 
 def count_direct(params: CensusParams, stats: PrimeStats | None = None) -> CensusResult:
@@ -323,8 +481,8 @@ def count_sampled(
                 hits += 1
         space = len(q_primes) ** params.ell * len(p_primes) ** params.k
         p_hat = hits / samples
-        std_error = space * math.sqrt(max(p_hat * (1 - p_hat), 0.0) / samples)
-        return p_hat * space, std_error
+        spread = math.sqrt(max(p_hat * (1 - p_hat), 0.0) / samples)
+        return finite_float(lambda: p_hat * space), finite_float(lambda: space * spread)
 
     return _census_result(params, st, "sampled", count, empty=(0.0, 0.0))
 

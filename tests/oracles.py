@@ -8,8 +8,8 @@ than tautology.  Keep these slow and obvious.
 
 from collections import Counter
 from fractions import Fraction
-from itertools import product
-from math import floor, isqrt
+from itertools import combinations_with_replacement, product
+from math import floor, isqrt, prod
 
 
 def oracle_is_prime(n: int) -> bool:
@@ -65,6 +65,24 @@ def oracle_census(y: float, k: int, ell: int) -> int:
             if r == 1 % m:
                 total += 1
     return total
+
+
+def oracle_congruence_pairs(p_primes, moduli, k: int) -> list[tuple]:
+    """The Python pair loop the congruence engine replaced.
+
+    Tests every k-multiset r of p_primes against every modulus multiset in
+    ``moduli`` and keeps m | r - 1 as (r, m, (r - 1) // m, r multiset,
+    m multiset), sorted by (m, r).
+    """
+    pairs = []
+    for r_combo in combinations_with_replacement(p_primes, k):
+        r = prod(r_combo)
+        for m_combo in moduli:
+            m = prod(m_combo)
+            if (r - 1) % m == 0:
+                pairs.append((r, m, (r - 1) // m, r_combo, m_combo))
+    pairs.sort(key=lambda pr: (pr[1], pr[0]))
+    return pairs
 
 
 def oracle_recip_sum(y: float) -> Fraction:

@@ -6,11 +6,15 @@ tripwire, and checks that the call raises CapacityError naming the estimate
 that tripped it.
 """
 
+import importlib
 import re
+from argparse import Namespace
+from pathlib import Path
 
 import pytest
 
 import sunitlab.character_lab as cl
+import sunitlab.cli_report as cli
 import sunitlab.constructor as constructor
 import sunitlab.prime_tools as pt
 import sunitlab.smooth_verifier as sv
@@ -31,19 +35,29 @@ class Tripwire:
         self()
 
 
-def _census_60(k, ell):
-    st = interval_stats(60)  # 7 product primes, 4 modulus primes up to 29
+def _census(y, k, ell):
+    st = interval_stats(y)  # y = 60: 7 product primes, 4 modulus primes up to 29
     return lambda: tc.census_over(st.product_primes, st.modulus_primes, k, ell)
+
+
+# y = 1000, k = ell = 2: quotients u in 2..15 over C(74, 2) products, plus
+# the C(43, 2) moduli; by modulus, 903 moduli x 73 residues (x 2 to list)
+QUOTIENT_1000 = 14 * 2701 + 903
+
+
+def _large_sieve(trials, bound):
+    args = Namespace(seed=1, trials=trials, q=None, Q=bound)
+    return lambda: cli._diag_large_sieve(args, [])
 
 
 CASES = [
     # (limit's module, limit, lowered value, call, estimate, (engine's module, engine))
-    (tc, "MODULUS_LIMIT", 1000, _census_60(2, 3), 29**3,
+    (tc, "MODULUS_LIMIT", 1000, _census(60, 2, 3), 29**3,
      (tc, "_count_products_congruent_one")),
     # k = 2 has no fold, yet its 4 moduli x 7 residues are counted
-    (tc, "FOLD_OP_LIMIT", 27, _census_60(2, 1), 4 * 7,
+    (tc, "FOLD_OP_LIMIT", 27, _census(60, 2, 1), 4 * 7,
      (tc, "_count_products_congruent_one")),
-    (tc, "FOLD_OP_LIMIT", 100, _census_60(3, 1), 4 * (7 + 7 * 7),
+    (tc, "FOLD_OP_LIMIT", 100, _census(60, 3, 1), 4 * (7 + 7 * 7),
      (tc, "_count_products_congruent_one")),
     (tc, "DIRECT_OP_LIMIT", 100, lambda: tc.count_direct(CensusParams(60, 3, 2)), 7**3 * 4**2,
      (tc, "itertools")),
@@ -65,9 +79,18 @@ CASES = [
          "primitive-family",
      ), 20 * 21 // 2,
      (cl, "character_table")),
-    # C(8, 2) product multisets x 4 moduli
-    (constructor, "PAIR_OP_LIMIT", 100, lambda: constructor.solve_congruence_pairs(60, 2, 1), 112,
-     (constructor, "_modulus_multisets")),
+    # 10 trials x 210 points each pass the cap; each trial alone does not
+    (cl, "CHARACTER_WORK_LIMIT", 1000, _large_sieve(10, 20), 10 * 210,
+     (cli, "large_sieve_check")),
+    (cl, "SIEVE_TRIALS_LIMIT", 5, _large_sieve(6, 2), 6,
+     (cli, "large_sieve_check")),
+    (tc, "FOLD_OP_LIMIT", 1000, _census(1000, 2, 2), QUOTIENT_1000,
+     (tc, "_matches_by_quotient")),
+    # 4 moduli x (7 residues + 7 one-prime prefixes)
+    (tc, "PAIR_OP_LIMIT", 10, lambda: constructor.solve_congruence_pairs(60, 2, 1), 4 * (7 + 7),
+     (tc, "_matches_by_modulus")),
+    (tc, "PAIR_OP_LIMIT", 1000, lambda: constructor.solve_congruence_pairs(1000, 2, 2), QUOTIENT_1000,
+     (tc, "_matches_by_quotient")),
     (pt, "DEFAULT_SIEVE_LIMIT", 500, lambda: pt.sieve_interval(10, 2000), 2000,
      (pt, "_simple_sieve")),
     # a <= 1000 needs c = a + 1 sieved too
@@ -82,7 +105,8 @@ CASES = [
     ids=[
         "modulus", "fold-k2", "fold-k3", "direct", "representation", "qt",
         "character-modulus", "character-work-census", "character-work-family",
-        "pair", "sieve", "smooth-sieve",
+        "large-sieve-trials-work", "large-sieve-trials", "quotient", "pair", "pair-quotient",
+        "sieve", "smooth-sieve",
     ],
 )
 def test_limit_refuses_before_the_work(module, limit, value, run, estimate, engine, monkeypatch):
@@ -106,11 +130,38 @@ def test_character_table_limit_holds_for_a_cached_table(monkeypatch):
     [
         lambda: cl.moment_check(100_000, 30, "2t"),
         lambda: cl.tail_shape(CensusParams(30, 400, 200), "low"),
+        # its reference, 200^200 * (4 lambda P)^200 * 30^200, is past any double
+        lambda: cl.tail_shape(CensusParams(30, 400, 200), "high"),
     ],
-    ids=["moment", "tail"],
+    ids=["moment", "tail", "tail-high"],
 )
 def test_character_work_refused_for_a_huge_t_without_expanding(run, monkeypatch):
     # phi(q) >= 2^(t-1) on Q_t: past the cap's bit length no sum is formed
     monkeypatch.setattr(cl, "character_table", Tripwire())
     with pytest.raises(CapacityError, match=r"at least 2\^\d+ points"):
         run()
+
+
+def _capacity_table():
+    """(first cell, value cell) of each row of README's "Capacity limits" table."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Capacity limits", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split(" | ") for line in section.splitlines() if line.startswith("| `")]
+    return [(cells[0], cells[3]) for cells in rows]
+
+
+def test_readme_capacity_table_shows_every_limit_and_its_value():
+    named = set()
+    for limit, value in _capacity_table():
+        refs = re.findall(r"`(\w+)\.(\w+)`", limit)
+        assert refs, limit
+        module, name = refs[-1]  # the SUNIT_MAX_SIEVE row names its default last
+        constant = getattr(importlib.import_module(f"sunitlab.{module}"), name)
+        base, _, power = value.strip("`").partition("^")
+        assert constant == int(base) ** int(power or 1), (limit, value)
+        named.add((module, name))
+    for module in ("prime_tools", "tuple_census", "character_lab", "constructor", "smooth_verifier"):
+        mod = importlib.import_module(f"sunitlab.{module}")
+        for name in vars(mod):
+            if name.endswith("_LIMIT"):
+                assert (module, name) in named, f"{module}.{name} has no README row"

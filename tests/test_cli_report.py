@@ -6,6 +6,7 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -13,9 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sunitlab
+import sunitlab.constructor as constructor
 from sunitlab.cli_report import encode, main, solutions_csv
 from sunitlab.prime_tools import interval_stats
 from sunitlab.smooth_verifier import SmoothPair
+from sunitlab.tuple_census import census_over
 
 
 def run_cli(argv, capsys):
@@ -186,6 +189,45 @@ def test_construct_no_pairs_is_clean_exit(capsys):
     assert any("nothing to construct" in w for w in res["warnings"])
 
 
+def test_construct_refuses_pairs_the_census_does_not_count(monkeypatch, capsys):
+    # an engine that loses one pair: the listed pairs no longer weigh the census
+    engine = constructor.congruence_solutions
+    monkeypatch.setattr(
+        constructor, "congruence_solutions", lambda *args, **kw: engine(*args, **kw)[:-1]
+    )
+    status, out, err = run_cli(["construct", "--y", "30", "--k", "2", "--ell", "1"], capsys)
+    assert status == 4 and out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "verification"
+    assert "2 listed pairs stand for 3 ordered tuples, the census counts 5" in error["message"]
+
+
+@pytest.mark.parametrize("k", [500, 1000])
+def test_census_past_the_double_range_reports_null_floats(k, capsys):
+    report = run_json(["census", "--y", "30", "--k", str(k), "--ell", "1"], capsys)
+    (rec,) = report["results"]["census"]
+    st = interval_stats(30)
+    count = census_over(st.product_primes, st.modulus_primes, k, 1)
+    assert int(rec["count"]) == count
+    # the bound 4 lambda P * 30^(k/2) is past any double at both k; its exact copy is kept
+    assert rec["error_bound"]["value"] is None
+    bound = Fraction(int(rec["error_bound"]["exact"]["num"]), int(rec["error_bound"]["exact"]["den"]))
+    assert bound > 10**308
+    main = Fraction(int(rec["main_term"]["num"]), int(rec["main_term"]["den"]))
+    if k == 500:  # P^k lambda = 4^500 * 24/143 still fits a double
+        assert rec["ratio"] == count / float(main)
+    else:
+        assert main > 10**308 and rec["ratio"] is None
+
+
+def test_qt_past_the_double_range_reports_null_floats(capsys):
+    report = run_json(["diagnose", "qt", "--y", "30", "--t", "1000"], capsys)
+    qt = report["results"]["qt"]
+    assert qt["size"] == "1001"  # t-multisets of {11, 13}
+    assert qt["min_modulus"] == str(11**1000)
+    assert qt["range_floor"] is None
+
+
 def test_construct_csv_artifact(tmp_path, capsys):
     out = tmp_path / "sols.csv"
     run_json(
@@ -354,8 +396,9 @@ def test_help_and_version_exit_zero(flag, capsys):
         # Q_1 at y = 1e6 holds about 19,000 primes near 3.75e5: about 7e9
         # character-table points, which would take minutes to transform
         (["diagnose", "tails", "--y", "1e6", "--k", "4", "--ell", "2"], 7291185550),
-        # 2,333,880 moduli x 4,038 residues, with no fold at k = 2
-        (["census", "--y", "9e4", "--k", "2", "--ell", "2"], 9424207440),
+        # k = ell: 14 quotient passes over C(8,393, 2) products, plus the
+        # 9,943,570 moduli (y = 9e4 now runs by quotient in about 2 s)
+        (["census", "--y", "2e5", "--k", "2", "--ell", "2"], 502981962),
         # 2,160 moduli x (4,038 residues + one 4,038 x 4,038 fold)
         (["census", "--y", "9e4", "--k", "3", "--ell", "1"], 35228481120),
         # the family tables for q <= 1e5 hold up to Q(Q+1)/2 points
@@ -489,18 +532,19 @@ def test_reports_are_deterministic_modulo_timing(capsys):
 # A bounded grammar.  Each command starts from a mostly valid base of its
 # required flags; up to three more flags follow, drawn from every flag with
 # valid, boundary and junk values (a later flag overrides an earlier one),
-# and at most one rare token.
+# and at most one rare token.  k, ell and t reach 1000, where exact values
+# outgrow the double range; --trials and --Q reach 10^5, past their caps.
 Y = ["2", "5", "10", "30", "60", "nan", "inf", "-1", "1e300"]
 BASE = {
-    "census": {"--y": Y, "--k": ["1", "2", "3"], "--ell": ["1", "2"]},
+    "census": {"--y": Y, "--k": ["1", "2", "3", "1000"], "--ell": ["1", "2"]},
     "construct": {"--y": Y},
     "verify": {"--s-primes": ["2,3,5", "2,3,5,7"], "--limit": ["100", "1000"]},
-    "diagnose": {"--y": Y, "--seed": ["1", "7"], "--trials": ["1", "3"]},
+    "diagnose": {"--y": Y, "--seed": ["1", "7"], "--trials": ["1", "3"], "--t": ["1", "2", "1000"]},
 }
 COMMON_FLAGS = {
     "--y": Y,
-    "--k": ["1", "2", "3", "0", "-1", "x"],
-    "--ell": ["1", "2", "0", "x"],
+    "--k": ["1", "2", "3", "0", "-1", "x", "1000"],
+    "--ell": ["1", "2", "0", "x", "1000"],
     "--alpha": ["1/3", "1/2", "2", "1/0"],
     "--beta": ["1/4", "1/5", "0"],
     "--limit": ["100", "1000", "0", "-5"],
@@ -512,8 +556,8 @@ COMMAND_FLAGS = {
     "census": {"--method": ["exact", "direct", "characters", "sampled", "exact,characters", "psychic"]},
     "construct": {},
     "verify": {"--s-primes": ["2,3,5", "2,4", "", "x"], "--check-a": ["390", "0"]},
-    "diagnose": {"--t": ["1", "2", "0", "-1"], "--q": ["1", "7", "0"], "--Q": ["1", "5", "0"],
-                 "--trials": ["1", "3", "0"]},
+    "diagnose": {"--t": ["1", "2", "0", "-1", "1000"], "--q": ["1", "7", "0"],
+                 "--Q": ["1", "5", "0", "100000"], "--trials": ["1", "3", "0", "100000"]},
 }
 TOPICS = ["all", "large-sieve", "moments", "tails", "qt", "decomposition", "bogus"]
 # the paths under {missing} are never created, so no run writes a file

@@ -5,6 +5,7 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sunitlab.constructor as constructor
 from sunitlab.constructor import (
     CongruencePair,
     assemble_set,
@@ -109,6 +110,24 @@ def test_pair_internal_consistency():
         # quotient range bound checked on every emitted pair
         assert pr.quotient < 4**2 * Fraction(40) ** 1
         assert pr.product_factors == tuple(sorted(pr.product_factors))
+
+
+@pytest.mark.parametrize(
+    "match",
+    [(11, 323, (17, 19), (11,)), (13, 841, (29, 29), (13,))],  # 322/11, 840/13: no integers
+)
+def test_pair_search_rechecks_every_listed_pair(match, monkeypatch):
+    monkeypatch.setattr(constructor, "congruence_solutions", lambda *args, **kw: [match])
+    with pytest.raises(VerificationError, match="enumeration bug"):
+        solve_congruence_pairs(30, 2, 1)
+
+
+def test_pair_search_rechecks_the_quotient_range(monkeypatch):
+    # 29 * 29 = 841 = 1 + 2 * 420, but a quotient of 420 is past 4 * 30
+    match = (2, 841, (29, 29), (2,))
+    monkeypatch.setattr(constructor, "congruence_solutions", lambda *args, **kw: [match])
+    with pytest.raises(VerificationError, match="range bound 120"):
+        solve_congruence_pairs(30, 2, 1)
 
 
 def test_pairs_validation():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 from sunitlab.errors import (
     CapacityError,
     FactorizationError,
@@ -5,7 +7,18 @@ from sunitlab.errors import (
     ToleranceError,
     ValidationError,
     VerificationError,
+    finite_float,
 )
+
+
+def test_finite_float_is_null_past_the_double_range():
+    assert finite_float(lambda: Fraction(1, 3)) == 1 / 3
+    assert finite_float(lambda: 10**400) is None  # int to float
+    assert finite_float(lambda: 7.5**1000) is None  # float power
+    assert finite_float(lambda: 1e308 * 10) is None  # inf
+    assert finite_float(lambda: 10**400 / 3.0) is None  # int / float
+    assert finite_float(lambda: 1 / float(Fraction(1, 10**400))) is None  # underflowed divisor
+    assert finite_float(lambda: float("nan")) is None
 
 
 def test_exit_status_taxonomy():

@@ -1,12 +1,16 @@
+import dataclasses
 import math
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sunitlab.tuple_census as tc
+from sunitlab.constructor import solve_congruence_pairs
 from sunitlab.errors import CapacityError, ValidationError
 from sunitlab.prime_tools import interval_stats
 from sunitlab.tuple_census import (
@@ -22,7 +26,7 @@ from sunitlab.tuple_census import (
     representation_counts,
 )
 
-from oracles import oracle_census, oracle_rep_counts
+from oracles import oracle_census, oracle_congruence_pairs, oracle_rep_counts
 
 
 def test_params_validation():
@@ -273,3 +277,100 @@ def test_modulus_limit_refused_before_any_fold(monkeypatch):
     st = interval_stats(3000)
     with pytest.raises(CapacityError, match=str(1499**3)):
         census_over(st.product_primes, st.modulus_primes, 2, 3)
+
+
+# ------------------------------------------------------------ congruence engine
+
+
+def _run_plan(monkeypatch, plan):
+    """Make the engine run ``plan``, whatever the planner would pick."""
+    monkeypatch.setattr(tc, "_plan", lambda *args: plan)
+
+
+def _plans(k, ell):
+    return ("modulus", "quotient") if k == ell else ("modulus",)
+
+
+LIST_GRID = [
+    (y, k, ell) for y in (12, 30, 60, 150, 300) for k in range(1, 5) for ell in range(1, k + 1)
+] + [(1000, 3, 1)]
+
+
+@pytest.mark.parametrize("y,k,ell", LIST_GRID)
+def test_list_plans_match_the_reference_pair_loop(y, k, ell, monkeypatch):
+    st = interval_stats(y)
+    # all modulus primes up to 3, else 3 spread evenly: the reference is slow at y = 300
+    q_primes = st.modulus_primes[:: -(-len(st.modulus_primes) // 3)]
+    moduli = list(combinations_with_replacement(q_primes, ell))
+    want = [(r, m) for *_, r, m in oracle_congruence_pairs(st.product_primes, moduli, k)]
+    for plan in _plans(k, ell):
+        _run_plan(monkeypatch, plan)
+        got = tc.congruence_solutions(st.product_primes, q_primes, k, ell, listing=True)
+        assert [(r, m) for _m, _r, r, m in got] == want, plan
+
+
+@pytest.mark.parametrize("y,k,ell", [(30, 2, 1), (60, 2, 1), (60, 3, 2), (150, 2, 2)])
+def test_pair_search_matches_the_reference_pair_loop(y, k, ell):
+    st = interval_stats(y)
+    moduli = list(combinations_with_replacement(st.modulus_primes, ell))
+    want = oracle_congruence_pairs(st.product_primes, moduli, k)
+    got = [dataclasses.astuple(pr) for pr in solve_congruence_pairs(y, k, ell, st)]
+    assert got == want
+
+
+@pytest.mark.parametrize("y", [12, 30, 60, 150, 300])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_quotient_count_matches_reference_fold(y, k):
+    # the k = ell cells of the fold grid above, over every modulus
+    st = interval_stats(y)
+    want = sum(
+        w * _reference_fold(st.product_primes, k, m)
+        for m, _c, w in _modulus_multisets(st.modulus_primes, k)
+    )
+    matches = tc._matches_by_quotient(st.product_primes, st.modulus_primes, k, k)
+    assert tc.ordered_weight(matches) == want
+
+
+@pytest.mark.parametrize("y,k,ell", [(20, 1, 1), (30, 2, 1), (30, 2, 2), (40, 2, 2), (40, 3, 1)])
+def test_count_plans_match_count_direct(y, k, ell, monkeypatch):
+    want = count_direct(CensusParams(y, k, ell)).count
+    for plan in _plans(k, ell):
+        _run_plan(monkeypatch, plan)
+        assert count_exact(CensusParams(y, k, ell)).count == want, plan
+
+
+@pytest.mark.parametrize("y,k", [(1000, 2), (3000, 2), (300, 3), (600, 3)])
+def test_quotient_plan_matches_the_fold(y, k, monkeypatch):
+    st = interval_stats(y)
+    counts = {}
+    for plan in ("modulus", "quotient"):
+        _run_plan(monkeypatch, plan)
+        counts[plan] = census_over(st.product_primes, st.modulus_primes, k, k)
+    assert counts["quotient"] == counts["modulus"]
+    if y == 3000:
+        assert counts["quotient"] == 330
+
+
+@pytest.mark.parametrize(
+    "y,k,ell,listing,plan",
+    [
+        (1e5, 2, 1, False, "modulus"),  # census-1e5
+        (1000, 3, 2, False, "modulus"),  # census-1000-k3l2
+        (1e4, 2, 2, False, "quotient"),
+        (6000, 2, 1, True, "modulus"),  # construct-6000
+        (1000, 2, 2, True, "quotient"),
+    ],
+)
+def test_planner_picks_the_cheaper_eligible_plan(y, k, ell, listing, plan):
+    st = interval_stats(y)
+    assert tc._plan(st.product_primes, st.modulus_primes, k, ell, listing) == plan
+
+
+def test_quotient_plan_runs_past_the_modulus_limit(monkeypatch):
+    st = interval_stats(60)
+    want = census_over(st.product_primes, st.modulus_primes, 2, 2)
+    monkeypatch.setattr(tc, "MODULUS_LIMIT", 100)  # below 29^2: no plan by modulus
+    assert tc._plan(st.product_primes, st.modulus_primes, 2, 2, False) == "quotient"
+    assert census_over(st.product_primes, st.modulus_primes, 2, 2) == want
+    with pytest.raises(CapacityError, match=str(29**2)):
+        census_over(st.product_primes, st.modulus_primes, 3, 2)  # k != ell: no plan by quotient
