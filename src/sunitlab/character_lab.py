@@ -11,21 +11,19 @@ one inverse DFT of the coefficients placed on that grid
 (``CharacterTable.sums``).  Primitivity is read off the local components of
 c (``CharacterTable.primitive_mask``).  Every census, large-sieve, moment and
 tail quantity below comes from that one transform; explicit tolerances guard
-each place a float is rounded back to an integer.  Single characters (``chi(n)``,
-the restriction-test ``conductor``, ``prime_char_sum``) are the independent
-slow route the transform is tested against.
+each place a float is rounded back to an integer.  The slow reference for
+the transform and the mask (single character values and restriction-test
+conductors) lives with the test oracles.
 """
 
 from __future__ import annotations
 
-import cmath
-import itertools
 import math
 import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,6 +49,7 @@ from .tuple_census import (
     representation_counts,
 )
 
+CHARACTER_COUNT_LIMIT = 2**53
 CHARACTER_MODULUS_LIMIT = 1_000_000
 CHARACTER_WORK_LIMIT = 100_000_000
 QT_LIMIT = 2_000_000
@@ -62,23 +61,6 @@ SIEVE_MAX_BOUND = 20
 
 IDENTITY_TOL = 1e-9
 ROUNDING_TOL = 1e-2
-
-
-def _snap(x: float) -> float:
-    for target in (0.0, 1.0, -1.0):
-        if abs(x - target) < 1e-15:
-            return target
-    return x
-
-
-def _unit_root(t: int, order: int) -> complex:
-    """exp(2*pi*i*t/order), exact on the real and imaginary axes.
-
-    Snapping the four axis roots keeps order-1/2/4 characters and hence all
-    real character sums exact, so small golden values compare by equality.
-    """
-    angle = 2 * cmath.pi * t / order
-    return complex(_snap(math.cos(angle)), _snap(math.sin(angle)))
 
 
 def _prime_power_generators(p: int, e: int) -> list[tuple[int, int, bool]]:
@@ -130,9 +112,6 @@ class CharacterTable:
                 local_mask = exps % p != 0 if local else exps >= 0
                 mask = np.logical_and.outer(mask, local_mask).ravel()
         self.orders = tuple(orders)
-        self.strides = tuple(math.prod(self.orders[i + 1 :]) for i in range(len(orders)))
-        self.exponent = math.lcm(*self.orders)
-        self.weights = tuple(self.exponent // o for o in self.orders)
         self.totient = math.prod(self.orders)
         self.primitive_mask = mask
 
@@ -145,22 +124,6 @@ class CharacterTable:
                 f"expected {self.totient}"
             )
         self.dlog = dlog
-
-    @cached_property
-    def roots(self) -> tuple[complex, ...]:
-        return tuple(_unit_root(t, self.exponent) for t in range(self.exponent))
-
-    @cached_property
-    def characters(self) -> tuple[DirichletCharacter, ...]:
-        ranges = [range(order) for order in self.orders]
-        return tuple(DirichletCharacter(self, exps) for exps in itertools.product(*ranges))
-
-    @property
-    def principal(self) -> DirichletCharacter:
-        return self.characters[0]
-
-    def primitive(self) -> tuple[DirichletCharacter, ...]:
-        return tuple(itertools.compress(self.characters, self.primitive_mask))
 
     def sums(self, ns, coefficients) -> np.ndarray:
         """S_chi = sum_n a_n chi(n) for every chi mod m, in table order.
@@ -175,70 +138,6 @@ class CharacterTable:
         return self.totient * np.fft.ifftn(grid.reshape(self.orders or (1,))).ravel()
 
 
-class DirichletCharacter:
-    """A character mod m, stored as one exponent per unit-group generator.
-
-    The value at n with gcd(n, m) = 1 is the E-th root of unity with integer
-    exponent sum_i(exponents[i] * weight_i * dlog_i(n)) mod E; at other n the
-    value is 0.
-    """
-
-    __slots__ = ("table", "exponents", "_conductor")
-
-    def __init__(self, table: CharacterTable, exponents: tuple[int, ...]):
-        self.table = table
-        self.exponents = exponents
-        self._conductor: int | None = None
-
-    @property
-    def modulus(self) -> int:
-        return self.table.modulus
-
-    def root_exponent(self, n: int) -> int | None:
-        """Integer t with value = exp(2*pi*i*t/E), or None when gcd(n, m) > 1."""
-        g = self.table
-        flat = int(g.dlog[n % g.modulus])
-        if flat < 0:
-            return None
-        total = sum(
-            c * w * (flat // s % o)
-            for c, w, s, o in zip(self.exponents, g.weights, g.strides, g.orders)
-        )
-        return total % g.exponent
-
-    def __call__(self, n: int) -> complex:
-        t = self.root_exponent(n)
-        return 0j if t is None else self.table.roots[t]
-
-    @property
-    def is_principal(self) -> bool:
-        return all(c == 0 for c in self.exponents)
-
-    @property
-    def conductor(self) -> int:
-        """Smallest divisor d of the modulus from which this character is induced.
-
-        Decided by the restriction test: d qualifies iff the character is 1 on
-        every unit congruent to 1 mod d.
-        """
-        if self._conductor is None:
-            m = self.table.modulus
-            for d in sorted(_divisors(m)):
-                if all(
-                    self.root_exponent(a) == 0
-                    for a in range(1, m + 1, d)
-                    if math.gcd(a, m) == 1
-                ):
-                    self._conductor = d
-                    break
-            else:  # d = m always qualifies
-                self._conductor = m
-        return self._conductor
-
-    def __repr__(self) -> str:
-        return f"DirichletCharacter(mod {self.modulus}, exponents={self.exponents})"
-
-
 _cached_table = lru_cache(maxsize=256)(CharacterTable)
 
 
@@ -248,29 +147,6 @@ def character_table(m: int) -> CharacterTable:
         raise ValidationError(f"need modulus >= 1, got {m}")
     check_capacity("character table modulus {}", m, CHARACTER_MODULUS_LIMIT)
     return _cached_table(m)
-
-
-def prime_char_sum(
-    chi: DirichletCharacter, y: float, stats: PrimeStats | None = None
-) -> complex:
-    """Sum of the character over the primes in (y/2, y].
-
-    Exact for the principal character (each term contributes exactly 1).
-    Terms with gcd(p, modulus) > 1 contribute 0; for census moduli this never
-    happens since the modulus and product prime intervals are disjoint.
-    """
-    if stats is not None and stats.y != y:
-        raise ValidationError(f"stats are for y = {stats.y}, not y = {y}")
-    st = stats or interval_stats(y)
-    # aggregate by root exponent first: fewer float additions, exact principal case
-    exponent_counts: Counter[int] = Counter()
-    for p in st.product_primes:
-        t = chi.root_exponent(p)
-        if t is not None:
-            exponent_counts[t] += 1
-    return sum(
-        (count * chi.table.roots[t] for t, count in exponent_counts.items()), 0j
-    )
 
 
 def _prime_sums(table: CharacterTable, st: PrimeStats) -> np.ndarray:
@@ -323,24 +199,28 @@ def census_via_characters(params: CensusParams, stats: PrimeStats | None = None)
 
     For each modulus m = q_1*...*q_l the tuple count with product 1 mod m is
     (1/phi(m)) * sum over chi mod m of S_chi^k.  The float accumulation is
-    rounded to the nearest integer under a 10^-2 guard; a sum past the double
-    range fails the guard.
+    rounded to the nearest integer under a 10^-2 guard.  The P^k * Q^l
+    ordered tuples bound the count and every |S_chi|^k; past
+    CHARACTER_COUNT_LIMIT = 2^53 a double no longer holds every integer, so
+    such runs are refused before any table is built.
     """
     st = stats or interval_stats(params.y)
-    _check_character_work(st, [params.ell])
+    p, q, k, ell = st.prime_count, len(st.modulus_primes), params.k, params.ell
+    what = f"character census over P^k * Q^l = {p}^{k} * {q}^{ell} = {{}} ordered tuples"
+    # P^k * Q^l >= 2^low: past the cap's bit length the powers are not expanded
+    low = k * (p.bit_length() - 1) + ell * (q.bit_length() - 1)
+    if p and q and low > CHARACTER_COUNT_LIMIT.bit_length():
+        raise CapacityError(
+            what.format(f"at least 2^{low}") + f", over the cap {CHARACTER_COUNT_LIMIT}"
+        )
+    check_capacity(what, p**k * q**ell, CHARACTER_COUNT_LIMIT)
+    _check_character_work(st, [ell])
 
     def count():
         total = 0j
-        for m, _combo, weight in _modulus_multisets(st.modulus_primes, params.ell):
+        for m, _combo, weight in _modulus_multisets(st.modulus_primes, ell):
             table = character_table(m)
-            with np.errstate(over="ignore", invalid="ignore"):
-                acc = complex(np.sum(_prime_sums(table, st) ** params.k))
-            total += weight * acc / table.totient
-        if not cmath.isfinite(total):
-            raise ToleranceError(
-                f"character census {total} left the double range at k = {params.k}; "
-                "no integer can be rounded from it"
-            )
+            total += weight * complex(np.sum(_prime_sums(table, st) ** k)) / table.totient
         rounded = round(total.real)
         if abs(total - rounded) >= ROUNDING_TOL:
             raise ToleranceError(

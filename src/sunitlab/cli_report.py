@@ -8,7 +8,7 @@ that leaves the double range is null (errors.finite_float).  Every record in
 results carries a method tag naming the operation that produced it.
 
 Exit codes: 0 success, 2 validation error, 3 capacity exceeded, 4 internal
-verification failure, 1 a file write failed after the report was printed.
+verification failure, 1 printing the report or a file write after it failed.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import decimal
 import io
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -541,10 +542,7 @@ def main(argv=None) -> int:
         start = time.perf_counter()
         results, artifacts = _DISPATCH[args.command](args)
     except SUnitError as exc:
-        print(
-            json.dumps({"error": {"code": exc.code, "message": str(exc)}}),
-            file=sys.stderr,
-        )
+        _error_line(exc.code, str(exc))
         return exc.exit_status
     elapsed = time.perf_counter() - start
 
@@ -555,20 +553,30 @@ def main(argv=None) -> int:
         "timing": {"seconds": round(elapsed, 6)},
     }
     text = json.dumps(report, sort_keys=True, indent=2)
-    print(text)
-
     try:
+        _print_report(text)
         if args.out and args.format == "json":
             Path(args.out).write_text(text + "\n")
         for path, content in artifacts:
             Path(path).write_text(content)
     except OSError as exc:
-        print(
-            json.dumps({"error": {"code": "io", "message": str(exc)}}),
-            file=sys.stderr,
-        )
+        _error_line("io", str(exc))
         return 1
     return 0
+
+
+def _print_report(text: str) -> None:
+    """Print the report.  When stdout is gone (a closed pipe), point it at
+    os.devnull before re-raising, so the interpreter's exit flush stays silent."""
+    try:
+        print(text, flush=True)
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise
+
+
+def _error_line(code: str, message: str) -> None:
+    print(json.dumps({"error": {"code": code, "message": message}}), file=sys.stderr)
 
 
 if __name__ == "__main__":

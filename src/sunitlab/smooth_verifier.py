@@ -9,6 +9,7 @@ other way around.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,11 +43,16 @@ class SolutionCertificate:
 
 
 def _checked_primes(primes) -> tuple[int, ...]:
-    out = tuple(sorted(set(int(p) for p in primes)))
-    for p in out:
+    return _validated(tuple(sorted(set(int(p) for p in primes))))
+
+
+@lru_cache(maxsize=64)
+def _validated(prime_list: tuple[int, ...]) -> tuple[int, ...]:
+    """The sorted prime list once every entry passed is_prime; checked once per set."""
+    for p in prime_list:
         if not is_prime(p):
             raise ValidationError(f"{p} is not prime; S must be a set of primes")
-    return out
+    return prime_list
 
 
 def _divide_out(n: int, prime_list: tuple[int, ...]) -> dict[int, int] | None:

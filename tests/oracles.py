@@ -3,13 +3,18 @@
 Everything here is deliberately naive: trial division, exhaustive tuple
 enumeration, per-integer smoothness checks.  The point is that none of it
 shares code with the package under test, so agreement is evidence rather
-than tautology.  Keep these slow and obvious.
+than tautology.  Keep these slow and obvious.  The one exception is the
+character oracle: it reads a character table's generator orders and
+discrete logs (``orders``, ``dlog``), but not its transform (``sums``) or
+its primitive mask, which it checks.
 """
 
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from math import floor, isqrt, prod
+from math import floor, lcm, prod
+
+import numpy as np
 
 
 def oracle_is_prime(n: int) -> bool:
@@ -129,3 +134,44 @@ def _gcd(a: int, b: int) -> int:
     while b:
         a, b = b, a % b
     return a
+
+
+def oracle_root_exponents(table, ns):
+    """Integer t[chi, j] with chi(ns[j]) = exp(2 pi i t / E), -1 off the units.
+
+    Character i has the exponent vector c = unravel(i), a unit n the log
+    vector d = unravel(dlog[n]), both on the grid of generator orders o, and
+    chi_c(n) = exp(2 pi i sum_r c_r d_r / o_r) with E = lcm(o).  Returns (t, E).
+    """
+    shape = table.orders or (1,)
+    exponent = lcm(*shape)
+    logs = table.dlog[np.asarray(ns, dtype=np.int64) % table.modulus]
+    d = np.array(np.unravel_index(np.maximum(logs, 0), shape))
+    c = np.array(np.unravel_index(np.arange(table.totient), shape))
+    t = (c.T * (exponent // np.array(shape))) @ d % exponent
+    t[:, logs < 0] = -1
+    return t, exponent
+
+
+def oracle_character_values(table, ns):
+    """chi(n) for every character (rows, in table order) and every n in ns (columns)."""
+    t, exponent = oracle_root_exponents(table, ns)
+    return np.where(t >= 0, np.exp(2j * np.pi * t / exponent), 0)
+
+
+def oracle_prime_sums(table, primes):
+    """sum of chi(p) over the primes, for every character, term by term."""
+    return oracle_character_values(table, primes).sum(axis=1)
+
+
+def oracle_conductors(table):
+    """Restriction-test conductor of every character: the least d | m with chi
+    trivial on the units congruent to 1 mod d.  Principal: 1; primitive: m."""
+    m = table.modulus
+    t, _ = oracle_root_exponents(table, range(m))
+    units = np.flatnonzero(t[0] >= 0)
+    conductors = np.full(len(t), m)
+    for d in reversed([d for d in range(1, m + 1) if m % d == 0]):
+        trivial = (t[:, units[units % d == 1 % d]] == 0).all(axis=1)
+        conductors[trivial] = d
+    return conductors

@@ -28,7 +28,6 @@ from sunitlab.character_lab import (
     large_sieve_check,
     moment_check,
     nonprincipal_contribution,
-    prime_char_sum,
     principal_contribution,
     random_sieve_instances,
 )
@@ -42,7 +41,7 @@ from sunitlab.tuple_census import (
     representation_counts,
 )
 
-from oracles import oracle_census, oracle_smooth_pairs
+from oracles import oracle_census, oracle_conductors, oracle_prime_sums, oracle_smooth_pairs
 
 GRID_Y = (20, 30, 40, 60)
 GRID_KL = ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2))
@@ -130,11 +129,8 @@ def _nonprincipal_by_characters(params: CensusParams, stats) -> float:
             weight //= math.factorial(mult)
         m = math.prod(combo)
         table = character_table(m)
-        acc = complex(0)
-        for chi in table.characters:
-            if chi.is_principal:
-                continue
-            acc += complex(prime_char_sum(chi, params.y, stats)) ** k
+        sums = oracle_prime_sums(table, stats.product_primes)
+        acc = sum(complex(s) ** k for s in sums[oracle_conductors(table) != 1])
         total += weight * acc.real / table.totient
     return total
 

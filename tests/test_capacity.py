@@ -69,6 +69,10 @@ CASES = [
      (cl, "_modulus_multisets")),
     (cl, "CHARACTER_MODULUS_LIMIT", 100, lambda: cl.character_table(143), 143,
      (cl, "_cached_table")),
+    # P^k * Q^ell = 10^2 * 6 ordered tuples at y = 100
+    (cl, "CHARACTER_COUNT_LIMIT", 500,
+     lambda: cl.census_via_characters(CensusParams(100, 2, 1)), 600,
+     (cl, "character_table")),
     # Q_1 at y = 100: sum of phi(q) over the 10 primes in (25, 50]
     (cl, "CHARACTER_WORK_LIMIT", 100,
      lambda: cl.census_via_characters(CensusParams(100, 2, 1)), 222,
@@ -104,7 +108,7 @@ CASES = [
     CASES,
     ids=[
         "modulus", "fold-k2", "fold-k3", "direct", "representation", "qt",
-        "character-modulus", "character-work-census", "character-work-family",
+        "character-modulus", "character-count", "character-work-census", "character-work-family",
         "large-sieve-trials-work", "large-sieve-trials", "quotient", "pair", "pair-quotient",
         "sieve", "smooth-sieve",
     ],
@@ -140,6 +144,13 @@ def test_character_work_refused_for_a_huge_t_without_expanding(run, monkeypatch)
     monkeypatch.setattr(cl, "character_table", Tripwire())
     with pytest.raises(CapacityError, match=r"at least 2\^\d+ points"):
         run()
+
+
+def test_character_count_refused_for_a_huge_k_without_expanding(monkeypatch):
+    # P = 4 and Q = 2 at y = 30: 4^k * 2 >= 2^(2k + 1), not formed past the cap
+    monkeypatch.setattr(cl, "character_table", Tripwire())
+    with pytest.raises(CapacityError, match=r"at least 2\^200001 ordered tuples"):
+        cl.census_via_characters(CensusParams(30, 100_000, 1))
 
 
 def _capacity_table():

@@ -1,8 +1,8 @@
-import cmath
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,7 +16,6 @@ from sunitlab.character_lab import (
     moment_primitive_sum_exact,
     nonprincipal_contribution,
     phi_slack,
-    prime_char_sum,
     principal_contribution,
     random_sieve_instances,
     tail_shape,
@@ -31,7 +30,12 @@ from sunitlab.tuple_census import (
     representation_counts,
 )
 
-from oracles import oracle_phi
+from oracles import (
+    oracle_character_values,
+    oracle_conductors,
+    oracle_phi,
+    oracle_prime_sums,
+)
 
 
 def _mobius_oracle(n):
@@ -50,9 +54,10 @@ def _mobius_oracle(n):
 @settings(max_examples=40, deadline=None)
 def test_character_count_is_totient(m):
     table = character_table(m)
-    assert len(table.characters) == oracle_phi(m)
+    conductors = oracle_conductors(table)
+    assert len(conductors) == oracle_phi(m)
     assert table.totient == oracle_phi(m)
-    assert table.principal.is_principal
+    assert conductors[0] == 1  # character 0 is the principal one
 
 
 @given(m=st.integers(min_value=1, max_value=300))
@@ -61,24 +66,25 @@ def test_primitive_count_matches_moebius_formula(m):
     expected = sum(
         _mobius_oracle(m // d) * oracle_phi(d) for d in range(1, m + 1) if m % d == 0
     )
-    assert len(character_table(m).primitive()) == expected
+    assert np.count_nonzero(character_table(m).primitive_mask) == expected
 
 
 @pytest.mark.parametrize("m", [1, 2, 8, 12, 15, 45, 97])
 def test_character_values_unit_circle_and_support(m):
     table = character_table(m)
-    for chi in table.characters:
+    values = oracle_character_values(table, range(3 * m + 1))
+    for chi in values:
         for n in range(0, 2 * m + 1):
-            v = chi(n)
+            v = chi[n]
             if math.gcd(n, m) == 1:
                 assert abs(abs(v) - 1) < 1e-12
-                assert chi(n + m) == v  # periodicity
+                assert chi[n + m] == v  # periodicity
             else:
                 assert v == 0
     # the principal character is exactly 1 on units
     for n in range(m):
         if math.gcd(n, m) == 1:
-            assert table.principal(n) == 1
+            assert values[0, n] == 1
 
 
 @given(
@@ -88,8 +94,8 @@ def test_character_values_unit_circle_and_support(m):
 )
 @settings(max_examples=50, deadline=None)
 def test_multiplicativity(m, a, b):
-    for chi in character_table(m).characters:
-        assert abs(chi(a * b) - chi(a) * chi(b)) < 1e-12
+    for chi_a, chi_b, chi_ab in oracle_character_values(character_table(m), [a, b, a * b]):
+        assert abs(chi_ab - chi_a * chi_b) < 1e-12
 
 
 @pytest.mark.parametrize("m", [8, 12, 15, 45, 61])
@@ -97,16 +103,17 @@ def test_orthogonality_both_ways(m):
     table = character_table(m)
     phi = table.totient
     tol = 1e-9 * phi
+    values = oracle_character_values(table, range(m))
     # row sums: sum over n mod m of chi(n)
-    for chi in table.characters:
-        s = sum(chi(n) for n in range(m))
-        if chi.is_principal:
+    for chi, conductor in zip(values, oracle_conductors(table)):
+        s = sum(chi)
+        if conductor == 1:  # principal
             assert abs(s - phi) < tol
         else:
             assert abs(s) < tol
     # column sums: sum over chi of chi(a)
     for a in range(m):
-        s = sum(chi(a) for chi in table.characters)
+        s = sum(values[:, a])
         if a % m == 1 % m:
             assert abs(s - phi) < tol
         else:
@@ -115,21 +122,25 @@ def test_orthogonality_both_ways(m):
 
 def test_conductor_goldens():
     t12 = character_table(12)
-    assert sorted(chi.conductor for chi in t12.characters) == [1, 3, 4, 12]
-    assert len(t12.primitive()) == 1
+    assert sorted(oracle_conductors(t12)) == [1, 3, 4, 12]
+    assert np.count_nonzero(t12.primitive_mask) == 1
     t9 = character_table(9)
-    assert sorted(chi.conductor for chi in t9.characters) == [1, 3, 9, 9, 9, 9]
-    assert len(t9.primitive()) == 4
+    assert sorted(oracle_conductors(t9)) == [1, 3, 9, 9, 9, 9]
+    assert np.count_nonzero(t9.primitive_mask) == 4
     # prime modulus: everything except the principal character is primitive
     t11 = character_table(11)
-    assert len(t11.primitive()) == 10 - 1
-    assert t11.principal.conductor == 1
+    assert np.count_nonzero(t11.primitive_mask) == 10 - 1
+    assert oracle_conductors(t11)[0] == 1
 
 
 @pytest.mark.parametrize("m", [4, 9, 12, 16, 24, 36, 40])
 def test_conductor_is_minimal_induced_modulus(m):
-    for chi in character_table(m).characters:
-        f = chi.conductor
+    table = character_table(m)
+    values = oracle_character_values(table, range(m))
+    for row, f in zip(values, oracle_conductors(table)):
+        def chi(n):
+            return row[n % m]
+
         assert m % f == 0
         # chi factors through residues mod f on arguments coprime to m
         for a in range(1, 3 * m, 1):
@@ -168,7 +179,7 @@ MASK_MODULI = (
 def test_primitive_mask_matches_restriction_test():
     for m in MASK_MODULI:
         table = character_table(m)
-        by_conductor = [chi.conductor == m for chi in table.characters]
+        by_conductor = (oracle_conductors(table) == m).tolist()
         assert table.primitive_mask.tolist() == by_conductor, m
 
 
@@ -183,20 +194,8 @@ def test_sums_kernel_matches_character_values(m):
     sums = table.sums(ns, coeffs)
     assert sums.shape == (table.totient,)
     tol = 1e-12 * sum(abs(a) for a in coeffs)
-    for chi, s in zip(table.characters, sums):
-        assert abs(s - sum(a * chi(n) for n, a in zip(ns, coeffs))) <= tol, chi
-
-
-def test_prime_char_sum_refuses_stats_of_another_y():
-    chi = character_table(11).principal
-    with pytest.raises(ValidationError):
-        prime_char_sum(chi, 60, interval_stats(30))
-
-
-def test_prime_char_sum_principal_is_prime_count():
-    stats = interval_stats(60)
-    table = character_table(13)
-    assert prime_char_sum(table.principal, 60, stats) == stats.prime_count
+    for i, (chi, s) in enumerate(zip(oracle_character_values(table, ns), sums)):
+        assert abs(s - sum(a * v for v, a in zip(chi, coeffs))) <= tol, (m, i)
 
 
 @pytest.mark.parametrize("y", [20, 30])
@@ -344,9 +343,10 @@ def test_moment_exact_brute_force_cross_check():
     rep = representation_counts(1, y)
     for q in (11, 13, 143):
         table = character_table(q)
+        values = oracle_character_values(table, list(rep.counts))
         brute = sum(
-            abs(sum(a * chi(n) for n, a in rep.counts.items())) ** 2
-            for chi in table.primitive()
+            abs(sum(a * v for v, a in zip(chi, rep.counts.values()))) ** 2
+            for chi in values[oracle_conductors(table) == q]
         )
         assert abs(brute - moment_primitive_sum_exact(q, rep)) < 1e-6
 
@@ -377,10 +377,9 @@ def test_tail_shape_structure_y60():
     def kth_moment(t):
         acc = 0.0
         for q in enumerate_Qt(t, 60, stats=stats).moduli:
-            acc += sum(
-                abs(prime_char_sum(chi, 60, stats)) ** 4
-                for chi in character_table(q).primitive()
-            )
+            table = character_table(q)
+            sums = oracle_prime_sums(table, stats.product_primes)
+            acc += sum(abs(s) ** 4 for s in sums[oracle_conductors(table) == q])
         return acc
 
     assert low.terms[1] == pytest.approx((4 * 2 / 60) * lam * kth_moment(1))

@@ -403,21 +403,39 @@ def test_help_and_version_exit_zero(flag, capsys):
         (["census", "--y", "9e4", "--k", "3", "--ell", "1"], 35228481120),
         # the family tables for q <= 1e5 hold up to Q(Q+1)/2 points
         (["diagnose", "large-sieve", "--seed", "1", "--Q", "100000", "--trials", "100"], 5000050000),
+        # 27^12 * 14 ordered tuples: past 2^53 the float census rounded to a
+        # wrong count (19693721087596276 against the exact 19693721087596270)
+        (["census", "--method", "characters", "--y", "300", "--k", "12", "--ell", "1"], 27**12 * 14),
     ],
-    ids=["tails-1e6", "census-k2-ell2", "census-k3-ell1", "large-sieve-family"],
+    ids=["tails-1e6", "census-k2-ell2", "census-k3-ell1", "large-sieve-family", "census-characters-2^53"],
 )
 def test_runaway_command_refused_up_front(argv, estimate):
-    env = dict(os.environ, PYTHONPATH=str(Path(sunitlab.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "sunitlab", *argv],
-        capture_output=True, text=True, env=env, timeout=30,
-    )
+    proc = _run_module(argv, capture_output=True)
     assert proc.returncode == 3
     assert proc.stdout == ""
     (line,) = proc.stderr.splitlines()
     error = json.loads(line)["error"]
     assert error["code"] == "capacity"
     assert str(estimate) in error["message"]
+
+
+def _run_module(argv, **kwargs):
+    env = dict(os.environ, PYTHONPATH=str(Path(sunitlab.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "sunitlab", *argv], text=True, env=env, timeout=30, **kwargs
+    )
+
+
+def test_closed_stdout_exits_1_with_one_io_line():
+    read, write = os.pipe()
+    os.close(read)  # every write to stdout now fails with a broken pipe
+    try:
+        proc = _run_module(CENSUS_30, stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    (line,) = proc.stderr.splitlines()
+    assert json.loads(line)["error"]["code"] == "io"
 
 
 def test_write_failure_after_the_report_exits_1(tmp_path, capsys):

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sunitlab.constructor as constructor
+import sunitlab.prime_tools as pt
+import sunitlab.smooth_verifier as sv
 from sunitlab.constructor import (
     CongruencePair,
     assemble_set,
@@ -239,6 +241,20 @@ def test_full_construction_y30():
     assert sp.factorization_a == {2: 1, 3: 1, 5: 1, 13: 1}
     assert sp.factorization_c == {17: 1, 23: 1}
     assert result.multiplicity == 1
+
+
+def test_construction_checks_each_prime_of_s_once(monkeypatch):
+    tested = []
+
+    def counted(n):
+        tested.append(n)
+        return pt.is_prime(n)
+
+    monkeypatch.setattr(sv, "is_prime", counted)
+    sv._validated.cache_clear()
+    _pairs, _hist, result = run_construction(1000, 2, 1)
+    assert result.multiplicity == 5  # five solutions verified against one S
+    assert sorted(tested) == list(result.prime_set)
 
 
 def test_construction_empty_pairs():

@@ -66,7 +66,7 @@ def test_prime_set_is_validated():
         enumerate_smooth_pairs((6, 35), 100)
 
 
-def test_prime_set_is_validated_once_per_call(monkeypatch):
+def test_prime_set_is_validated_once_per_set(monkeypatch):
     tested = []
 
     def counted(n):
@@ -74,11 +74,16 @@ def test_prime_set_is_validated_once_per_call(monkeypatch):
         return pt.is_prime(n)
 
     monkeypatch.setattr(sv, "is_prime", counted)
+    sv._validated.cache_clear()
     assert len(enumerate_smooth_pairs(S9, 10**4)) > 1
     assert sorted(tested) == list(S9)
     tested.clear()
+    # the same set, in any order and with repeats, is not checked again
     assert verify_solution(390, S9).ok
-    assert sorted(tested) == list(S9)
+    assert factor_over(390, S9[::-1] + S9) == {2: 1, 3: 1, 5: 1, 13: 1}
+    assert tested == []
+    assert verify_solution(390, S9 + (31,)).ok
+    assert sorted(tested) == sorted(S9 + (31,))
 
 
 def test_sieve_and_division_disagreeing_is_a_verification_error():
