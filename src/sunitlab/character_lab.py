@@ -27,7 +27,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapacityError, ToleranceError, ValidationError, check_capacity, finite_float
+from .errors import (
+    CapacityError, ToleranceError, ValidationError, check_capacity, check_power_capacity, finite_float,
+)
 from .prime_tools import (
     PrimeStats,
     _divisors,
@@ -207,13 +209,7 @@ def census_via_characters(params: CensusParams, stats: PrimeStats | None = None)
     st = stats or interval_stats(params.y)
     p, q, k, ell = st.prime_count, len(st.modulus_primes), params.k, params.ell
     what = f"character census over P^k * Q^l = {p}^{k} * {q}^{ell} = {{}} ordered tuples"
-    # P^k * Q^l >= 2^low: past the cap's bit length the powers are not expanded
-    low = k * (p.bit_length() - 1) + ell * (q.bit_length() - 1)
-    if p and q and low > CHARACTER_COUNT_LIMIT.bit_length():
-        raise CapacityError(
-            what.format(f"at least 2^{low}") + f", over the cap {CHARACTER_COUNT_LIMIT}"
-        )
-    check_capacity(what, p**k * q**ell, CHARACTER_COUNT_LIMIT)
+    check_power_capacity(what, ((p, k), (q, ell)), CHARACTER_COUNT_LIMIT)
     _check_character_work(st, [ell])
 
     def count():

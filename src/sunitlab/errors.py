@@ -43,6 +43,19 @@ def check_capacity(what: str, estimate: int | float, cap: int) -> None:
         raise CapacityError(f"{what.format(value)}, over the cap {cap}")
 
 
+def check_power_capacity(what: str, terms, cap: int) -> None:
+    """check_capacity of the product of base**exp over the (base, exp) terms.
+
+    The product is at least 2^low, low = sum of exp * floor(log2 base).  When
+    low passes both 64 and the cap's bit length, the powers are not expanded
+    (a huge exponent would take minutes) and the message says "at least 2^low".
+    """
+    low = sum(e * (b.bit_length() - 1) for b, e in terms)
+    if all(b for b, _e in terms) and low > max(64, cap.bit_length()):
+        raise CapacityError(what.format(f"at least 2^{low}") + f", over the cap {cap}")
+    check_capacity(what, math.prod(b**e for b, e in terms), cap)
+
+
 def finite_float(compute) -> float | None:
     """compute() as a float, or None where it leaves the double range.
 

@@ -15,6 +15,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -74,18 +75,23 @@ class PrimeStats:
     """Interval statistics at scale y.
 
     ``recip_sum`` is the exact rational sum of 1/q over primes q in
-    (y/4, y/2] (the modulus range) and ``prime_count`` the number of primes
-    in (y/2, y] (the product range).  The ``*_asymptotic`` fields hold the
-    reference values log(2)/log(y) and y/(2 log(y)) for diagnostics only.
+    (y/4, y/2] (the modulus range), built on first read and cached, so a
+    run that never reads it never pays for it; ``prime_count`` is the number
+    of primes in (y/2, y] (the product range).  The ``*_asymptotic`` fields
+    hold the reference values log(2)/log(y) and y/(2 log(y)) for diagnostics
+    only.
     """
 
     y: float
     modulus_primes: tuple[int, ...]
     product_primes: tuple[int, ...]
-    recip_sum: Fraction
     prime_count: int
     recip_sum_asymptotic: float
     prime_count_asymptotic: float
+
+    @cached_property
+    def recip_sum(self) -> Fraction:
+        return PrimeInterval(self.y / 4, self.y / 2, self.modulus_primes).reciprocal_sum()
 
 
 def _simple_sieve(limit: int) -> np.ndarray:
@@ -143,7 +149,6 @@ def interval_stats(y: float) -> PrimeStats:
         y=y,
         modulus_primes=q_interval.primes,
         product_primes=p_interval.primes,
-        recip_sum=q_interval.reciprocal_sum(),
         prime_count=len(p_interval),
         recip_sum_asymptotic=math.log(2) / log_y,
         prime_count_asymptotic=y / (2 * log_y),

@@ -9,6 +9,7 @@ discrete logs (``orders``, ``dlog``), but not its transform (``sums``) or
 its primitive mask, which it checks.
 """
 
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -70,6 +71,24 @@ def oracle_census(y: float, k: int, ell: int) -> int:
             if r == 1 % m:
                 total += 1
     return total
+
+
+def oracle_sampled_hits(p_primes, q_primes, k: int, ell: int, samples: int, seed: int) -> int:
+    """The per-sample loop the numpy Monte Carlo census replaced.
+
+    Each sample draws ell modulus primes, then k product primes, with
+    random.Random(seed).choice, and hits when the product is 1 mod m.
+    """
+    rng = random.Random(seed)
+    hits = 0
+    for _ in range(samples):
+        m = prod(rng.choice(q_primes) for _ in range(ell))
+        r = 1
+        for _ in range(k):
+            r = r * rng.choice(p_primes) % m
+        if r == 1:
+            hits += 1
+    return hits
 
 
 def oracle_congruence_pairs(p_primes, moduli, k: int) -> list[tuple]:

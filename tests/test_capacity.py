@@ -61,6 +61,9 @@ CASES = [
      (tc, "_count_products_congruent_one")),
     (tc, "DIRECT_OP_LIMIT", 100, lambda: tc.count_direct(CensusParams(60, 3, 2)), 7**3 * 4**2,
      (tc, "itertools")),
+    # 40 samples x (k + ell) = 3 draws each
+    (tc, "SAMPLE_DRAW_LIMIT", 100, lambda: tc.count_sampled(CensusParams(60, 2, 1), 40, seed=1), 120,
+     (tc, "random")),
     # C(7 + 2, 3) multisets of three product primes
     (tc, "REPRESENTATION_LIMIT", 10, lambda: tc.representation_counts(3, 60), 84,
      (tc, "_modulus_multisets")),
@@ -107,7 +110,7 @@ CASES = [
     "module,limit,value,run,estimate,engine",
     CASES,
     ids=[
-        "modulus", "fold-k2", "fold-k3", "direct", "representation", "qt",
+        "modulus", "fold-k2", "fold-k3", "direct", "sampled", "representation", "qt",
         "character-modulus", "character-count", "character-work-census", "character-work-family",
         "large-sieve-trials-work", "large-sieve-trials", "quotient", "pair", "pair-quotient",
         "sieve", "smooth-sieve",
@@ -151,6 +154,13 @@ def test_character_count_refused_for_a_huge_k_without_expanding(monkeypatch):
     monkeypatch.setattr(cl, "character_table", Tripwire())
     with pytest.raises(CapacityError, match=r"at least 2\^200001 ordered tuples"):
         cl.census_via_characters(CensusParams(30, 100_000, 1))
+
+
+def test_direct_count_refused_for_a_huge_k_without_expanding(monkeypatch):
+    # P = 4 and Q = 2 at y = 30: 4^k * 2 >= 2^(2k + 1), not formed past the cap
+    monkeypatch.setattr(tc, "_census_result", Tripwire())
+    with pytest.raises(CapacityError, match=r"at least 2\^20000001 tuples"):
+        tc.count_direct(CensusParams(30, 10_000_000, 1))
 
 
 def _capacity_table():

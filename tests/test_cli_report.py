@@ -406,8 +406,16 @@ def test_help_and_version_exit_zero(flag, capsys):
         # 27^12 * 14 ordered tuples: past 2^53 the float census rounded to a
         # wrong count (19693721087596276 against the exact 19693721087596270)
         (["census", "--method", "characters", "--y", "300", "--k", "12", "--ell", "1"], 27**12 * 14),
+        # 4^k * 2 tuples: writing the exact count took minutes
+        (["census", "--method", "direct", "--y", "30", "--k", "10000000", "--ell", "1"], "2^20000001"),
+        # 10^12 samples x 3 draws, which no limit bounded before
+        (["census", "--method", "sampled", "--y", "30", "--k", "2", "--ell", "1",
+          "--samples", "1000000000000", "--seed", "1"], 3 * 10**12),
     ],
-    ids=["tails-1e6", "census-k2-ell2", "census-k3-ell1", "large-sieve-family", "census-characters-2^53"],
+    ids=[
+        "tails-1e6", "census-k2-ell2", "census-k3-ell1", "large-sieve-family", "census-characters-2^53",
+        "census-direct-huge-k", "census-sampled-draws",
+    ],
 )
 def test_runaway_command_refused_up_front(argv, estimate):
     proc = _run_module(argv, capture_output=True)

@@ -4,9 +4,12 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
+from sunitlab.character_lab import enumerate_Qt
+from sunitlab.cli_report import main as cli_main
 from sunitlab.errors import CapacityError, ValidationError
 from sunitlab.prime_tools import (
     DEFAULT_SIEVE_LIMIT,
+    PrimeInterval,
     factorize,
     interval_stats,
     is_prime,
@@ -81,6 +84,20 @@ def test_reciprocal_sum_method():
     assert iv.primes == (11, 13)
     assert iv.reciprocal_sum() == Fraction(1, 11) + Fraction(1, 13)
     assert sieve_interval(13, 13).reciprocal_sum() == 0
+
+
+def test_lambda_is_built_on_first_read(monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError("lambda was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(PrimeInterval, "reciprocal_sum", refuse)
+        assert enumerate_Qt(1, 2e6).size == 36960
+        assert cli_main(["diagnose", "qt", "--y", "2e6", "--t", "1"]) == 0
+    st = interval_stats(1000)
+    lam = st.recip_sum
+    assert lam == oracle_recip_sum(1000)
+    assert st.recip_sum is lam
 
 
 @pytest.mark.parametrize("y", [3, 30, 10**3, 10**5])

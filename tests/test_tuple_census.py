@@ -26,7 +26,7 @@ from sunitlab.tuple_census import (
     representation_counts,
 )
 
-from oracles import oracle_census, oracle_congruence_pairs, oracle_rep_counts
+from oracles import oracle_census, oracle_congruence_pairs, oracle_rep_counts, oracle_sampled_hits
 
 
 def test_params_validation():
@@ -144,6 +144,62 @@ def test_sampled_deterministic_per_seed():
     c = count_sampled(CensusParams(30, 2, 1), samples=2000, seed=8)
     assert (a.count, a.std_error) == (b.count, b.std_error)
     assert (a.count, a.std_error) != (c.count, c.std_error)
+
+
+def test_sampled_record_of_criterion_10_is_pinned():
+    # the record `census --y 30 --k 2 --ell 1 --samples 3000 --seed 42` prints
+    res = count_sampled(CensusParams(30, 2, 1), samples=3000, seed=42)
+    assert (res.count, res.std_error) == (4.768, 0.20804020124325331)
+
+
+SEEDS = [0, 1, 42, -5, 2**40 + 3]
+
+
+@pytest.mark.parametrize("y", [10, 30, 100, 1000])
+@pytest.mark.parametrize("k,ell", [(1, 1), (2, 1), (3, 1), (2, 2), (4, 2), (3, 3)])
+def test_sampled_hits_match_the_per_sample_loop(k, ell, y):
+    # at y = 30 both lists hold a power of two of primes (4 and 2), so half
+    # of all words are rejected
+    stats = interval_stats(y)
+    lists = (stats.product_primes, stats.modulus_primes, k, ell)
+    for seed in SEEDS:
+        for samples in (1, 7):
+            assert tc._sampled_hits(*lists, samples, seed) == oracle_sampled_hits(*lists, samples, seed)
+    # one seed per case over many blocks of words
+    seed = SEEDS[(k + ell + y) % len(SEEDS)]
+    assert tc._sampled_hits(*lists, 30000, seed) == oracle_sampled_hits(*lists, 30000, seed)
+
+
+@pytest.mark.parametrize("block", [4, 64])
+@pytest.mark.parametrize("k,ell", [(2, 1), (4, 2), (3, 3)])
+def test_sampled_hits_carry_tuples_across_blocks(k, ell, block, monkeypatch):
+    # with 4 words a block, tuples at y = 30 span several blocks
+    monkeypatch.setattr(tc, "_DRAW_BLOCK", block)
+    stats = interval_stats(30)
+    lists = (stats.product_primes, stats.modulus_primes, k, ell)
+    for seed in SEEDS:
+        assert tc._sampled_hits(*lists, 500, seed) == oracle_sampled_hits(*lists, 500, seed)
+
+
+@pytest.mark.parametrize("k,ell", [(120, 8), (200, 1), (150, 150)])
+def test_sampled_hits_walk_long_tuples_one_at_a_time(k, ell):
+    # k + ell = 128 = _CHAIN_DRAWS is the longest tuple chained; longer ones are walked
+    stats = interval_stats(30)
+    lists = (stats.product_primes, stats.modulus_primes, k, ell)
+    for seed in SEEDS:
+        assert tc._sampled_hits(*lists, 200, seed) == oracle_sampled_hits(*lists, 200, seed)
+
+
+def test_sampled_hits_past_int64():
+    # y = 1000, ell = 6: 499^6 * 997 passes 2^63, so products are Python ints
+    stats = interval_stats(1000)
+    lists = (stats.product_primes, stats.modulus_primes, 6, 6)
+    assert tc._sampled_hits(*lists, 2000, 3) == oracle_sampled_hits(*lists, 2000, 3)
+    # m = 2^64 always; r is +-1 mod m, so about half of all samples hit
+    lists = ((2**64 - 1, 2**64 + 1, 2**65 + 1, 3 * 2**64 + 1), (2,), 3, 64)
+    hits = tc._sampled_hits(*lists, 3000, 1)
+    assert 1000 < hits < 2000
+    assert hits == oracle_sampled_hits(*lists, 3000, 1)
 
 
 def test_sampled_validation():
