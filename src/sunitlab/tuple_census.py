@@ -38,9 +38,11 @@ SAMPLE_DRAW_LIMIT = 300_000_000
 _FOLD_CHUNK = 1 << 20
 # Mersenne Twister words per numpy block of the Monte Carlo census, and the
 # longest tuple (k + ell draws) it resolves as arrays; longer ones cost k + ell
-# array passes for the few tuples a block holds, and are walked one by one
+# array passes for the few tuples a block holds, and are walked one by one.
+# Timed per draw, the two break even at 32 to 112 draws (fewer for Python-int
+# residues or many rejected words, more for y >= 1000): 64 sits in that range
 _DRAW_BLOCK = 1 << 13
-_CHAIN_DRAWS = 128
+_CHAIN_DRAWS = 64
 
 
 @dataclass(frozen=True)

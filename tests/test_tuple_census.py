@@ -181,9 +181,9 @@ def test_sampled_hits_carry_tuples_across_blocks(k, ell, block, monkeypatch):
         assert tc._sampled_hits(*lists, 500, seed) == oracle_sampled_hits(*lists, 500, seed)
 
 
-@pytest.mark.parametrize("k,ell", [(120, 8), (200, 1), (150, 150)])
+@pytest.mark.parametrize("k,ell", [(56, 8), (57, 8), (200, 1), (150, 150)])
 def test_sampled_hits_walk_long_tuples_one_at_a_time(k, ell):
-    # k + ell = 128 = _CHAIN_DRAWS is the longest tuple chained; longer ones are walked
+    # k + ell = 64 = _CHAIN_DRAWS is the longest tuple chained; longer ones are walked
     stats = interval_stats(30)
     lists = (stats.product_primes, stats.modulus_primes, k, ell)
     for seed in SEEDS:
