@@ -25,7 +25,7 @@ def main() -> int:
     ap.add_argument("--k", type=int)
     ap.add_argument("--ell", type=int)
     ap.add_argument("--scan", type=int, default=0,
-                    help="also sieve all smooth pairs up to this bound for context")
+                    help="also list all smooth pairs up to this bound for context")
     args = ap.parse_args()
 
     if args.k is not None and args.ell is not None:
@@ -65,7 +65,7 @@ def main() -> int:
 
     if args.scan:
         everything = enumerate_smooth_pairs(outcome.prime_set, args.scan)
-        print(f"\nfull sieve to {args.scan}: {len(everything)} smooth pairs over S; last 3:")
+        print(f"\nall smooth pairs over S up to {args.scan}: {len(everything)}; last 3:")
         for sp in everything[-3:]:
             print(f"  ({sp.a}, {sp.c})")
     return 0

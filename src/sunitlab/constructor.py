@@ -20,7 +20,7 @@ from fractions import Fraction
 from .errors import ValidationError, VerificationError
 from .prime_tools import PrimeStats, factorize, interval_stats, sieve_interval
 from .smooth_verifier import SmoothPair, verify_solution
-from .tuple_census import congruence_solutions
+from .tuple_census import CensusParams, congruence_solutions, main_term
 
 DEFAULT_ALPHA = Fraction(1, 3)
 DEFAULT_BETA = Fraction(1, 4)
@@ -229,8 +229,7 @@ def lower_bound_estimate(
     values (4^ell * y^(k-ell)).  Meaningful only in the asymptotic regime; at
     desk scale it is a diagnostic to report next to the actual multiplicity.
     """
-    st = stats or interval_stats(y)
-    main = st.recip_sum**ell * Fraction(st.prime_count) ** k
+    main = main_term(CensusParams(y, k, ell), stats)
     denom = (
         2
         * math.factorial(k)

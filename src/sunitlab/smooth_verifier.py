@@ -1,9 +1,9 @@
 """Ground truth for consecutive smooth pairs.
 
 Everything here is independent of the construction pipeline: factorization is
-plain division by the given primes, and the pair enumeration is an exhaustive
-sieve.  The constructor's outputs are checked against this module, never the
-other way around.
+plain division by the given primes, and the pair enumeration generates the
+smooth integers as products of prime powers and re-divides every pair it finds.
+The constructor's outputs are checked against this module, never the other way around.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ValidationError, VerificationError, check_capacity
-from .prime_tools import is_prime, sieve_limit
+from .prime_tools import is_prime
 
-_SEGMENT = 1 << 20
+SMOOTH_COUNT_LIMIT = 10**7  # Psi(limit + 1, S), 8 bytes each, held about twice at the peak
 
 
 @dataclass(frozen=True)
@@ -95,42 +95,39 @@ def verify_solution(a: int, primes) -> SolutionCertificate:
 def enumerate_smooth_pairs(primes, limit: int) -> list[SmoothPair]:
     """All a <= limit with a and a + 1 smooth over the primes, ascending.
 
-    Sieve method: over each window, divide every entry by the highest power
-    of each prime; entries reduced to 1 are smooth.  Runs in
-    O(limit * |S| * log limit) with no per-integer factorization.
+    Generates only the S-smooth integers up to limit + 1: from [1], for each
+    prime p, append p times the integers so far while the product stays in
+    range; sorted, the pairs are the neighbours one apart.  Work and memory
+    follow their count Psi(limit + 1, S), which SMOOTH_COUNT_LIMIT bounds.
     """
     if limit < 1:
         raise ValidationError(f"need limit >= 1, got {limit}")
-    check_capacity("smoothness sieve up to {}", limit + 1, sieve_limit())
+    hi = limit + 1  # c = a + 1 must be smooth too
+    check_capacity("smooth pair height limit + 1 = {}", hi, np.iinfo(np.int64).max)
     prime_list = _checked_primes(primes)
-    if not prime_list:
-        return []
-
-    hi = limit + 1  # c = a + 1 must be sieved too
-    pairs: list[SmoothPair] = []
-    prev_last_smooth = False  # whether the final entry of the previous window was smooth
-    for lo in range(1, hi + 1, _SEGMENT):
-        window_hi = min(lo + _SEGMENT - 1, hi)
-        residual = np.arange(lo, window_hi + 1, dtype=np.int64)
-        for p in prime_list:
-            power = p
-            while power <= window_hi:
-                start = (lo + power - 1) // power * power
-                if start <= window_hi:
-                    residual[start - lo :: power] //= p
-                power *= p
-        smooth = residual == 1
-        if prev_last_smooth and smooth[0]:
-            pairs.append(_build_pair(lo - 1, prime_list))
-        for i in np.flatnonzero(smooth[:-1] & smooth[1:]):
-            pairs.append(_build_pair(lo + int(i), prime_list))
-        prev_last_smooth = bool(smooth[-1])
-    return pairs
+    chunks = [np.ones(1, dtype=np.int64)]
+    count = 1
+    for p in prime_list:
+        if p > hi:
+            break
+        prev = np.concatenate(chunks)
+        chunks = [prev]
+        while len(prev):
+            keep = prev <= hi // p  # so the product stays <= hi, within int64
+            count += int(np.count_nonzero(keep))
+            check_capacity(f"S-smooth integers up to {hi}: at least {{}}", count, SMOOTH_COUNT_LIMIT)
+            prev = prev[keep] * p
+            chunks.append(prev)
+    smooth = np.concatenate(chunks)
+    del chunks  # freed before the pairs are read off
+    smooth.sort()
+    starts = smooth[:-1][np.diff(smooth) == 1]
+    return [_build_pair(int(a), prime_list) for a in starts]
 
 
 def _build_pair(a: int, prime_list: tuple[int, ...]) -> SmoothPair:
     fa = _divide_out(a, prime_list)
     fc = _divide_out(a + 1, prime_list)
     if fa is None or fc is None:
-        raise VerificationError(f"sieve marked non-smooth pair ({a}, {a + 1})")
+        raise VerificationError(f"enumeration marked non-smooth pair ({a}, {a + 1})")
     return SmoothPair(a=a, c=a + 1, factorization_a=fa, factorization_c=fc)

@@ -12,8 +12,8 @@ its primitive mask, which it checks.
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
-from math import floor, lcm, prod
+from itertools import combinations, combinations_with_replacement, product
+from math import floor, isqrt, lcm, prod
 
 import numpy as np
 
@@ -143,6 +143,79 @@ def oracle_smooth_pairs(primes: list[int], limit: int) -> list[tuple[int, int]]:
             pairs.append((n - 1, n))
         smooth_prev = s
     return pairs
+
+
+def oracle_sieved_smooth_pairs(primes, limit: int) -> list[tuple[int, int]]:
+    """The windowed sieve the smooth-integer generator replaced.
+
+    All (a, a + 1) with a <= limit and both sides smooth over the primes.
+    Over each window, divide every entry by the highest power of each prime;
+    entries reduced to 1 are smooth.  O(limit * |S| * log limit).
+    """
+    prime_list = sorted(set(primes))
+    if not prime_list:
+        return []
+    segment = 1 << 20
+    hi = limit + 1  # c = a + 1 must be sieved too
+    pairs = []
+    prev_last_smooth = False  # whether the final entry of the previous window was smooth
+    for lo in range(1, hi + 1, segment):
+        window_hi = min(lo + segment - 1, hi)
+        residual = np.arange(lo, window_hi + 1, dtype=np.int64)
+        for p in prime_list:
+            power = p
+            while power <= window_hi:
+                start = (lo + power - 1) // power * power
+                if start <= window_hi:
+                    residual[start - lo :: power] //= p
+                power *= p
+        smooth = residual == 1
+        if prev_last_smooth and smooth[0]:
+            pairs.append((lo - 1, lo))
+        for i in np.flatnonzero(smooth[:-1] & smooth[1:]):
+            pairs.append((lo + int(i), lo + int(i) + 1))
+        prev_last_smooth = bool(smooth[-1])
+    return pairs
+
+
+def _pell_fundamental(d: int) -> tuple[int, int]:
+    """Least x, y > 0 with x^2 - d*y^2 = 1, from the continued fraction of sqrt(d)."""
+    a0 = isqrt(d)
+    m, den, a = 0, 1, a0
+    h_prev, h, k_prev, k = 1, a0, 0, 1
+    while h * h - d * k * k != 1:
+        m = den * a - m
+        den = (d - m * m) // den
+        a = (a0 + m) // den
+        h_prev, h = h, a * h + h_prev
+        k_prev, k = k, a * k + k_prev
+    return h, k
+
+
+def oracle_stormer_pairs(primes) -> list[tuple[int, int]]:
+    """Every (a, a + 1) with both sides smooth over the primes, at any height.
+
+    Lehmer's method ("On a problem of Stormer", Illinois J. Math. 8, 1964):
+    x = 2a + 1 solves x^2 - 2q*y^2 = 1 for the squarefree part q of 2a(a + 1),
+    a product of primes of S, with y S-smooth; and such a solution is the
+    n-th power of the fundamental one for some n <= max(3, (max S + 1) / 2).
+    """
+    prime_list = sorted(set(primes))
+    n_max = max(3, (prime_list[-1] + 1) // 2)
+    found = set()
+    for size in range(len(prime_list) + 1):
+        for combo in combinations(prime_list, size):
+            d = 2 * prod(combo)
+            if isqrt(d) ** 2 == d:
+                continue
+            x1, y1 = _pell_fundamental(d)
+            x, y = x1, y1
+            for _ in range(n_max):
+                a = (x - 1) // 2
+                if x % 2 and all(oracle_is_smooth(v, prime_list) for v in (y, a, a + 1)):
+                    found.add((a, a + 1))
+                x, y = x1 * x + d * y1 * y, x1 * y + y1 * x
+    return sorted(found)
 
 
 def oracle_phi(n: int) -> int:

@@ -273,7 +273,7 @@ def test_criterion_09_smooth_pair_oracle():
     want_small = [1, 2, 3, 8]
     want_medium = [1, 2, 3, 4, 5, 8, 9, 15, 24, 80]
 
-    # independent per-integer oracle agrees with the sieve
+    # independent per-integer oracle agrees with the enumeration
     oracle_ok = (
         [a for a, _ in oracle_smooth_pairs([2, 3], 101)] == want_small
         and [a for a, _ in oracle_smooth_pairs([2, 3, 5], 10**4 + 1)] == want_medium

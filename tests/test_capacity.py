@@ -100,9 +100,9 @@ CASES = [
      (tc, "_matches_by_quotient")),
     (pt, "DEFAULT_SIEVE_LIMIT", 500, lambda: pt.sieve_interval(10, 2000), 2000,
      (pt, "_simple_sieve")),
-    # a <= 1000 needs c = a + 1 sieved too
-    (pt, "DEFAULT_SIEVE_LIMIT", 500, lambda: sv.enumerate_smooth_pairs((2, 3), 1000), 1001,
-     (sv, "np")),
+    # Psi(1001, {2, 3}) as it grows: 1 and 9 powers of 2, then 9 of those times 3
+    (sv, "SMOOTH_COUNT_LIMIT", 10, lambda: sv.enumerate_smooth_pairs((2, 3), 1000), 19,
+     (sv, "_build_pair")),
 ]
 
 
@@ -113,7 +113,7 @@ CASES = [
         "modulus", "fold-k2", "fold-k3", "direct", "sampled", "representation", "qt",
         "character-modulus", "character-count", "character-work-census", "character-work-family",
         "large-sieve-trials-work", "large-sieve-trials", "quotient", "pair", "pair-quotient",
-        "sieve", "smooth-sieve",
+        "sieve", "smooth-count",
     ],
 )
 def test_limit_refuses_before_the_work(module, limit, value, run, estimate, engine, monkeypatch):

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import sunitlab
 import sunitlab.constructor as constructor
 from sunitlab.cli_report import encode, main, solutions_csv
-from sunitlab.prime_tools import interval_stats
+from sunitlab.prime_tools import interval_stats, is_prime
 from sunitlab.smooth_verifier import SmoothPair
 from sunitlab.tuple_census import census_over
 
@@ -411,10 +411,16 @@ def test_help_and_version_exit_zero(flag, capsys):
         # 10^12 samples x 3 draws, which no limit bounded before
         (["census", "--method", "sampled", "--y", "30", "--k", "2", "--ell", "1",
           "--samples", "1000000000000", "--seed", "1"], 3 * 10**12),
+        # Psi(10^11 + 1, primes <= 100) passes 10^7 while the smooth integers
+        # are generated (10^10 lists 12,149 pairs)
+        (["verify", "--s-primes", ",".join(str(p) for p in range(2, 101) if is_prime(p)),
+          "--limit", str(10**11)], "at least 11600235"),
+        # c = a + 1 must fit int64
+        (["verify", "--s-primes", "2,3", "--limit", str(2**63 - 1)], 2**63),
     ],
     ids=[
         "tails-1e6", "census-k2-ell2", "census-k3-ell1", "large-sieve-family", "census-characters-2^53",
-        "census-direct-huge-k", "census-sampled-draws",
+        "census-direct-huge-k", "census-sampled-draws", "verify-smooth-count", "verify-int64",
     ],
 )
 def test_runaway_command_refused_up_front(argv, estimate):
@@ -573,7 +579,7 @@ COMMON_FLAGS = {
     "--ell": ["1", "2", "0", "x", "1000"],
     "--alpha": ["1/3", "1/2", "2", "1/0"],
     "--beta": ["1/4", "1/5", "0"],
-    "--limit": ["100", "1000", "0", "-5"],
+    "--limit": ["100", "1000", "0", "-5", "9223372036854775806", "9223372036854775807"],
     "--samples": ["10", "0"],
     "--seed": ["1", "7", "-3"],
     "--format": ["json", "csv", "xml"],

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sunitlab.constructor import run_construction
 from sunitlab.errors import CapacityError, ValidationError, VerificationError
 import sunitlab.prime_tools as pt
 import sunitlab.smooth_verifier as sv
@@ -11,9 +12,17 @@ from sunitlab.smooth_verifier import (
     verify_solution,
 )
 
-from oracles import oracle_smooth_pairs
+from oracles import (
+    oracle_primes_in,
+    oracle_sieved_smooth_pairs,
+    oracle_smooth_pairs,
+    oracle_stormer_pairs,
+)
+from test_capacity import Tripwire
 
 S9 = (2, 3, 5, 11, 13, 17, 19, 23, 29)
+PRIMES_TO_100 = tuple(oracle_primes_in(1, 100))
+INT64_MAX = 2**63 - 1
 
 
 def test_smooth_pair_requires_consecutive():
@@ -87,7 +96,7 @@ def test_prime_set_is_validated_once_per_set(monkeypatch):
 
 
 def test_sieve_and_division_disagreeing_is_a_verification_error():
-    # 6 = 2 * 3 is not {2}-smooth: a sieve that marked it smooth has a bug
+    # 6 = 2 * 3 is not {2}-smooth: an enumeration that listed it has a bug
     with pytest.raises(VerificationError):
         sv._build_pair(6, (2,))
 
@@ -135,24 +144,80 @@ def test_enumerate_monotone_in_limit_and_set():
 
 
 def test_enumerate_crosses_window_boundary():
-    # the largest pair for {2,3,5,7} is (4374, 4375); a scan far past the
-    # first sieve window must find exactly the same list
+    # the largest pair for {2,3,5,7} is (4374, 4375); a scan far past it
+    # finds exactly the same list
     short = [(p.a, p.c) for p in enumerate_smooth_pairs((2, 3, 5, 7), 5000)]
     long = [(p.a, p.c) for p in enumerate_smooth_pairs((2, 3, 5, 7), (1 << 20) + 50)]
     assert short == long
     assert short[-1] == (4374, 4375)
 
 
+@pytest.mark.parametrize(
+    "primes,limit,count",
+    [
+        ((2, 3), 100, 4),
+        ((2, 3, 5), 10**4, 10),
+        (S9, 1000, 83),
+        (PRIMES_TO_100, 10**7, 7405),
+    ],
+    ids=["criterion-09-small", "criterion-09-medium", "criterion-09-s9", "primes-to-100"],
+)
+def test_enumerate_matches_the_sieve(primes, limit, count):
+    got = [(sp.a, sp.c) for sp in enumerate_smooth_pairs(primes, limit)]
+    assert len(got) == count
+    assert got == oracle_sieved_smooth_pairs(primes, limit)
+
+
+@pytest.mark.parametrize("y,k,limit", [(30, 2, 1000), (1000, 3, 10**5), (2000, 2, 10**6)])
+def test_enumerate_matches_the_sieve_on_the_construct_benchmark_sets(y, k, limit):
+    primes = run_construction(y, k, 1)[2].prime_set
+    got = [(sp.a, sp.c) for sp in enumerate_smooth_pairs(primes, limit)]
+    assert got == oracle_sieved_smooth_pairs(primes, limit)
+
+
+@pytest.mark.parametrize(
+    "size,count,largest",
+    [(2, 4, 8), (3, 10, 80), (4, 23, 4374), (5, 40, 9800), (6, 68, 123200)],
+)
+def test_enumerate_matches_stormer_at_the_int64_height(size, count, largest):
+    primes = (2, 3, 5, 7, 11, 13)[:size]
+    got = [(sp.a, sp.c) for sp in enumerate_smooth_pairs(primes, INT64_MAX - 1)]
+    assert got == oracle_stormer_pairs(primes)
+    assert (len(got), got[-1][0]) == (count, largest)
+
+
+def test_enumerate_skips_primes_above_the_limit():
+    want = [(1, 2), (2, 3), (3, 4), (8, 9)]
+    mersenne = 2**61 - 1
+    past_int64 = 2**64 + 13  # the least prime past 2^64
+    for big in (mersenne, past_int64):
+        got = [(sp.a, sp.c) for sp in enumerate_smooth_pairs((2, 3, big), 100)]
+        assert got == want
+    # below the limit it counts: M61 * 4 = 2^63 - 4 is formed without overflow
+    got = [(sp.a, sp.c) for sp in enumerate_smooth_pairs((2, 3, mersenne, past_int64), INT64_MAX - 1)]
+    assert got == want + [(mersenne, mersenne + 1)]
+
+
 def test_enumerate_capacity(monkeypatch):
     with pytest.raises(ValidationError):
         enumerate_smooth_pairs((2, 3), 0)
-    monkeypatch.setattr(pt, "DEFAULT_SIEVE_LIMIT", 100)
-    monkeypatch.delenv("SUNIT_MAX_SIEVE", raising=False)
-    with pytest.raises(CapacityError):
+    # a + 1 must fit int64
+    assert len(enumerate_smooth_pairs((2,), INT64_MAX - 1)) == 1
+    with pytest.raises(CapacityError, match=str(INT64_MAX + 1)):
+        enumerate_smooth_pairs((2,), INT64_MAX)
+    # Psi(1001, {2, 3}) is counted as it grows: 10 powers of 2, then 9 of
+    # them times 3 pass the cap of 10 before any pair is built
+    monkeypatch.setattr(sv, "SMOOTH_COUNT_LIMIT", 10)
+    monkeypatch.setattr(sv, "_build_pair", Tripwire())
+    with pytest.raises(CapacityError, match=r"at least 19, over the cap 10"):
         enumerate_smooth_pairs((2, 3), 1000)
 
 
 def test_enumerate_capacity_env(monkeypatch):
+    # SUNIT_MAX_SIEVE bounds the prime sieve only
     monkeypatch.setenv("SUNIT_MAX_SIEVE", "500")
-    with pytest.raises(CapacityError):
+    assert [p.a for p in enumerate_smooth_pairs((2, 3), 1000)] == [1, 2, 3, 8]
+    monkeypatch.setattr(sv, "SMOOTH_COUNT_LIMIT", 18)
+    monkeypatch.setattr(sv, "_build_pair", Tripwire())
+    with pytest.raises(CapacityError, match=r"at least 19, over the cap 18"):
         enumerate_smooth_pairs((2, 3), 1000)
