@@ -187,16 +187,17 @@ def _check_character_work(st: PrimeStats, ts) -> None:
     check_capacity(what, total, CHARACTER_WORK_LIMIT)
 
 
-def _class_moments(t: int, y: float, k: int, st: PrimeStats) -> list[tuple[int, float]]:
+def _class_moments(t: int, y: float, k: int) -> list[tuple[int, float]]:
     """(q, sum over primitive chi mod q of |S_chi|^k) for every q in Q_t."""
+    st = interval_stats(y)
     moments = []
-    for q in enumerate_Qt(t, y, stats=st).moduli:
+    for q in enumerate_Qt(t, y).moduli:
         table = character_table(q)
         moments.append((q, _primitive_power_sum(table, _prime_sums(table, st), k)))
     return moments
 
 
-def census_via_characters(params: CensusParams, stats: PrimeStats | None = None):
+def census_via_characters(params: CensusParams):
     """Census recomputed by character orthogonality; must equal count_exact.
 
     For each modulus m = q_1*...*q_l the tuple count with product 1 mod m is
@@ -206,7 +207,7 @@ def census_via_characters(params: CensusParams, stats: PrimeStats | None = None)
     CHARACTER_COUNT_LIMIT = 2^53 a double no longer holds every integer, so
     such runs are refused before any table is built.
     """
-    st = stats or interval_stats(params.y)
+    st = interval_stats(params.y)
     p, q, k, ell = st.prime_count, len(st.modulus_primes), params.k, params.ell
     what = f"character census over P^k * Q^l = {p}^{k} * {q}^{ell} = {{}} ordered tuples"
     check_power_capacity(what, ((p, k), (q, ell)), CHARACTER_COUNT_LIMIT)
@@ -225,17 +226,15 @@ def census_via_characters(params: CensusParams, stats: PrimeStats | None = None)
             )
         return rounded, None
 
-    return _census_result(params, st, "characters", count)
+    return _census_result(params, "characters", count)
 
 
-def principal_contribution(
-    params: CensusParams, stats: PrimeStats | None = None
-) -> Fraction:
+def principal_contribution(params: CensusParams) -> Fraction:
     """Exact rational principal-character part: sum over tuples of P^k/phi(m).
 
     Walks Q_ell, so its ell prime factors per modulus count against QT_LIMIT.
     """
-    st = stats or interval_stats(params.y)
+    st = interval_stats(params.y)
     q_primes, ell = st.modulus_primes, params.ell
     _check_multisets(QT_LIMIT, f"prime factors over Q_{ell}", (len(q_primes), ell), per=ell)
     pk = Fraction(st.prime_count) ** params.k
@@ -262,13 +261,13 @@ class PhiSlackReport:
     within_hard: bool
 
 
-def phi_slack(params: CensusParams, stats: PrimeStats | None = None) -> PhiSlackReport:
-    st = stats or interval_stats(params.y)
+def phi_slack(params: CensusParams) -> PhiSlackReport:
+    st = interval_stats(params.y)
     if not st.modulus_primes or st.prime_count == 0:
         zero = Fraction(0)
         return PhiSlackReport(zero, zero, True, zero, True)
-    principal = principal_contribution(params, st)
-    mt = main_term(params, st)
+    principal = principal_contribution(params)
+    mt = main_term(params)
     delta = mt / principal - 1
     c2 = Fraction(2 * params.ell) / Fraction(params.y)
     q_min = st.modulus_primes[0]
@@ -305,14 +304,12 @@ class NonprincipalReport:
     class_bound_holds: bool | None
 
 
-def nonprincipal_contribution(
-    params: CensusParams, stats: PrimeStats | None = None
-) -> NonprincipalReport:
-    st = stats or interval_stats(params.y)
+def nonprincipal_contribution(params: CensusParams) -> NonprincipalReport:
+    st = interval_stats(params.y)
     # the direct bound walks Q_ell, the class bounds Q_1 .. Q_ell
     _check_character_work(st, [params.ell, *range(1, params.ell + 1)])
     count = census_over(st.product_primes, st.modulus_primes, params.k, params.ell)
-    principal = principal_contribution(params, st)
+    principal = principal_contribution(params)
     value = Fraction(count) - principal
 
     direct = 0.0
@@ -330,7 +327,7 @@ def nonprincipal_contribution(
             * Fraction(fact_ell, math.factorial(params.ell - t))
             * lam ** (params.ell - t)
         )
-        moments = _class_moments(t, params.y, params.k, st)
+        moments = _class_moments(t, params.y, params.k)
         class_bounds[t] = finite_float(lambda: sum((weight / q * s for q, s in moments), 0.0))
     direct_bound = finite_float(lambda: direct)
     class_total = None if None in class_bounds.values() else sum(class_bounds.values())
@@ -362,13 +359,13 @@ class ModulusClass:
     within_reference: bool
 
 
-def enumerate_Qt(t: int, y: float, stats: PrimeStats | None = None) -> ModulusClass:
+def enumerate_Qt(t: int, y: float) -> ModulusClass:
     """Enumerate the modulus class of t-prime products from (y/4, y/2].
 
     size_reference is P^t/t! where P counts the (y/2, y] primes; the
     comparison is a recorded diagnostic (it can fail for small y).
     """
-    st = stats or interval_stats(y)
+    st = interval_stats(y)
     q_primes = st.modulus_primes
     # t prime factors per modulus: a huge t makes few moduli but long products
     size = _check_multisets(QT_LIMIT, f"prime factors over Q_{t}", (len(q_primes), t), per=t)
@@ -536,9 +533,7 @@ def moment_primitive_sum_exact(q: int, table: RepresentationTable) -> int:
     return total
 
 
-def moment_check(
-    t: int, y: float, which: str, stats: PrimeStats | None = None
-) -> MomentReport:
+def moment_check(t: int, y: float, which: str) -> MomentReport:
     """Moment of prime character sums over the t-prime modulus class.
 
     which="2t": sum over q in Q_t, primitive chi mod q of |S_chi|^(2t),
@@ -547,11 +542,11 @@ def moment_check(
     """
     if which not in ("2t", "4t"):
         raise ValidationError(f"which must be '2t' or '4t', got {which!r}")
-    st = stats or interval_stats(y)
+    st = interval_stats(y)
     _check_character_work(st, [t])
     power = 2 * t if which == "2t" else 4 * t
-    rep = representation_counts(power // 2, y, stats=st)
-    moments = _class_moments(t, y, power, st)
+    rep = representation_counts(power // 2, y)
+    moments = _class_moments(t, y, power)
     lhs = sum((s for _q, s in moments), 0.0)
     lhs_exact = sum(moment_primitive_sum_exact(q, rep) for q, _s in moments)
 
@@ -591,31 +586,28 @@ class TailShapeReport:
     ratio: float | None
 
 
-def tail_shape(
-    params: CensusParams, which: str, stats: PrimeStats | None = None
-) -> TailShapeReport:
+def tail_shape(params: CensusParams, which: str) -> TailShapeReport:
     if which not in ("low", "high"):
         raise ValidationError(f"which must be 'low' or 'high', got {which!r}")
-    st = stats or interval_stats(params.y)
+    st = interval_stats(params.y)
     k, ell, y = params.k, params.ell, params.y
+    t_values = [t for t in range(1, ell + 1) if (t <= k / 4) == (which == "low")]
+    _check_character_work(st, t_values)
     lam = float(st.recip_sum)
     big_p = st.prime_count
 
     if which == "low":
-        t_values = [t for t in range(1, ell + 1) if t <= k / 4]
         base = 4 * ell / y
         reference = finite_float(lambda: big_p**k * lam**ell / math.log(y))
     else:
-        t_values = [t for t in range(1, ell + 1) if t > k / 4]
         base = 4 / y
         reference = finite_float(
             lambda: ell ** (k - ell) * (4 * lam * big_p) ** ell * y ** (k / 2)
         )
-    _check_character_work(st, t_values)
 
     terms = {}
     for t in t_values:
-        moment = sum((s for _q, s in _class_moments(t, y, k, st)), 0.0)
+        moment = sum((s for _q, s in _class_moments(t, y, k)), 0.0)
         terms[t] = finite_float(lambda: base**t * lam ** (ell - t) * moment)
     lhs = None if None in terms.values() else sum(terms.values())
     ratio = finite_float(lambda: lhs / reference) if lhs is not None and reference else None

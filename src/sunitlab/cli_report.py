@@ -34,7 +34,6 @@ from .character_lab import (
     moment_check,
     nonprincipal_contribution,
     phi_slack,
-    principal_contribution,
     random_sieve_instances,
     tail_shape,
 )
@@ -113,18 +112,8 @@ def _fact_str(factors: dict[int, int]) -> str:
 # command implementations; each returns (results, artifacts) where artifacts
 # is a list of (path, text) files to write
 
-def _require(args, *names):
-    missing = [n for n in names if getattr(args, n.replace("-", "_"), None) is None]
-    if missing:
-        raise ValidationError(
-            f"command {args.command!r} requires {', '.join('--' + n for n in missing)}"
-        )
-
-
 def run_census(args):
-    _require(args, "y", "k", "ell")
     params = CensusParams(args.y, args.k, args.ell, enforce_range=args.enforce_range)
-    stats = interval_stats(args.y)
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
     known = {"exact", "direct", "characters", "sampled"}
     bad = set(methods) - known
@@ -134,20 +123,21 @@ def run_census(args):
     records = []
     for method in methods:
         if method == "exact":
-            records.append(count_exact(params, stats))
+            records.append(count_exact(params))
         elif method == "direct":
-            records.append(count_direct(params, stats))
+            records.append(count_direct(params))
         elif method == "characters":
-            records.append(census_via_characters(params, stats))
+            records.append(census_via_characters(params))
         else:
             if args.samples is None or args.seed is None:
                 raise ValidationError("sampled census requires --samples and --seed")
-            records.append(count_sampled(params, args.samples, args.seed, stats))
+            records.append(count_sampled(params, args.samples, args.seed))
 
     integer_counts = {r.method: r.count for r in records if r.method != "sampled"}
     if len(set(integer_counts.values())) > 1:
         raise VerificationError(f"census methods disagree: {integer_counts}")
 
+    stats = interval_stats(args.y)
     results = {
         "census": [encode(r) for r in records],
         "interval": {
@@ -164,7 +154,6 @@ def run_census(args):
 
 
 def run_construct(args):
-    _require(args, "y")
     warnings = []
     if args.k is not None and args.ell is not None:
         k, ell = args.k, args.ell
@@ -188,7 +177,7 @@ def run_construct(args):
         raise ValidationError(f"need 1 <= ell <= k, got k={k}, ell={ell}")
 
     stats = interval_stats(args.y)
-    pairs = solve_congruence_pairs(args.y, k, ell, stats)
+    pairs = solve_congruence_pairs(args.y, k, ell)
     census = census_over(stats.product_primes, stats.modulus_primes, k, ell)
     listed = ordered_weight((p.product_factors, p.modulus_factors) for p in pairs)
     if listed != census:
@@ -239,7 +228,7 @@ def run_construct(args):
     }
     results["analytic_multiplicity_bound"] = {
         "method": "closed-form",
-        "value": lower_bound_estimate(args.y, k, ell, stats),
+        "value": lower_bound_estimate(args.y, k, ell),
         "actual_multiplicity": encode(hist.multiplicity),
     }
     results["construction"] = encode(outcome)
@@ -282,21 +271,18 @@ def _parse_s_primes(args) -> tuple[int, ...]:
             return tuple(int(tok) for tok in args.s_primes.split(",") if tok.strip())
         except ValueError as exc:
             raise ValidationError(f"cannot parse --s-primes: {exc}") from exc
-    if args.s_file is not None:
-        try:
-            payload = json.loads(Path(args.s_file).read_text())
-            if isinstance(payload, dict):
-                payload = payload.get("primes")
-            if not isinstance(payload, list):
-                raise ValidationError(f"{args.s_file} holds no prime list")
-            return tuple(int(p) for p in payload)
-        except (OSError, ValueError, TypeError) as exc:
-            raise ValidationError(f"cannot read --s-file {args.s_file}: {exc}") from exc
-    raise ValidationError("verify requires --s-primes or --s-file")
+    try:
+        payload = json.loads(Path(args.s_file).read_text())
+        if isinstance(payload, dict):
+            payload = payload.get("primes")
+        if not isinstance(payload, list):
+            raise ValidationError(f"{args.s_file} holds no prime list")
+        return tuple(int(p) for p in payload)
+    except (OSError, ValueError, TypeError) as exc:
+        raise ValidationError(f"cannot read --s-file {args.s_file}: {exc}") from exc
 
 
 def run_verify(args):
-    _require(args, "limit")
     primes = _parse_s_primes(args)
     pairs = enumerate_smooth_pairs(primes, args.limit)
     results = {
@@ -346,16 +332,16 @@ def _diag_large_sieve(args, warnings):
     return records
 
 
-def _diag_moments(args, stats, warnings):
+def _diag_moments(args, warnings):
     t = args.t if args.t is not None else 1
     return {
-        which: encode(moment_check(t, args.y, which, stats=stats))
+        which: encode(moment_check(t, args.y, which))
         | {"method": "character-enumeration+representation-identity"}
         for which in ("2t", "4t")
     }
 
 
-def _diag_tails(args, stats, warnings):
+def _diag_tails(args, warnings):
     if args.k is not None and args.ell is not None:
         k, ell = args.k, args.ell
     else:
@@ -364,14 +350,14 @@ def _diag_tails(args, stats, warnings):
         warnings.append(f"tail shapes defaulted to planned k={k}, ell={ell}")
     params = CensusParams(args.y, k, ell)
     return {
-        which: encode(tail_shape(params, which, stats=stats)) | {"method": "tail-shape"}
+        which: encode(tail_shape(params, which)) | {"method": "tail-shape"}
         for which in ("low", "high")
     }
 
 
-def _diag_qt(args, stats, warnings):
+def _diag_qt(args, warnings):
     t = args.t if args.t is not None else 1
-    cls = enumerate_Qt(t, args.y, stats=stats)
+    cls = enumerate_Qt(t, args.y)
     record = {
         "method": "multiset-enumeration",
         "t": encode(t),
@@ -386,17 +372,15 @@ def _diag_qt(args, stats, warnings):
     return record
 
 
-def _diag_decomposition(args, stats, warnings):
+def _diag_decomposition(args, warnings):
     k = args.k if args.k is not None else 2
     ell = args.ell if args.ell is not None else 1
     params = CensusParams(args.y, k, ell)
-    principal = principal_contribution(params, stats)
-    slack = phi_slack(params, stats)
-    report = nonprincipal_contribution(params, stats)
+    report = nonprincipal_contribution(params)  # its character work is checked first
     return {
         "method": "character-decomposition",
-        "principal": encode(principal),
-        "phi_slack": encode(slack),
+        "principal": encode(report.principal),
+        "phi_slack": encode(phi_slack(params)),
         "nonprincipal": encode(report),
     }
 
@@ -405,9 +389,8 @@ def run_diagnose(args):
     topic = args.topic
     warnings: list[str] = []
     results: dict = {"warnings": warnings}
-    need_y = {"moments", "tails", "qt", "decomposition"}
-    if topic in need_y:
-        _require(args, "y")
+    if topic not in ("all", "large-sieve") and args.y is None:
+        raise ValidationError("command 'diagnose' requires --y")
     if topic in ("all", "large-sieve"):
         if topic == "all" and args.seed is None:
             warnings.append("skipping large-sieve diagnostics: no --seed given")
@@ -430,7 +413,7 @@ def run_diagnose(args):
                 f"empty modulus prime interval at y = {args.y}; skipped {', '.join(topics)}"
             )
         for name, fn in topics.items():
-            results[name] = fn(args, stats, warnings) if stats.modulus_primes else {}
+            results[name] = fn(args, warnings) if stats.modulus_primes else {}
     if topic == "all" and args.y is None:
         warnings.append("no --y given; skipped moments, tails, qt, decomposition")
     return results, []
@@ -446,18 +429,39 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--y", type=float, help="interval scale; prime ranges are (y/4, y/2] and (y/2, y]")
-    sp.add_argument("--k", type=int, help="number of product-range primes per tuple")
-    sp.add_argument("--ell", type=int, help="number of modulus-range primes per tuple")
-    sp.add_argument("--alpha", type=_fraction, help="tuple-length ratio ell/k (rational, e.g. 1/3)")
-    sp.add_argument("--beta", type=_fraction, help="growth exponent for k (rational, e.g. 1/4)")
-    sp.add_argument("--limit", type=int, help="bound for smooth pair enumeration")
-    sp.add_argument("--samples", type=int, help="sample count for the Monte Carlo census")
-    sp.add_argument("--seed", type=int, help="random seed; mandatory whenever sampling is involved")
-    sp.add_argument("--enforce-range", action="store_true", help="fail when parameters leave the proven regime")
-    sp.add_argument("--out", type=str, help="write the report (and artifacts) to this path")
-    sp.add_argument("--format", choices=("json", "csv"), default="json", help="primary artifact format")
+# every flag, defined once; each command takes the ones its handler reads
+_FLAGS = {
+    "--y": dict(type=float, help="interval scale; prime ranges are (y/4, y/2] and (y/2, y]"),
+    "--k": dict(type=int, help="number of product-range primes per tuple"),
+    "--ell": dict(type=int, help="number of modulus-range primes per tuple"),
+    "--alpha": dict(type=_fraction, help="tuple-length ratio ell/k (rational, e.g. 1/3)"),
+    "--beta": dict(type=_fraction, help="growth exponent for k (rational, e.g. 1/4)"),
+    "--limit": dict(type=int, help="bound for smooth pair enumeration"),
+    "--method": dict(default="exact", help="comma list from exact, direct, characters, sampled"),
+    "--samples": dict(type=int, help="sample count for the Monte Carlo census"),
+    "--seed": dict(type=int, help="random seed; mandatory whenever sampling is involved"),
+    "--enforce-range": dict(action="store_true", help="fail when parameters leave the proven regime"),
+    "--out": dict(type=str, help="write the report (and artifacts) to this path"),
+    "--format": dict(choices=("json", "csv"), default="json", help="primary artifact format"),
+    "--s-primes": dict(type=str, help="comma-separated prime set S"),
+    "--s-file": dict(type=str, help="JSON file holding S (as from construct)"),
+    "--check-a": dict(type=int, help="verify one candidate a against S"),
+    "--t": dict(type=int, help="modulus class parameter for moments/qt"),
+    "--q": dict(type=int, help="pin the single-modulus sieve checks to this modulus"),
+    "--Q": dict(type=int, help="pin the family sieve checks to this modulus bound"),
+    "--trials": dict(type=int, default=100, help="number of random sieve instances"),
+}
+
+# command: (help, required flags, optional flags)
+_COMMANDS = {
+    "census": ("count congruent prime tuples", ("--y", "--k", "--ell"),
+               ("--method", "--samples", "--seed", "--enforce-range", "--out")),
+    "construct": ("run the full construction pipeline", ("--y",),
+                  ("--k", "--ell", "--alpha", "--beta", "--limit", "--enforce-range", "--out", "--format")),
+    "verify": ("enumerate/check consecutive smooth pairs", ("--limit",), ("--check-a", "--out", "--format")),
+    "diagnose": ("analytic cross-checks and diagnostics", (),
+                 ("--y", "--k", "--ell", "--t", "--seed", "--q", "--Q", "--trials", "--out")),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -477,37 +481,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    census = sub.add_parser("census", help="count congruent prime tuples")
-    _add_common(census)
-    census.add_argument(
-        "--method",
-        default="exact",
-        help="comma list from exact, direct, characters, sampled",
-    )
-
-    construct = sub.add_parser("construct", help="run the full construction pipeline")
-    _add_common(construct)
-
-    verify = sub.add_parser("verify", help="enumerate/check consecutive smooth pairs")
-    _add_common(verify)
-    verify.add_argument("--s-primes", type=str, help="comma-separated prime set S")
-    verify.add_argument("--s-file", type=str, help="JSON file holding S (as from construct)")
-    verify.add_argument("--check-a", type=int, help="verify one candidate a against S")
-
-    diagnose = sub.add_parser("diagnose", help="analytic cross-checks and diagnostics")
-    diagnose.add_argument(
+    commands = {}
+    for name, (help_text, required, optional) in _COMMANDS.items():
+        sp = commands[name] = sub.add_parser(name, help=help_text)
+        for flag in required:
+            sp.add_argument(flag, required=True, **_FLAGS[flag])
+        for flag in optional:
+            sp.add_argument(flag, **_FLAGS[flag])
+    s_set = commands["verify"].add_mutually_exclusive_group(required=True)
+    for flag in ("--s-primes", "--s-file"):
+        s_set.add_argument(flag, **_FLAGS[flag])
+    commands["diagnose"].add_argument(
         "topic",
         nargs="?",
         default="all",
         choices=("all", "large-sieve", "moments", "tails", "qt", "decomposition"),
     )
-    _add_common(diagnose)
-    diagnose.add_argument("--q", type=int, help="pin the single-modulus sieve checks to this modulus")
-    diagnose.add_argument("--Q", type=int, help="pin the family sieve checks to this modulus bound")
-    diagnose.add_argument("--trials", type=int, default=100, help="number of random sieve instances")
-    diagnose.add_argument("--t", type=int, help="modulus class parameter for moments/qt")
-
     return parser
 
 
@@ -520,22 +509,17 @@ _DISPATCH = {
 
 
 def _config_echo(args) -> dict:
-    skip = {"command"}
-    payload = {
+    return {
         k: (encode(v) if isinstance(v, (Fraction, int)) or v is None else v)
         for k, v in sorted(vars(args).items())
-        if k not in skip
     }
-    payload["command"] = args.command
-    return payload
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.format == "csv" and args.command not in ("construct", "verify"):
-            raise ValidationError("csv format applies only to construct and verify")
-        if args.format == "csv" and not args.out:
+        fmt = getattr(args, "format", "json")  # only construct and verify write csv
+        if fmt == "csv" and not args.out:
             raise ValidationError("--format csv requires --out")
         if args.out and not Path(args.out).parent.is_dir():
             raise ValidationError(f"--out directory {Path(args.out).parent} does not exist")
@@ -555,7 +539,7 @@ def main(argv=None) -> int:
     text = json.dumps(report, sort_keys=True, indent=2)
     try:
         _print_report(text)
-        if args.out and args.format == "json":
+        if args.out and fmt == "json":
             Path(args.out).write_text(text + "\n")
         for path, content in artifacts:
             Path(path).write_text(content)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError, VerificationError
-from .prime_tools import PrimeStats, factorize, interval_stats, sieve_interval
+from .prime_tools import factorize, interval_stats, sieve_interval
 from .smooth_verifier import SmoothPair, verify_solution
 from .tuple_census import CensusParams, congruence_solutions, main_term
 
@@ -146,12 +146,7 @@ class CongruencePair:
     modulus_factors: tuple[int, ...]
 
 
-def solve_congruence_pairs(
-    y: float,
-    k: int,
-    ell: int,
-    stats: PrimeStats | None = None,
-) -> list[CongruencePair]:
+def solve_congruence_pairs(y: float, k: int, ell: int) -> list[CongruencePair]:
     """All unordered (product multiset, modulus multiset) pairs with the congruence.
 
     Each congruence solution appears once; the ordered census counts it up to
@@ -159,7 +154,7 @@ def solve_congruence_pairs(
     and the quotient range bound quotient < 4^ell * y^(k-ell) are checked on
     every pair the engine lists.
     """
-    st = stats or interval_stats(y)
+    st = interval_stats(y)
     matches = congruence_solutions(st.product_primes, st.modulus_primes, k, ell, listing=True)
     quotient_cap = 4**ell * Fraction(y) ** (k - ell)
     cap = math.floor(quotient_cap)
@@ -220,16 +215,14 @@ def popular_residue(pairs: list[CongruencePair]) -> ResidueHistogram:
     )
 
 
-def lower_bound_estimate(
-    y: float, k: int, ell: int, stats: PrimeStats | None = None
-) -> float:
+def lower_bound_estimate(y: float, k: int, ell: int) -> float:
     """Analytic lower bound for the popular multiplicity.
 
     Half the main term, spread over unordered pairs (k! * ell!) and quotient
     values (4^ell * y^(k-ell)).  Meaningful only in the asymptotic regime; at
     desk scale it is a diagnostic to report next to the actual multiplicity.
     """
-    main = main_term(CensusParams(y, k, ell), stats)
+    main = main_term(CensusParams(y, k, ell))
     denom = (
         2
         * math.factorial(k)
@@ -348,17 +341,14 @@ def count_solutions_for_u0(
 
 
 def run_construction(
-    y: float,
-    k: int,
-    ell: int,
-    stats: PrimeStats | None = None,
+    y: float, k: int, ell: int
 ) -> tuple[list[CongruencePair], ResidueHistogram | None, ConstructionResult | None]:
     """Convenience end-to-end run: pairs, histogram, verified result.
 
     With no congruence pairs the histogram and result are None; callers
     decide whether that is a warning or an error.
     """
-    pairs = solve_congruence_pairs(y, k, ell, stats)
+    pairs = solve_congruence_pairs(y, k, ell)
     if not pairs:
         return pairs, None, None
     hist = popular_residue(pairs)

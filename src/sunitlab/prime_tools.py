@@ -15,7 +15,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -139,9 +139,20 @@ def sieve_interval(lo: float, hi: float) -> PrimeInterval:
 
 
 def interval_stats(y: float) -> PrimeStats:
-    """Compute the modulus-range reciprocal sum and the product-range count at y."""
+    """Compute the modulus-range reciprocal sum and the product-range count at y.
+
+    Built once per y: the last y is cached (near the sieve limit its primes
+    take about 150 MB), and the sieve bound is checked on every call.
+    """
     if not y >= 2:  # also refuses nan
         raise ValidationError(f"need y >= 2, got {y}")
+    for hi in (y / 2, y):  # the tops of the two ranges, in the order they are sieved
+        check_capacity("sieve bound {}", hi, sieve_limit())
+    return _interval_stats(y)
+
+
+@lru_cache(maxsize=1)
+def _interval_stats(y: float) -> PrimeStats:
     q_interval = sieve_interval(y / 4, y / 2)
     p_interval = sieve_interval(y / 2, y)
     log_y = math.log(y)

@@ -33,6 +33,7 @@ FOLD_OP_LIMIT = 300_000_000
 PAIR_OP_LIMIT = 5_000_000
 REPRESENTATION_LIMIT = 5_000_000
 SAMPLE_DRAW_LIMIT = 300_000_000
+EXACT_BITS_LIMIT = 2**20
 # products materialized per sort-merge, and k-products per quotient pass: work
 # within FOLD_OP_LIMIT could otherwise hold 3*10^8 products (gigabytes) at once
 _FOLD_CHUNK = 1 << 20
@@ -108,15 +109,15 @@ class CensusResult:
     std_error: float | None = None
 
 
-def main_term(params: CensusParams, stats: PrimeStats | None = None) -> Fraction:
+def main_term(params: CensusParams) -> Fraction:
     """Exact rational main term lambda^l * P^k."""
-    st = stats or interval_stats(params.y)
+    st = interval_stats(params.y)
     return st.recip_sum**params.ell * Fraction(st.prime_count) ** params.k
 
 
-def error_term(params: CensusParams, stats: PrimeStats | None = None) -> ErrorTerm:
+def error_term(params: CensusParams) -> ErrorTerm:
     """Reference error bound for the census, with its regime flag."""
-    st = stats or interval_stats(params.y)
+    st = interval_stats(params.y)
     k, ell = params.k, params.ell
     lam, big_p = st.recip_sum, st.prime_count
     applicable = 4 * ell >= k and 2 * ell <= k
@@ -183,17 +184,40 @@ def _fold_products(n: int, k: int, largest: int) -> int:
     return products * ((n**k).bit_length() // 64 + 1)
 
 
-def _census_result(
-    params: CensusParams, st: PrimeStats, method: str, count, empty=(0, None)
-) -> CensusResult:
+def _exact_bits(params: CensusParams, st: PrimeStats) -> int:
+    """Upper bound on the bits of the numerator and of the denominator of each
+    exact value a census record carries: lambda, lambda^l * P^k and, at even
+    k, the error bound l^(k-l) * (4*lambda*P)^l * y^(k/2).
+
+    lambda < 1 and its denominator divides the product of the modulus primes,
+    so both its parts have at most the sum of their bit lengths; a product
+    of fractions has at most the summed bits of its factors.
+    """
+    k, ell = params.k, params.ell
+    lam = sum(q.bit_length() for q in st.modulus_primes)
+    bits = [lam, ell * lam + k * st.prime_count.bit_length()]
+    if k % 2 == 0:
+        y = Fraction(params.y)
+        y_bits = max(y.numerator.bit_length(), y.denominator.bit_length())
+        four_lam_p = lam + (4 * st.prime_count).bit_length()
+        bits.append((k - ell) * ell.bit_length() + ell * four_lam_p + k // 2 * y_bits)
+    return max(bits)
+
+
+def _census_result(params: CensusParams, method: str, count, empty=(0, None)) -> CensusResult:
     """One census record: main and error terms, ratio, empty-interval flag.
 
     ``count()`` returns (count, std_error) and runs only when the modulus
     range holds primes; otherwise the record carries ``empty`` instead.
+    Exact values past EXACT_BITS_LIMIT bits are refused before ``count()``
+    and before lambda is built: writing them out is quadratic in their digits.
     """
-    mt = main_term(params, st)
-    et = error_term(params, st)
+    st = interval_stats(params.y)
+    what = "exact values of the census record: up to {} bits"
+    check_capacity(what, _exact_bits(params, st), EXACT_BITS_LIMIT)
     value, std_error = count() if st.modulus_primes else empty
+    mt = main_term(params)
+    et = error_term(params)
     return CensusResult(
         count=value, main_term=mt, error_bound=et,
         ratio=finite_float(lambda: value / float(mt)) if mt and value is not None else None,
@@ -268,15 +292,15 @@ def _count_products_congruent_one(
     return int(np.sum(counts[hit] * dist_counts[at[hit]]))
 
 
-def count_exact(params: CensusParams, stats: PrimeStats | None = None) -> CensusResult:
+def count_exact(params: CensusParams) -> CensusResult:
     """Exact ordered census via per-modulus residue folding."""
-    st = stats or interval_stats(params.y)
+    st = interval_stats(params.y)
 
     def count():
         census = census_over(st.product_primes, st.modulus_primes, params.k, params.ell)
         return census, None
 
-    return _census_result(params, st, "residue-dp", count)
+    return _census_result(params, "residue-dp", count)
 
 
 def census_over(
@@ -442,9 +466,9 @@ def congruence_solutions(
     return ordered_weight(matches)
 
 
-def count_direct(params: CensusParams, stats: PrimeStats | None = None) -> CensusResult:
+def count_direct(params: CensusParams) -> CensusResult:
     """Reference counter: enumerate every ordered tuple.  Only for tiny inputs."""
-    st = stats or interval_stats(params.y)
+    st = interval_stats(params.y)
     p_primes, q_primes = st.product_primes, st.modulus_primes
     tuples = ((len(p_primes), params.k), (len(q_primes), params.ell))
     check_power_capacity("direct enumeration of {} tuples", tuples, DIRECT_OP_LIMIT)
@@ -458,7 +482,7 @@ def count_direct(params: CensusParams, stats: PrimeStats | None = None) -> Censu
                     hits += 1
         return hits, None
 
-    return _census_result(params, st, "direct", count)
+    return _census_result(params, "direct", count)
 
 
 def _accepted(words: np.ndarray, primes: np.ndarray):
@@ -561,12 +585,7 @@ def _sampled_hits(p_primes, q_primes, k: int, ell: int, samples: int, seed: int)
     return hits
 
 
-def count_sampled(
-    params: CensusParams,
-    samples: int,
-    seed: int,
-    stats: PrimeStats | None = None,
-) -> CensusResult:
+def count_sampled(params: CensusParams, samples: int, seed: int) -> CensusResult:
     """Monte Carlo census estimate from uniform ordered tuples.
 
     The tuples are the ones random.Random(seed).choice draws (see
@@ -578,7 +597,7 @@ def count_sampled(
         raise ValidationError(f"need samples >= 1, got {samples}")
     draws = samples * (params.k + params.ell)
     check_capacity("Monte Carlo draws, samples * (k + l): {}", draws, SAMPLE_DRAW_LIMIT)
-    st = stats or interval_stats(params.y)
+    st = interval_stats(params.y)
     p_primes, q_primes = st.product_primes, st.modulus_primes
 
     def count():
@@ -588,7 +607,7 @@ def count_sampled(
         spread = math.sqrt(max(p_hat * (1 - p_hat), 0.0) / samples)
         return finite_float(lambda: p_hat * space), finite_float(lambda: space * spread)
 
-    return _census_result(params, st, "sampled", count, empty=(0.0, 0.0))
+    return _census_result(params, "sampled", count, empty=(0.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -608,17 +627,14 @@ class RepresentationTable:
         )
 
 
-def representation_counts(
-    t: int, y: float, stats: PrimeStats | None = None
-) -> RepresentationTable:
+def representation_counts(t: int, y: float) -> RepresentationTable:
     """Tabulate a_t(n) over products of t primes from (y/2, y].
 
     Enumerates multisets and assigns each the multinomial number of ordered
     arrangements; distinct multisets give distinct products by unique
     factorization, so no collisions occur.
     """
-    st = stats or interval_stats(y)
-    p_primes = st.product_primes
+    p_primes = interval_stats(y).product_primes
     _check_multisets(REPRESENTATION_LIMIT, f"multisets of {t} product primes", (len(p_primes), t))
     counts = {n: w for n, _combo, w in _modulus_multisets(p_primes, t)}
     return RepresentationTable(t=t, y=y, counts=counts)

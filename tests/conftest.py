@@ -1,9 +1,7 @@
-"""Shared fixtures.  The tests directory is importable (no __init__.py),
+"""Shared pytest hooks.  The tests directory is importable (no __init__.py),
 so oracle helpers live in oracles.py next to the test modules."""
 
 import sys
-
-import pytest
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -15,17 +13,3 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         for line in verdicts:
             terminalreporter.write_line(line)
 
-
-@pytest.fixture(scope="session")
-def small_interval_cache():
-    """interval_stats is cheap at these sizes but called all over; share."""
-    from sunitlab.prime_tools import interval_stats
-
-    cache = {}
-
-    def get(y):
-        if y not in cache:
-            cache[y] = interval_stats(y)
-        return cache[y]
-
-    return get

@@ -142,8 +142,8 @@ def test_criterion_04_orthogonality_decomposition():
         stats = interval_stats(y)
         for k, ell in GRID_KL:
             params = CensusParams(y, k, ell)
-            n = count_exact(params, stats).count
-            principal = principal_contribution(params, stats)
+            n = count_exact(params).count
+            principal = principal_contribution(params)
             nonprincipal = _nonprincipal_by_characters(params, stats)
             gap = abs(float(principal) + nonprincipal - n)
             worst = max(worst, gap)
@@ -209,7 +209,7 @@ def test_criterion_07_representation_identities():
     for y in (12, 20, 30, 45, 60):
         stats = interval_stats(y)
         for t in (1, 2, 3):
-            table = representation_counts(t, y, stats=stats)
+            table = representation_counts(t, y)
             checked += 1
             if table.total != stats.prime_count**t:
                 failures.append(("sum", t, y, table.total))

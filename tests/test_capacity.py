@@ -7,6 +7,7 @@ that tripped it.
 """
 
 import importlib
+import json
 import re
 from argparse import Namespace
 from pathlib import Path
@@ -98,6 +99,11 @@ CASES = [
      (tc, "_matches_by_modulus")),
     (tc, "PAIR_OP_LIMIT", 1000, lambda: constructor.solve_congruence_pairs(1000, 2, 2), QUOTIENT_1000,
      (tc, "_matches_by_quotient")),
+    # y = 60, k = 2, ell = 1: lambda over 17, 19, 23, 29 (5 bits each), P = 7;
+    # the error bound 1^1 * (4 lambda P)^1 * 60^1 has up to 1 + (20 + 5) + 6 bits
+    (tc, "EXACT_BITS_LIMIT", 31,
+     lambda: tc.count_sampled(CensusParams(60, 2, 1), 40, seed=1), 32,
+     (tc, "_sampled_hits")),
     (pt, "DEFAULT_SIEVE_LIMIT", 500, lambda: pt.sieve_interval(10, 2000), 2000,
      (pt, "_simple_sieve")),
     # Psi(1001, {2, 3}) as it grows: 1 and 9 powers of 2, then 9 of those times 3
@@ -113,7 +119,7 @@ CASES = [
         "modulus", "fold-k2", "fold-k3", "direct", "sampled", "representation", "qt",
         "character-modulus", "character-count", "character-work-census", "character-work-family",
         "large-sieve-trials-work", "large-sieve-trials", "quotient", "pair", "pair-quotient",
-        "sieve", "smooth-count",
+        "exact-bits", "sieve", "smooth-count",
     ],
 )
 def test_limit_refuses_before_the_work(module, limit, value, run, estimate, engine, monkeypatch):
@@ -123,6 +129,23 @@ def test_limit_refuses_before_the_work(module, limit, value, run, estimate, engi
     with pytest.raises(CapacityError) as refusal:
         run()
     assert re.search(rf"\b{estimate}\b", str(refusal.value)), str(refusal.value)
+
+
+@pytest.mark.parametrize(
+    "argv,limit",
+    [
+        (["census", "--y", "1000", "--k", "2", "--ell", "1"], (tc, "FOLD_OP_LIMIT")),
+        (["diagnose", "tails", "--y", "1000", "--k", "4", "--ell", "2"], (cl, "CHARACTER_WORK_LIMIT")),
+        (["diagnose", "decomposition", "--y", "1000", "--k", "2", "--ell", "1"], (cl, "CHARACTER_WORK_LIMIT")),
+    ],
+    ids=["census", "tails", "decomposition"],
+)
+def test_command_refuses_before_lambda_is_built(argv, limit, monkeypatch, capsys):
+    pt._interval_stats.cache_clear()  # a lambda cached by an earlier test would hide a build
+    monkeypatch.setattr(*limit, 100)
+    monkeypatch.setattr(pt.PrimeInterval, "reciprocal_sum", Tripwire())
+    assert cli.main(argv) == 3
+    assert json.loads(capsys.readouterr().err)["error"]["code"] == "capacity"
 
 
 def test_character_table_limit_holds_for_a_cached_table(monkeypatch):

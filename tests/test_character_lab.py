@@ -376,7 +376,7 @@ def test_tail_shape_structure_y60():
 
     def kth_moment(t):
         acc = 0.0
-        for q in enumerate_Qt(t, 60, stats=stats).moduli:
+        for q in enumerate_Qt(t, 60).moduli:
             table = character_table(q)
             sums = oracle_prime_sums(table, stats.product_primes)
             acc += sum(abs(s) ** 4 for s in sums[oracle_conductors(table) == q])

@@ -1,6 +1,8 @@
+import argparse
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -15,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import sunitlab
 import sunitlab.constructor as constructor
-from sunitlab.cli_report import encode, main, solutions_csv
+from sunitlab.cli_report import build_parser, encode, main, solutions_csv
 from sunitlab.prime_tools import interval_stats, is_prime
 from sunitlab.smooth_verifier import SmoothPair
 from sunitlab.tuple_census import census_over
@@ -128,6 +130,16 @@ def test_census_empty_interval_warns(capsys):
     assert res["warnings"] != []
     assert res["census"][0]["count"] == "0"
     assert res["census"][0]["empty_interval"] is True
+
+
+def test_sieve_limit_holds_after_a_cached_success(capsys, monkeypatch):
+    run_json(CENSUS_30, capsys)  # the statistics at y = 30 are now cached
+    monkeypatch.setenv("SUNIT_MAX_SIEVE", "abc")
+    status, err = error_of(CENSUS_30, capsys)
+    assert status == 2 and err["code"] == "validation"
+    monkeypatch.setenv("SUNIT_MAX_SIEVE", "20")
+    status, err = error_of(CENSUS_30, capsys)
+    assert status == 3 and err["code"] == "capacity" and "30" in err["message"]
 
 
 def test_census_capacity_exit(capsys, monkeypatch):
@@ -411,6 +423,12 @@ def test_help_and_version_exit_zero(flag, capsys):
         # 10^12 samples x 3 draws, which no limit bounded before
         (["census", "--method", "sampled", "--y", "30", "--k", "2", "--ell", "1",
           "--samples", "1000000000000", "--seed", "1"], 3 * 10**12),
+        # exact values past 2^20 bits: the main term and error bound at k = 10^6,
+        # and lambda at y = 4e6 (1,442,845 bits); writing either report took 10 s
+        (["census", "--method", "sampled", "--y", "30", "--k", "1000000", "--ell", "1",
+          "--samples", "1", "--seed", "1"], 3500012),
+        (["census", "--method", "sampled", "--y", "4e6", "--k", "1", "--ell", "1",
+          "--samples", "1", "--seed", "1"], 1475626),
         # Psi(10^11 + 1, primes <= 100) passes 10^7 while the smooth integers
         # are generated (10^10 lists 12,149 pairs)
         (["verify", "--s-primes", ",".join(str(p) for p in range(2, 101) if is_prime(p)),
@@ -420,7 +438,8 @@ def test_help_and_version_exit_zero(flag, capsys):
     ],
     ids=[
         "tails-1e6", "census-k2-ell2", "census-k3-ell1", "large-sieve-family", "census-characters-2^53",
-        "census-direct-huge-k", "census-sampled-draws", "verify-smooth-count", "verify-int64",
+        "census-direct-huge-k", "census-sampled-draws", "census-exact-bits-k", "census-exact-bits-y",
+        "verify-smooth-count", "verify-int64",
     ],
 )
 def test_runaway_command_refused_up_front(argv, estimate):
@@ -431,6 +450,36 @@ def test_runaway_command_refused_up_front(argv, estimate):
     error = json.loads(line)["error"]
     assert error["code"] == "capacity"
     assert str(estimate) in error["message"]
+
+
+def _readme_flag_table():
+    """{command: (required cell, optional cell)} of README's flags-per-command
+    table, each cell as its list of backticked names."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Flags per command", 1)[1].split("\n#", 1)[0]
+    rows = [line.split(" | ") for line in section.splitlines() if line.startswith("| `")]
+    return {
+        cells[0].strip("|` "): tuple(re.findall(r"`([^`]+)`", cell) for cell in cells[1:])
+        for cells in rows
+    }
+
+
+def test_readme_flag_table_lists_each_commands_flags():
+    parser = build_parser()
+    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    table = _readme_flag_table()
+    assert set(table) == set(commands)
+    for name, sp in commands.items():
+        actions = [a for a in sp._actions if not isinstance(a, argparse._HelpAction)]
+        in_required_group = {
+            a for group in sp._mutually_exclusive_groups if group.required for a in group._group_actions
+        }
+        required = [a for a in actions if a.required or a in in_required_group]
+        optional = [a for a in actions if a not in required]
+        required_cell, optional_cell = table[name]
+        for cell, group in ((required_cell, required), (optional_cell, optional)):
+            names = [a.option_strings[0] if a.option_strings else a.dest for a in group]
+            assert sorted(cell) == sorted(names), name
 
 
 def _run_module(argv, **kwargs):
@@ -523,20 +572,19 @@ def test_diagnose_empty_interval(capsys):
 
 
 def test_diagnose_all_computes_interval_stats_once(capsys, monkeypatch):
-    import sunitlab.character_lab as cl
-    import sunitlab.cli_report as cli
-    import sunitlab.tuple_census as tc
+    import sunitlab.prime_tools as pt
 
     calls = []
+    sieve = pt.sieve_interval
 
-    def counted(y):
-        calls.append(y)
-        return interval_stats(y)
+    def counted(lo, hi):
+        calls.append((lo, hi))
+        return sieve(lo, hi)
 
-    for module in (cli, cl, tc):
-        monkeypatch.setattr(module, "interval_stats", counted)
+    pt._interval_stats.cache_clear()
+    monkeypatch.setattr(pt, "sieve_interval", counted)
     run_json(["diagnose", "all", "--y", "30", "--seed", "7", "--trials", "2"], capsys)
-    assert calls == [30]
+    assert calls == [(7.5, 15.0), (15.0, 30.0)]
 
     report = run_json(["diagnose", "all", "--y", "3"], capsys)
     res = report["results"]

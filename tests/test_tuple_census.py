@@ -216,7 +216,7 @@ def test_sampled_empty_interval():
 @pytest.mark.parametrize("y", [20, 30, 40, 60])
 def test_representation_count_identities(t, y):
     stats = interval_stats(y)
-    table = representation_counts(t, y, stats=stats)
+    table = representation_counts(t, y)
     assert table.total == stats.prime_count**t
     assert table.max_count <= math.factorial(t)
     assert sum(table.counts.values()) == table.total
@@ -370,7 +370,7 @@ def test_pair_search_matches_the_reference_pair_loop(y, k, ell):
     st = interval_stats(y)
     moduli = list(combinations_with_replacement(st.modulus_primes, ell))
     want = oracle_congruence_pairs(st.product_primes, moduli, k)
-    got = [dataclasses.astuple(pr) for pr in solve_congruence_pairs(y, k, ell, st)]
+    got = [dataclasses.astuple(pr) for pr in solve_congruence_pairs(y, k, ell)]
     assert got == want
 
 
@@ -430,3 +430,15 @@ def test_quotient_plan_runs_past_the_modulus_limit(monkeypatch):
     assert census_over(st.product_primes, st.modulus_primes, 2, 2) == want
     with pytest.raises(CapacityError, match=str(29**2)):
         census_over(st.product_primes, st.modulus_primes, 3, 2)  # k != ell: no plan by quotient
+
+
+@pytest.mark.parametrize("y", [3, 12, 30, 30.5, 60, 150, 1000])
+@pytest.mark.parametrize("k,ell", [(1, 1), (2, 1), (3, 2), (4, 2), (6, 3), (7, 7), (40, 10)])
+def test_exact_bits_bound_every_exact_value_of_a_census_record(y, k, ell):
+    params = CensusParams(y, k, ell)
+    st = interval_stats(y)
+    values = [st.recip_sum, main_term(params), error_term(params).exact]
+    actual = max(
+        max(v.numerator.bit_length(), v.denominator.bit_length()) for v in values if v is not None
+    )
+    assert actual <= tc._exact_bits(params, st)
