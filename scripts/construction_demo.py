@@ -11,7 +11,7 @@ verified consecutive smooth pairs, and the asymptotic benchmarks for |S|.
 import argparse
 import sys
 
-from sunitlab.constructor import plan_parameters, run_construction
+from sunitlab.constructor import run_construction
 from sunitlab.smooth_verifier import enumerate_smooth_pairs
 
 
@@ -28,16 +28,14 @@ def main() -> int:
                     help="also list all smooth pairs up to this bound for context")
     args = ap.parse_args()
 
-    if args.k is not None and args.ell is not None:
-        k, ell = args.k, args.ell
-        print(f"y = {args.y}, explicit k = {k}, ell = {ell}")
+    run = run_construction(args.y, args.k, args.ell)
+    pairs, hist, outcome = run.pairs, run.histogram, run.result
+    if run.plan is None:
+        print(f"y = {args.y}, explicit k = {run.k}, ell = {run.ell}")
     else:
-        plan = plan_parameters(args.y, k=args.k, ell=args.ell)
-        k, ell = plan.k, plan.ell
-        clamp = " (clamped)" if plan.k_clamped or plan.ell_clamped else ""
-        print(f"y = {args.y}, planned k = {k}, ell = {ell}{clamp}, raw k = {plan.raw_k:.4f}")
+        clamp = " (clamped)" if run.plan.k_clamped or run.plan.ell_clamped else ""
+        print(f"y = {args.y}, planned k = {run.k}, ell = {run.ell}{clamp}, raw k = {run.plan.raw_k:.4f}")
 
-    pairs, hist, outcome = run_construction(args.y, k, ell)
     print(f"\ncongruence pairs ({len(pairs)}):")
     for pr in pairs:
         print(

@@ -37,25 +37,11 @@ from .character_lab import (
     random_sieve_instances,
     tail_shape,
 )
-from .constructor import (
-    assemble_set,
-    count_solutions_for_u0,
-    lower_bound_estimate,
-    plan_parameters,
-    popular_residue,
-    solve_congruence_pairs,
-)
+from .constructor import lower_bound_estimate, plan_parameters, run_construction
 from .errors import SUnitError, ValidationError, VerificationError, finite_float
 from .prime_tools import interval_stats
 from .smooth_verifier import enumerate_smooth_pairs, verify_solution
-from .tuple_census import (
-    CensusParams,
-    census_over,
-    count_direct,
-    count_exact,
-    count_sampled,
-    ordered_weight,
-)
+from .tuple_census import CensusParams, count_direct, count_exact, count_sampled
 
 PAIR_LIST_THRESHOLD = 50
 QT_LIST_THRESHOLD = 200
@@ -154,68 +140,36 @@ def run_census(args):
 
 
 def run_construct(args):
+    plan_args = {n: getattr(args, n) for n in ("alpha", "beta") if getattr(args, n) is not None}
+    run = run_construction(args.y, args.k, args.ell, enforce_range=args.enforce_range, **plan_args)
+    k, ell, plan, pairs = run.k, run.ell, run.plan, run.pairs
     warnings = []
-    if args.k is not None and args.ell is not None:
-        k, ell = args.k, args.ell
-        plan = None
-    else:
-        plan = plan_parameters(
-            args.y,
-            alpha=args.alpha if args.alpha is not None else Fraction(1, 3),
-            beta=args.beta if args.beta is not None else Fraction(1, 4),
-            k=args.k,
-            ell=args.ell,
-            enforce_range=args.enforce_range,
-        )
-        k, ell = plan.k, plan.ell
-        if plan.k_clamped or plan.ell_clamped:
-            warnings.append(
-                f"parameter plan clamped to k={k}, ell={ell} "
-                f"(raw k = {plan.raw_k:.6f} at y = {args.y})"
-            )
-    if not (1 <= ell <= k):
-        raise ValidationError(f"need 1 <= ell <= k, got k={k}, ell={ell}")
-
-    stats = interval_stats(args.y)
-    pairs = solve_congruence_pairs(args.y, k, ell)
-    census = census_over(stats.product_primes, stats.modulus_primes, k, ell)
-    listed = ordered_weight((p.product_factors, p.modulus_factors) for p in pairs)
-    if listed != census:
-        raise VerificationError(
-            f"the {len(pairs)} listed pairs stand for {listed} ordered tuples, "
-            f"the census counts {census}"
+    if plan and (plan.k_clamped or plan.ell_clamped):
+        warnings.append(
+            f"parameter plan clamped to k={k}, ell={ell} "
+            f"(raw k = {plan.raw_k:.6f} at y = {args.y})"
         )
     kl = math.factorial(k) * math.factorial(ell)
     results = {
-        "plan": encode(plan) if plan else {"k": encode(k), "ell": encode(ell), "method": "explicit"},
+        "plan": encode(plan) | {"method": "exponent-plan"} if plan
+        else {"k": encode(k), "ell": encode(ell), "method": "explicit"},
         "pair_count": encode(len(pairs)),
         "conversion": {
             "method": "ordered-to-unordered",
-            "census": encode(census),
+            "census": encode(run.census),
             "ordered_per_pair": encode(kl),
-            "lower_bound": encode(Fraction(census, kl)),
-            "holds": len(pairs) * kl >= census,
+            "lower_bound": encode(Fraction(run.census, kl)),
+            "holds": len(pairs) * kl >= run.census,
         },
+        "pairs": [encode(p) for p in pairs] if len(pairs) <= PAIR_LIST_THRESHOLD
+        else {"suppressed": True, "count": encode(len(pairs))},
         "warnings": warnings,
     }
-    if plan:
-        results["plan"]["method"] = "exponent-plan"
-
-    if len(pairs) <= PAIR_LIST_THRESHOLD:
-        results["pairs"] = [encode(p) for p in pairs]
-    else:
-        results["pairs"] = {"suppressed": True, "count": encode(len(pairs))}
-
-    artifacts = []
     if not pairs:
         warnings.append("no congruence solutions at these parameters; nothing to construct")
-        results["histogram"] = None
-        results["construction"] = None
-        return results, artifacts
+        return results | {"histogram": None, "construction": None}, []
 
-    hist = popular_residue(pairs)
-    assembled = assemble_set(args.y, hist.popular)
-    outcome = count_solutions_for_u0(pairs, hist.popular, assembled)
+    hist, assembled, outcome = run.histogram, run.assembled, run.result
     results["histogram"] = {
         "method": "pigeonhole",
         "total": encode(hist.total),
@@ -231,8 +185,7 @@ def run_construct(args):
         "value": lower_bound_estimate(args.y, k, ell),
         "actual_multiplicity": encode(hist.multiplicity),
     }
-    results["construction"] = encode(outcome)
-    results["construction"]["method"] = "verified-construction"
+    results["construction"] = encode(outcome) | {"method": "verified-construction"}
     results["set_diagnostics"] = {
         "method": "assemble-set",
         "u0_factors": encode(assembled.u0_factors),
@@ -252,6 +205,7 @@ def run_construct(args):
             "all_found": all(s.a in oracle_as for s in covered),
         }
 
+    artifacts = []
     if args.out:
         s_payload = {
             "y": args.y,
@@ -277,6 +231,11 @@ def _parse_s_primes(args) -> tuple[int, ...]:
             payload = payload.get("primes")
         if not isinstance(payload, list):
             raise ValidationError(f"{args.s_file} holds no prime list")
+        # JSON integers, or the decimal strings construct --out writes; never bools or floats
+        bad = [p for p in payload
+               if type(p) is not int and not (isinstance(p, str) and p.isascii() and p.isdigit())]
+        if bad:
+            raise ValidationError(f"{args.s_file} lists entries that are not integers: {bad[:3]}")
         return tuple(int(p) for p in payload)
     except (OSError, ValueError, TypeError) as exc:
         raise ValidationError(f"cannot read --s-file {args.s_file}: {exc}") from exc

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .errors import ValidationError, VerificationError
 from .prime_tools import factorize, interval_stats, sieve_interval
 from .smooth_verifier import SmoothPair, verify_solution
-from .tuple_census import CensusParams, congruence_solutions, main_term
+from .tuple_census import CensusParams, census_over, congruence_solutions, main_term, ordered_weight
 
 DEFAULT_ALPHA = Fraction(1, 3)
 DEFAULT_BETA = Fraction(1, 4)
@@ -297,14 +297,15 @@ def solution_count_benchmarks(s: int) -> tuple[float | None, float | None]:
 
 
 def count_solutions_for_u0(
-    pairs: list[CongruencePair], u0: int, assembled: AssembledSet
+    pairs: list[CongruencePair], assembled: AssembledSet
 ) -> ConstructionResult:
-    """Emit and verify the consecutive smooth pair for every pair with quotient u0.
+    """Emit and verify the consecutive smooth pair for every pair with quotient u0 = assembled.u0.
 
     a = modulus * u0 and c = product satisfy a + 1 = c; both must factor over
-    S.  A verification failure here means an internal bug, so it aborts hard
-    rather than dropping the solution.
+    S = assembled.primes.  A verification failure here means an internal bug,
+    so it aborts hard rather than dropping the solution.
     """
+    u0 = assembled.u0
     solutions = []
     for pr in pairs:
         if pr.quotient != u0:
@@ -340,18 +341,53 @@ def count_solutions_for_u0(
     )
 
 
-def run_construction(
-    y: float, k: int, ell: int
-) -> tuple[list[CongruencePair], ResidueHistogram | None, ConstructionResult | None]:
-    """Convenience end-to-end run: pairs, histogram, verified result.
+@dataclass(frozen=True)
+class ConstructionRun:
+    """Every stage of one construction run.  plan is None when both lengths were
+    given; with no congruence pairs, histogram, assembled and result are None."""
 
-    With no congruence pairs the histogram and result are None; callers
-    decide whether that is a warning or an error.
+    k: int
+    ell: int
+    plan: ExponentPlan | None
+    pairs: list[CongruencePair]
+    census: int
+    histogram: ResidueHistogram | None
+    assembled: AssembledSet | None
+    result: ConstructionResult | None
+
+
+def run_construction(
+    y: float, k: int | None = None, ell: int | None = None, **plan
+) -> ConstructionRun:
+    """The construction pipeline: lengths, pairs, census check, pigeonhole, verified S.
+
+    plan_parameters plans missing lengths from the plan arguments (alpha,
+    beta, enforce_range); alpha or beta with both lengths given is refused.
+    The listed pairs must weigh exactly the ordered census.
     """
+    if k is None or ell is None:
+        chosen = plan_parameters(y, k=k, ell=ell, **plan)
+        k, ell = chosen.k, chosen.ell
+    else:
+        chosen = None
+        unread = [name for name in ("alpha", "beta") if plan.get(name) is not None]
+        if unread:
+            raise ValidationError(f"k and ell are both given, so nothing reads {' and '.join(unread)}")
+        if not 1 <= ell <= k:
+            raise ValidationError(f"need 1 <= ell <= k, got k={k}, ell={ell}")
+
+    st = interval_stats(y)
     pairs = solve_congruence_pairs(y, k, ell)
-    if not pairs:
-        return pairs, None, None
-    hist = popular_residue(pairs)
-    assembled = assemble_set(y, hist.popular)
-    result = count_solutions_for_u0(pairs, hist.popular, assembled)
-    return pairs, hist, result
+    census = census_over(st.product_primes, st.modulus_primes, k, ell)
+    listed = ordered_weight((p.product_factors, p.modulus_factors) for p in pairs)
+    if listed != census:
+        raise VerificationError(
+            f"the {len(pairs)} listed pairs stand for {listed} ordered tuples, "
+            f"the census counts {census}"
+        )
+    hist = assembled = result = None
+    if pairs:
+        hist = popular_residue(pairs)
+        assembled = assemble_set(y, hist.popular)
+        result = count_solutions_for_u0(pairs, assembled)
+    return ConstructionRun(k, ell, chosen, pairs, census, hist, assembled, result)

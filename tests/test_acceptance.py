@@ -284,7 +284,7 @@ def test_criterion_09_smooth_pair_oracle():
     oracle_as = {p.a for p in enumerate_smooth_pairs(s9, 1000)}
     from sunitlab.constructor import run_construction
 
-    _, _, outcome = run_construction(30, 2, 1)
+    outcome = run_construction(30, 2, 1).result
     covered = all(s.a in oracle_as for s in outcome.solutions if s.c <= 1000)
 
     ok = small == want_small and medium == want_medium and oracle_ok and covered

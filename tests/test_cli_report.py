@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 import sunitlab
 import sunitlab.constructor as constructor
 from sunitlab.cli_report import build_parser, encode, main, solutions_csv
+from sunitlab.errors import VerificationError
 from sunitlab.prime_tools import interval_stats, is_prime
 from sunitlab.smooth_verifier import SmoothPair
 from sunitlab.tuple_census import census_over
@@ -207,11 +208,14 @@ def test_construct_refuses_pairs_the_census_does_not_count(monkeypatch, capsys):
     monkeypatch.setattr(
         constructor, "congruence_solutions", lambda *args, **kw: engine(*args, **kw)[:-1]
     )
+    message = "2 listed pairs stand for 3 ordered tuples, the census counts 5"
+    with pytest.raises(VerificationError, match=message):
+        constructor.run_construction(30, 2, 1)
     status, out, err = run_cli(["construct", "--y", "30", "--k", "2", "--ell", "1"], capsys)
     assert status == 4 and out == ""
     error = json.loads(err)["error"]
     assert error["code"] == "verification"
-    assert "2 listed pairs stand for 3 ordered tuples, the census counts 5" in error["message"]
+    assert message in error["message"]
 
 
 @pytest.mark.parametrize("k", [500, 1000])
@@ -338,26 +342,42 @@ CENSUS_30 = ["census", "--y", "30", "--k", "2", "--ell", "1"]
         (["diagnose", "large-sieve", "--seed", "1", "--trials", "-4"], {}),
         (["verify", "--s-file", "{missing}", "--limit", "10"], {}),
         (["verify", "--s-file", "{malformed}", "--limit", "10"], {}),
+        (["verify", "--s-file", "{floats}", "--limit", "10"], {}),
+        (["verify", "--s-file", "{overflowing}", "--limit", "10"], {}),
+        (["verify", "--s-file", "{boolean}", "--limit", "10"], {}),
         (CENSUS_30, {"SUNIT_MAX_SIEVE": "abc"}),
         (CENSUS_30, {"SUNIT_MAX_SIEVE": "-5"}),
         (["diagnose", "large-sieve", "--seed", "31", "--Q", "0", "--trials", "1"], {}),
         (["diagnose", "large-sieve", "--seed", "31", "--q", "-2", "--trials", "1"], {}),
         (["construct", "--y", "inf"], {}),
         (CENSUS_30 + ["--out", "{missing_dir}/run.json"], {}),
+        (["construct", "--y", "30", "--k", "2", "--ell", "1", "--alpha", "2"], {}),
+        (["construct", "--y", "30", "--k", "2", "--ell", "1", "--beta", "1/5"], {}),
     ],
     ids=[
         "y-nan", "trials-zero", "trials-negative", "s-file-missing",
-        "s-file-malformed", "max-sieve-text", "max-sieve-negative",
+        "s-file-malformed", "s-file-floats", "s-file-overflowing-float", "s-file-bool",
+        "max-sieve-text", "max-sieve-negative",
         "family-bound-zero", "modulus-negative", "plan-y-inf", "out-missing-dir",
+        "alpha-unread", "beta-unread",
     ],
 )
 def test_boundary_input_gives_one_validation_error_line(
     argv, env, tmp_path, monkeypatch, capsys
 ):
-    malformed = tmp_path / "malformed.json"
-    malformed.write_text("{not json")
+    # s-files: not JSON, floats (int() would truncate 2.9 to 2), a float past
+    # the double range (int(inf) raises OverflowError), a bool
+    s_files = {
+        "malformed": "{not json",
+        "floats": '{"primes": [2.9, 3.5, 5]}',
+        "overflowing": '{"primes": [2, 3, 1e400]}',
+        "boolean": "[2, true, 5]",
+    }
+    for name, text in s_files.items():
+        (tmp_path / f"{name}.json").write_text(text)
+    paths = {name: tmp_path / f"{name}.json" for name in s_files}
     argv = [
-        a.format(missing=tmp_path / "missing.json", malformed=malformed, missing_dir=tmp_path / "nodir")
+        a.format(missing=tmp_path / "missing.json", missing_dir=tmp_path / "nodir", **paths)
         for a in argv
     ]
     for name, value in env.items():

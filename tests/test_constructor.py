@@ -230,7 +230,10 @@ def test_solution_count_benchmarks():
 
 
 def test_full_construction_y30():
-    pairs, hist, result = run_construction(30, 2, 1)
+    run = run_construction(30, 2, 1)
+    pairs, hist, result = run.pairs, run.histogram, run.result
+    assert (run.k, run.ell, run.plan, run.census) == (2, 1, None, 5)
+    assert run.assembled.u0 == 30 and run.assembled.primes == result.prime_set
     assert len(pairs) == 3
     assert hist.popular == 30
     assert hist.multiplicity == 1
@@ -252,16 +255,32 @@ def test_construction_checks_each_prime_of_s_once(monkeypatch):
 
     monkeypatch.setattr(sv, "is_prime", counted)
     sv._validated.cache_clear()
-    _pairs, _hist, result = run_construction(1000, 2, 1)
+    result = run_construction(1000, 2, 1).result
     assert result.multiplicity == 5  # five solutions verified against one S
     assert sorted(tested) == list(result.prime_set)
 
 
 def test_construction_empty_pairs():
     # (11, 22] products never land on 1 modulo the (5.5, 11] primes
-    pairs, hist, result = run_construction(22, 1, 1)
-    assert pairs == []
-    assert hist is None and result is None
+    run = run_construction(22, 1, 1)
+    assert run.pairs == [] and run.census == 0
+    assert run.histogram is None and run.assembled is None and run.result is None
+
+
+def test_construction_refuses_ell_above_k():
+    # k = 1, ell = 2 lists no pairs, so only the length check can refuse it
+    with pytest.raises(ValidationError, match="1 <= ell <= k"):
+        run_construction(30, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "plan", [{"alpha": Fraction(2)}, {"beta": Fraction(1, 5)}, {"alpha": 0, "beta": 1}]
+)
+def test_construction_refuses_plan_arguments_with_both_lengths(plan):
+    with pytest.raises(ValidationError, match="nothing reads"):
+        run_construction(30, 2, 1, **plan)
+    # only alpha and beta are refused; enforce_range is accepted
+    assert run_construction(30, 2, 1, enforce_range=True).plan is None
 
 
 def test_count_solutions_rejects_inconsistent_pair():
@@ -270,19 +289,19 @@ def test_count_solutions_rejects_inconsistent_pair():
     )
     assembled = assemble_set(30, 2)
     with pytest.raises(VerificationError):
-        count_solutions_for_u0([bad], 2, assembled)
+        count_solutions_for_u0([bad], assembled)
 
 
 def test_count_solutions_filters_by_quotient():
     # quotients at y = 30 are {50, 48, 30}; ask for 48 and only 48
     pairs = solve_congruence_pairs(30, 2, 1)
-    result = count_solutions_for_u0(pairs, 48, assemble_set(30, 48))
+    result = count_solutions_for_u0(pairs, assemble_set(30, 48))
     assert [(sp.a, sp.c) for sp in result.solutions] == [(528, 529)]
     assert result.solutions[0].factorization_c == {23: 2}
     assert result.multiplicity == 1
 
-    other = count_solutions_for_u0(pairs, 50, assemble_set(30, 50))
+    other = count_solutions_for_u0(pairs, assemble_set(30, 50))
     assert [(sp.a, sp.c) for sp in other.solutions] == [(550, 551)]
 
-    none = count_solutions_for_u0(pairs, 49, assemble_set(30, 49))
+    none = count_solutions_for_u0(pairs, assemble_set(30, 49))
     assert none.solutions == () and none.multiplicity == 0

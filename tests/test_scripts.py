@@ -1,0 +1,36 @@
+"""Smoke runs of the experiment scripts in scripts/, each as its own process."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,line",
+    [(["--y", "30"], "verified consecutive smooth pairs for u0 = 30"),
+     (["--y", "22", "--k", "1", "--ell", "1"], "nothing to construct")],
+)
+def test_construction_demo_runs(argv, line):
+    proc = run_script("construction_demo.py", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert line in proc.stdout
+
+
+def test_census_trend_runs():
+    proc = run_script("census_trend.py", "--steps", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 4  # title, header, one row per step

@@ -170,7 +170,7 @@ def test_enumerate_matches_the_sieve(primes, limit, count):
 
 @pytest.mark.parametrize("y,k,limit", [(30, 2, 1000), (1000, 3, 10**5), (2000, 2, 10**6)])
 def test_enumerate_matches_the_sieve_on_the_construct_benchmark_sets(y, k, limit):
-    primes = run_construction(y, k, 1)[2].prime_set
+    primes = run_construction(y, k, 1).result.prime_set
     got = [(sp.a, sp.c) for sp in enumerate_smooth_pairs(primes, limit)]
     assert got == oracle_sieved_smooth_pairs(primes, limit)
 
