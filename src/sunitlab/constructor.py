@@ -17,13 +17,20 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ValidationError, VerificationError
-from .prime_tools import factorize, interval_stats, sieve_interval
+from .errors import ValidationError, VerificationError, check_capacity
+from .prime_tools import _MR_VALID_BELOW, TRIAL_DIVISION_BOUND, factorize, interval_stats, sieve_interval
 from .smooth_verifier import SmoothPair, verify_solution
 from .tuple_census import CensusParams, census_over, congruence_solutions, main_term, ordered_weight
 
 DEFAULT_ALPHA = Fraction(1, 3)
 DEFAULT_BETA = Fraction(1, 4)
+# The most bits the least possible quotient u0 may have.  factorize certifies
+# the part of u0 free of primes up to TRIAL_DIVISION_BOUND only below
+# _MR_VALID_BELOW, so past this a u0 factors only if 16 or more of its prime
+# factors (with multiplicity) are at most TRIAL_DIVISION_BOUND; an integer has
+# about 3.8 on average.  In a sweep of construct over y = 5..14, no u0 past 252
+# bits factored, and trial division spent 0.5 to 3 s on each before it failed
+U0_BITS_LIMIT = (_MR_VALID_BELOW * TRIAL_DIVISION_BOUND**16).bit_length()
 
 
 @dataclass(frozen=True)
@@ -362,8 +369,11 @@ def run_construction(
     """The construction pipeline: lengths, pairs, census check, pigeonhole, verified S.
 
     plan_parameters plans missing lengths from the plan arguments (alpha,
-    beta, enforce_range); alpha or beta with both lengths given is refused.
-    The listed pairs must weigh exactly the ordered census.
+    beta, enforce_range); alpha or beta with both lengths given is refused,
+    and enforce_range holds both lengths to the census range k <= y^(1/3) /
+    (log y)^2, as CensusParams does.  Quotients past U0_BITS_LIMIT bits are
+    refused before the pair search.  The listed pairs must weigh exactly the
+    ordered census.
     """
     if k is None or ell is None:
         chosen = plan_parameters(y, k=k, ell=ell, **plan)
@@ -373,10 +383,13 @@ def run_construction(
         unread = [name for name in ("alpha", "beta") if plan.get(name) is not None]
         if unread:
             raise ValidationError(f"k and ell are both given, so nothing reads {' and '.join(unread)}")
-        if not 1 <= ell <= k:
-            raise ValidationError(f"need 1 <= ell <= k, got k={k}, ell={ell}")
+        CensusParams(y, k, ell, enforce_range=bool(plan.get("enforce_range")))
 
     st = interval_stats(y)
+    if st.product_primes and st.modulus_primes:
+        # every quotient is at least (min p^k - 1) / max q^ell
+        least = k * math.log2(min(st.product_primes)) - ell * math.log2(max(st.modulus_primes))
+        check_capacity("bits of every quotient u0: at least {}", math.floor(least) + 1, U0_BITS_LIMIT)
     pairs = solve_congruence_pairs(y, k, ell)
     census = census_over(st.product_primes, st.modulus_primes, k, ell)
     listed = ordered_weight((p.product_factors, p.modulus_factors) for p in pairs)

@@ -37,6 +37,10 @@ EXACT_BITS_LIMIT = 2**20
 # products materialized per sort-merge, and k-products per quotient pass: work
 # within FOLD_OP_LIMIT could otherwise hold 3*10^8 products (gigabytes) at once
 _FOLD_CHUNK = 1 << 20
+# residues per block of moduli in the k = 2 census.  Timed at y = 10^5 against
+# the per-modulus fold (2.9 s, 31.3 MB peak RSS): 2^14 took 0.72 s at 31.3 MB,
+# 2^15 0.56 s at 32.1 MB, and 2^16 0.50 s at 33.6 MB
+_BLOCK_ELEMENTS = 1 << 15
 # Mersenne Twister words per numpy block of the Monte Carlo census, and the
 # longest tuple (k + ell draws) it resolves as arrays; longer ones cost k + ell
 # array passes for the few tuples a block holds, and are walked one by one.
@@ -249,6 +253,84 @@ def _euler_inverses(units: np.ndarray, m: int, phi: int) -> np.ndarray:
     return result
 
 
+def _tree_inverses(r: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The inverse of every unit r[j, i] mod m[j, 0], by a product tree per row.
+
+    Columns are multiplied in pairs, level by level, down to one column (the
+    last column of an odd level goes up alone, as if paired with a 1); each
+    row's total is inverted once by pow, and walking back down, a child's
+    inverse is its parent's times its sibling.  About 3 multiply-mods per
+    entry, written in place; exact in int64 for m < 2^31.
+    """
+
+    def mulmod(a, b, out):
+        np.remainder(np.multiply(a, b, out=out), m, out=out)
+
+    levels = [r]
+    while levels[-1].shape[1] > 1:
+        level = levels[-1]
+        half = level.shape[1] // 2
+        evens, odds = level[:, 0 : 2 * half : 2], level[:, 1::2]
+        up = np.empty_like(level[:, : level.shape[1] - half])
+        mulmod(evens, odds, up[:, :half])
+        up[:, half:] = level[:, 2 * half :]
+        levels.append(up)
+    inv = np.array([[pow(x, -1, q)] for x, q in zip(levels.pop().ravel().tolist(), m.ravel().tolist())])
+    while levels:
+        level = levels.pop()
+        half = level.shape[1] // 2
+        parent, inv = inv, np.empty_like(level)
+        mulmod(parent[:, :half], level[:, 1::2], inv[:, 0 : 2 * half : 2])
+        mulmod(parent[:, :half], level[:, 0 : 2 * half : 2], inv[:, 1::2])
+        inv[:, 2 * half :] = parent[:, half:]
+    return inv
+
+
+def _count_pairs_by_blocks(p_primes, q_primes, ell: int) -> int:
+    """Ordered pairs (p1, p2) of p_primes with p1 * p2 == 1 (mod m), summed
+    over the ell-multisets m of q_primes with weight w(m): the k = 2 census.
+
+    The moduli come in blocks of _BLOCK_ELEMENTS // |P| (at least 1), one row
+    per modulus and one column per prime.  Per block: the residues p mod m,
+    their inverses by _tree_inverses, and each inverse's partners read off a
+    table of P over [min P, max P]: a partner of p1 is c0 + t*m, with
+    c0 = min P + ((p1^-1 - min P) mod m), so (max P - min P) // min m + 1
+    gathers find them all.  A p in m's multiset is the only kind sharing a
+    prime with m (P holds primes): it is set to 1 in the tree and left out of
+    the count, and it is no partner, since its residue is not a unit.
+    """
+    if not p_primes:
+        return 0
+    p = np.asarray(p_primes, dtype=np.int64)
+    lo, span = int(p.min()), int(p.max()) - int(p.min())
+    # ends in a zero, where np.take's clip sends every index past max P; int32
+    # holds any count of P, and halves the table the gathers hit at random
+    table = np.bincount(p - lo, minlength=span + 2).astype(np.int32)
+    columns_of = {v: np.flatnonzero(p == v).tolist() for v in set(p_primes) & set(q_primes)}
+    multisets = _modulus_multisets(tuple(q_primes), ell)
+    total = 0
+    while block := list(itertools.islice(multisets, max(1, _BLOCK_ELEMENTS // len(p)))):
+        m = np.array([[mod] for mod, _combo, _w in block], dtype=np.int64)
+        masked = tuple(zip(*(
+            (j, i) for j, (_m, combo, _w) in enumerate(block)
+            for q in set(combo) for i in columns_of.get(q, ())
+        )))
+        r = p % m
+        if masked:
+            r[masked] = 1
+        offsets = _tree_inverses(r, m)
+        offsets -= lo
+        offsets %= m
+        hits = np.take(table, offsets, mode="clip")
+        for _ in range(span // int(m.min())):
+            offsets += m
+            hits += np.take(table, offsets, mode="clip")
+        if masked:
+            hits[masked] = 0
+        total += sum(w * c for (_m, _c, w), c in zip(block, hits.sum(axis=1).tolist()))
+    return total
+
+
 def _count_products_congruent_one(
     p: np.ndarray, k: int, m: int, combo: tuple[int, ...]
 ) -> int:
@@ -351,9 +433,13 @@ def _plan(p_primes, q_primes, k: int, ell: int, listing: bool) -> str:
     By modulus (every modulus below MODULUS_LIMIT, so residue products stay in
     int64): per modulus, |P| residues, then a count folds them (_fold_products)
     and a listing multiplies out k-1 residues and takes one inverse per
-    (k-1)-prefix multiset.  By quotient
-    (k = ell, every product and modulus in int64): one pass over the
-    k-products per quotient u, then a sorted join against the moduli.
+    (k-1)-prefix multiset; a count at k = 2 (_count_pairs_by_blocks) takes
+    |P| * ceil(g/2) per modulus for g = (max P - min P) // min m + 1 partner
+    gathers, or the max P - min P entries of its partner table when those are
+    more.  At every CLI interval g <= 2, so k = 2 costs |P| per modulus, as
+    the fold did.  By quotient (k = ell, every product and modulus in int64):
+    one pass over the k-products per quotient u, then a sorted join against
+    the moduli.
     """
     for t in (k, ell):
         if t < 1:
@@ -363,13 +449,17 @@ def _plan(p_primes, q_primes, k: int, ell: int, listing: bool) -> str:
     moduli = math.comb(len(q_primes) + ell - 1, ell)
     work = {}
     if largest <= MODULUS_LIMIT:
+        what = "pair search residues" if listing else "residue fold products"
+        what += f" over the {ell}-prime moduli: {{}}"
         if listing:
-            what = f"pair search residues over the {ell}-prime moduli: {{}}"
-            per = n + (k - 1) * (math.comb(n + k - 2, k - 1) if n else 0)
+            ops = moduli * (n + (k - 1) * (math.comb(n + k - 2, k - 1) if n else 0))
+        elif k == 2:  # _count_pairs_by_blocks
+            span = max(p_primes, default=0) - min(p_primes, default=0)
+            gathers = span // min(q_primes, default=1) ** ell + 1
+            ops = max(moduli * n * -(-gathers // 2), span)
         else:
-            what = f"residue fold products over the {ell}-prime moduli: {{}}"
-            per = _fold_products(n, k, largest)
-        work["modulus"] = (what, moduli * per)
+            ops = moduli * _fold_products(n, k, largest)
+        work["modulus"] = (what, ops)
     if k == ell and n and moduli and max(max(p_primes) ** k, largest) < 2**63:
         passes = len(_quotients(p_primes, q_primes, k)) * math.comb(n + k - 1, k) + moduli
         work["quotient"] = (f"quotient passes over the {k}-prime products: {{}}", passes)
@@ -449,11 +539,14 @@ def congruence_solutions(
 
     The one congruence engine under census_over and the pair search.  _plan
     picks by modulus or by quotient and refuses over FOLD_OP_LIMIT (counting)
-    or PAIR_OP_LIMIT (listing) before any work; counting by modulus is the
-    residue fold of _count_products_congruent_one.
+    or PAIR_OP_LIMIT (listing) before any work.  Counting by modulus is
+    _count_pairs_by_blocks at k = 2 and the residue fold of
+    _count_products_congruent_one otherwise.
     """
     plan = _plan(p_primes, q_primes, k, ell, listing)
     if plan == "modulus" and not listing:
+        if k == 2:
+            return _count_pairs_by_blocks(p_primes, q_primes, ell)
         p = np.asarray(p_primes, dtype=np.int64)
         return sum(
             weight * _count_products_congruent_one(p, k, m, combo)

@@ -54,10 +54,11 @@ def _large_sieve(trials, bound):
 CASES = [
     # (limit's module, limit, lowered value, call, estimate, (engine's module, engine))
     (tc, "MODULUS_LIMIT", 1000, _census(60, 2, 3), 29**3,
-     (tc, "_count_products_congruent_one")),
-    # k = 2 has no fold, yet its 4 moduli x 7 residues are counted
+     (tc, "_count_pairs_by_blocks")),
+    # k = 2 has no fold: 4 moduli x 7 residues x 1 pass of partner gathers
+    # (g = 28 // 17 + 1 = 2), which is no less than the partner table's span 28
     (tc, "FOLD_OP_LIMIT", 27, _census(60, 2, 1), 4 * 7,
-     (tc, "_count_products_congruent_one")),
+     (tc, "_count_pairs_by_blocks")),
     (tc, "FOLD_OP_LIMIT", 100, _census(60, 3, 1), 4 * (7 + 7 * 7),
      (tc, "_count_products_congruent_one")),
     (tc, "DIRECT_OP_LIMIT", 100, lambda: tc.count_direct(CensusParams(60, 3, 2)), 7**3 * 4**2,

@@ -353,13 +353,15 @@ CENSUS_30 = ["census", "--y", "30", "--k", "2", "--ell", "1"]
         (CENSUS_30 + ["--out", "{missing_dir}/run.json"], {}),
         (["construct", "--y", "30", "--k", "2", "--ell", "1", "--alpha", "2"], {}),
         (["construct", "--y", "30", "--k", "2", "--ell", "1", "--beta", "1/5"], {}),
+        # k = 2 is past y^(1/3)/(log y)^2 = 0.269, as census --enforce-range says
+        (["construct", "--y", "30", "--k", "2", "--ell", "1", "--enforce-range"], {}),
     ],
     ids=[
         "y-nan", "trials-zero", "trials-negative", "s-file-missing",
         "s-file-malformed", "s-file-floats", "s-file-overflowing-float", "s-file-bool",
         "max-sieve-text", "max-sieve-negative",
         "family-bound-zero", "modulus-negative", "plan-y-inf", "out-missing-dir",
-        "alpha-unread", "beta-unread",
+        "alpha-unread", "beta-unread", "explicit-k-out-of-range",
     ],
 )
 def test_boundary_input_gives_one_validation_error_line(
@@ -455,11 +457,14 @@ def test_help_and_version_exit_zero(flag, capsys):
           "--limit", str(10**11)], "at least 11600235"),
         # c = a + 1 must fit int64
         (["verify", "--s-primes", "2,3", "--limit", str(2**63 - 1)], 2**63),
+        # every u0 is at least (3^1000 - 1)/2: trial division took 3 s on it
+        # before the primality test refused the cofactor it left
+        (["construct", "--y", "5", "--k", "1000", "--ell", "1"], 1584),
     ],
     ids=[
         "tails-1e6", "census-k2-ell2", "census-k3-ell1", "large-sieve-family", "census-characters-2^53",
         "census-direct-huge-k", "census-sampled-draws", "census-exact-bits-k", "census-exact-bits-y",
-        "verify-smooth-count", "verify-int64",
+        "verify-smooth-count", "verify-int64", "construct-hopeless-u0",
     ],
 )
 def test_runaway_command_refused_up_front(argv, estimate):

@@ -279,8 +279,11 @@ def test_construction_refuses_ell_above_k():
 def test_construction_refuses_plan_arguments_with_both_lengths(plan):
     with pytest.raises(ValidationError, match="nothing reads"):
         run_construction(30, 2, 1, **plan)
-    # only alpha and beta are refused; enforce_range is accepted
-    assert run_construction(30, 2, 1, enforce_range=True).plan is None
+    # enforce_range is not refused but read, against the census range:
+    # k = 2 is past y^(1/3)/(log y)^2 = 0.269 at y = 30
+    assert run_construction(30, 2, 1, enforce_range=False).plan is None
+    with pytest.raises(ValidationError, match="outside supported range"):
+        run_construction(30, 2, 1, enforce_range=True)
 
 
 def test_count_solutions_rejects_inconsistent_pair():

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 from collections import Counter
@@ -330,9 +331,69 @@ def test_modulus_limit_refused_before_any_fold(monkeypatch):
         raise AssertionError("a residue fold ran before the refusal")
 
     monkeypatch.setattr(tc, "_count_products_congruent_one", no_folds)
+    monkeypatch.setattr(tc, "_count_pairs_by_blocks", no_folds)  # k = 2 runs here
     st = interval_stats(3000)
     with pytest.raises(CapacityError, match=str(1499**3)):
         census_over(st.product_primes, st.modulus_primes, 2, 3)
+
+
+# ------------------------------------------------------------ k = 2 by blocks
+
+
+@pytest.mark.parametrize(
+    "moduli",
+    [
+        [7],  # one modulus
+        [7, 11, 13, 17, 19],
+        [9, 15, 25, 2 * 3 * 5 * 7, 1024],  # composite moduli
+        [2**31 - 1, 2**31 - 19, 2**31 - 2, 2**31 - 9],  # just under MODULUS_LIMIT
+    ],
+)
+@pytest.mark.parametrize("entries", [1, 2, 3, 8, 13, 64])
+def test_tree_inverses_match_pow(moduli, entries):
+    rng = random.Random(len(moduli) * 100 + entries)
+    rows = [[] for _ in moduli]
+    for row, m in zip(rows, moduli):
+        while len(row) < entries:
+            u = rng.randrange(1, m)
+            if math.gcd(u, m) == 1:
+                row.append(u)
+    r = np.array(rows, dtype=np.int64)
+    m = np.array(moduli, dtype=np.int64)[:, None]
+    got = tc._tree_inverses(r, m)
+    assert got.tolist() == [[pow(u, -1, q) for u in row] for row, q in zip(rows, moduli)]
+    assert r.tolist() == rows  # the residues are left as they were
+
+
+@pytest.mark.parametrize("block", [1 << 15, 1, 20])
+@pytest.mark.parametrize("y", [12, 30, 60, 150, 300])
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_k2_blocks_match_reference_fold(y, ell, block, monkeypatch):
+    # block 1 gives one modulus per block; 20 gives 2 to 10 at y <= 60, with a
+    # short last block; 2^15 gives one block
+    monkeypatch.setattr(tc, "_BLOCK_ELEMENTS", block)
+    st = interval_stats(y)
+    want = sum(
+        w * _reference_fold(st.product_primes, 2, m)
+        for m, _c, w in _modulus_multisets(st.modulus_primes, ell)
+    )
+    assert tc._count_pairs_by_blocks(st.product_primes, st.modulus_primes, ell) == want
+
+
+def test_k2_blocks_gather_every_partner_over_a_wide_span(monkeypatch):
+    # moduli 2, 3 (ell = 1) and 4, 6, 9 (ell = 2) against P spanning 994:
+    # g = 994 // 2 + 1 = 498 gathers, where the CLI intervals need at most 2
+    p_primes, q_primes = (3, 5, 7, 11, 13, 101, 103, 997), (2, 3)
+    for ell in (1, 2):
+        want = sum(
+            1 for qs in itertools.product(q_primes, repeat=ell)
+            for p1, p2 in itertools.product(p_primes, repeat=2) if p1 * p2 % math.prod(qs) == 1
+        )
+        assert census_over(p_primes, q_primes, 2, ell) == want
+    # the estimate: 2 moduli x 8 residues x ceil(498 / 2) passes
+    monkeypatch.setattr(tc, "FOLD_OP_LIMIT", 10)
+    with pytest.raises(CapacityError, match=r"\b3984\b"):
+        census_over(p_primes, q_primes, 2, 1)
 
 
 # ------------------------------------------------------------ congruence engine
