@@ -231,10 +231,32 @@ def _pollard_brent(n: int) -> int:
     raise FactorizationError(f"no factor of {n} found")
 
 
+@lru_cache(maxsize=1)
+def _trial_primes() -> np.ndarray:
+    """The primes up to TRIAL_DIVISION_BOUND, sieved once (whatever SUNIT_MAX_SIEVE)."""
+    return _simple_sieve(TRIAL_DIVISION_BOUND)
+
+
+def _trial_divisors(n: int) -> list[int]:
+    """The primes up to TRIAL_DIVISION_BOUND that divide n, in one numpy pass:
+    n mod every such prime by Horner's rule over n's 32-bit limbs (each
+    remainder stays below 2^24, so a step stays below 2^56 in int64)."""
+    primes = _trial_primes()
+    rem = np.zeros_like(primes)
+    for limb in np.frombuffer(n.to_bytes(-(-n.bit_length() // 32) * 4, "big"), ">u4").tolist():
+        rem <<= 32
+        rem += limb
+        rem %= primes
+    return primes[rem == 0].tolist()
+
+
 def factorize(n: int) -> dict[int, int]:
     """Full prime factorization: trial division up to TRIAL_DIVISION_BOUND, then rho.
 
-    Returns an ascending prime -> exponent map; factorize(1) == {}.
+    Past TRIAL_DIVISION_BOUND^2, where the wheel would try every candidate up
+    to the bound, it stops at the bound's square root, and _trial_divisors
+    finds the rest in one numpy pass.  Returns an ascending prime -> exponent
+    map; factorize(1) == {}.
     """
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
@@ -246,12 +268,18 @@ def factorize(n: int) -> dict[int, int]:
     d = 7
     wheel = (4, 2, 4, 2, 4, 6, 2, 6)
     i = 0
-    while d * d <= n and d <= TRIAL_DIVISION_BOUND:
+    stop = math.isqrt(TRIAL_DIVISION_BOUND) if n > TRIAL_DIVISION_BOUND**2 else TRIAL_DIVISION_BOUND
+    while d * d <= n and d <= stop:
         while n % d == 0:
             factors[d] = factors.get(d, 0) + 1
             n //= d
         d += wheel[i]
         i = (i + 1) % 8
+    if d * d <= n and d <= TRIAL_DIVISION_BOUND:  # the wheel stopped short
+        for p in _trial_divisors(n):
+            while n % p == 0:
+                factors[p] = factors.get(p, 0) + 1
+                n //= p
     if n > 1:
         stack = [n]
         while stack:

@@ -37,9 +37,11 @@ EXACT_BITS_LIMIT = 2**20
 # products materialized per sort-merge, and k-products per quotient pass: work
 # within FOLD_OP_LIMIT could otherwise hold 3*10^8 products (gigabytes) at once
 _FOLD_CHUNK = 1 << 20
-# residues per block of moduli in the k = 2 census.  Timed at y = 10^5 against
-# the per-modulus fold (2.9 s, 31.3 MB peak RSS): 2^14 took 0.72 s at 31.3 MB,
-# 2^15 0.56 s at 32.1 MB, and 2^16 0.50 s at 33.6 MB
+# residues per group of moduli, and multiset products per block, in the census
+# by blocks.  Timed at k = 2, y = 10^5 against the per-modulus fold (2.9 s,
+# 31.3 MB peak RSS): 2^14 took 0.72 s at 31.3 MB, 2^15 0.56 s at 32.1 MB, and
+# 2^16 0.50 s at 33.6 MB.  At y = 1000, ell = 2, 2^14 to 2^17 all took 0.03 to
+# 0.04 s at k = 3 and 1.08 to 1.14 s at k = 4
 _BLOCK_ELEMENTS = 1 << 15
 # Mersenne Twister words per numpy block of the Monte Carlo census, and the
 # longest tuple (k + ell draws) it resolves as arrays; longer ones cost k + ell
@@ -141,7 +143,8 @@ def _multiset_weight(combo: tuple[int, ...]) -> int:
     """Ordered tuples realizing the multiset combo: len(combo)! / prod(mult!).
 
     Summing weighted per-multiset counts reproduces the ordered count.  This
-    is the one place the multinomial weight is computed.
+    is the one place the multinomial weight of a multiset of values is
+    computed; _multiset_slices computes it for rows of indices.
     """
     weight = math.factorial(len(combo))
     if len(set(combo)) < len(combo):  # distinct primes, the common case, divide by 1
@@ -286,22 +289,59 @@ def _tree_inverses(r: np.ndarray, m: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _count_pairs_by_blocks(p_primes, q_primes, ell: int) -> int:
-    """Ordered pairs (p1, p2) of p_primes with p1 * p2 == 1 (mod m), summed
-    over the ell-multisets m of q_primes with weight w(m): the k = 2 census.
+def _multiset_slices(n: int, t: int):
+    """Yield the t-multisets of n columns (t >= 1) in slices by first index of
+    about _BLOCK_ELEMENTS multisets, as (columns, weights): each index column,
+    contiguous, and each multiset's weight w, the ordered t-tuples of columns
+    it stands for.  At t = 1 the multisets are the columns in order, each of
+    weight 1: one slice, (None, None).
+    """
+    if t == 1:
+        yield None, None
+        return
+    step = max(1, _BLOCK_ELEMENTS // math.comb(n + t - 2, t - 1))
+    for first in range(0, n, step):
+        rows = _multiset_rows(n, t, first, min(first + step, n))
+        # w built up column by column as w * (j + 1) / run, with run the
+        # repeats of the last index; dividing by run / gcd first stays exact
+        weights, run = np.ones(len(rows), dtype=np.int64), np.ones(len(rows), dtype=np.int64)
+        for j in range(1, t):
+            run = np.where(rows[:, j] == rows[:, j - 1], run + 1, 1)
+            g = np.gcd(run, j + 1)
+            weights = weights // (run // g) * ((j + 1) // g)
+        yield rows.T.copy(), weights  # np.take gathers 4x faster along a contiguous index
 
-    The moduli come in blocks of _BLOCK_ELEMENTS // |P| (at least 1), one row
-    per modulus and one column per prime.  Per block: the residues p mod m,
-    their inverses by _tree_inverses, and each inverse's partners read off a
-    table of P over [min P, max P]: a partner of p1 is c0 + t*m, with
-    c0 = min P + ((p1^-1 - min P) mod m), so (max P - min P) // min m + 1
-    gathers find them all.  A p in m's multiset is the only kind sharing a
-    prime with m (P holds primes): it is set to 1 in the tree and left out of
-    the count, and it is no partner, since its residue is not a unit.
+
+def _gather(a: np.ndarray, columns, c: int) -> np.ndarray:
+    """a's entries at each multiset's c-th index (a itself when the multisets
+    are the columns, which _multiset_slices marks with columns None)."""
+    return a if columns is None else np.take(a, columns[c], axis=1)
+
+
+def _count_by_blocks(p_primes, q_primes, k: int, ell: int) -> int:
+    """Ordered k-tuples of p_primes with product == 1 (mod m), summed over the
+    ell-multisets m of q_primes with weight w(m): the census by modulus, k >= 2.
+
+    A tuple is a (k-1)-multiset of P's columns, counted w times for the
+    ordered (k-1)-tuples it stands for, and a last factor.  The moduli come in
+    groups of _BLOCK_ELEMENTS // |P| (at least 1), one row per modulus, with
+    the residues p mod m and their inverses by _tree_inverses.  The multisets
+    come in slices of about _BLOCK_ELEMENTS (_multiset_slices; at k = 2 the
+    columns themselves), and a group in blocks of _BLOCK_ELEMENTS // (slice)
+    moduli.  Per block and slice: the product s of the inverses along each
+    multiset (k - 2 multiply-mods), and the partners of s read off a table of
+    P over [min P, max P]: a partner is c0 + j*m, with
+    c0 = min P + ((s - min P) mod m), so (max P - min P) // min m + 1 gathers
+    find them all.  w comes from the index rows, so a prime listed twice
+    counts twice.  A p in m's multiset is the only kind sharing a prime with
+    m (P holds primes): it is set to 1 in the tree and every multiset holding
+    it is left out of the count; it is no partner, since its residue is not a
+    unit.  Exact while |P|^k < 2^63.
     """
     if not p_primes:
         return 0
     p = np.asarray(p_primes, dtype=np.int64)
+    n, t = len(p), k - 1
     lo, span = int(p.min()), int(p.max()) - int(p.min())
     # ends in a zero, where np.take's clip sends every index past max P; int32
     # holds any count of P, and halves the table the gathers hit at random
@@ -309,25 +349,39 @@ def _count_pairs_by_blocks(p_primes, q_primes, ell: int) -> int:
     columns_of = {v: np.flatnonzero(p == v).tolist() for v in set(p_primes) & set(q_primes)}
     multisets = _modulus_multisets(tuple(q_primes), ell)
     total = 0
-    while block := list(itertools.islice(multisets, max(1, _BLOCK_ELEMENTS // len(p)))):
-        m = np.array([[mod] for mod, _combo, _w in block], dtype=np.int64)
+    while group := list(itertools.islice(multisets, max(1, _BLOCK_ELEMENTS // n))):
+        moduli = np.array([[mod] for mod, _combo, _w in group], dtype=np.int64)
         masked = tuple(zip(*(
-            (j, i) for j, (_m, combo, _w) in enumerate(block)
+            (j, i) for j, (_m, combo, _w) in enumerate(group)
             for q in set(combo) for i in columns_of.get(q, ())
         )))
-        r = p % m
+        r = p % moduli
         if masked:
             r[masked] = 1
-        offsets = _tree_inverses(r, m)
-        offsets -= lo
-        offsets %= m
-        hits = np.take(table, offsets, mode="clip")
-        for _ in range(span // int(m.min())):
-            offsets += m
-            hits += np.take(table, offsets, mode="clip")
-        if masked:
-            hits[masked] = 0
-        total += sum(w * c for (_m, _c, w), c in zip(block, hits.sum(axis=1).tolist()))
+            shares = np.zeros(r.shape, dtype=bool)
+            shares[masked] = True
+        inverses = _tree_inverses(r, moduli)
+        counts = np.zeros(len(group), dtype=np.int64)
+        for columns, weights in _multiset_slices(n, t):
+            height = max(1, _BLOCK_ELEMENTS // (n if weights is None else len(weights)))
+            for b in range(0, len(group), height):
+                block, m = slice(b, b + height), moduli[b : b + height]
+                offsets = _gather(inverses[block], columns, 0)
+                for c in range(1, t):
+                    offsets *= _gather(inverses[block], columns, c)
+                    if c < t - 1:  # the last product is reduced with the shift below
+                        offsets %= m
+                offsets -= lo
+                offsets %= m
+                hits = np.take(table, offsets, mode="clip")
+                for _ in range(span // int(m.min())):
+                    offsets += m
+                    hits += np.take(table, offsets, mode="clip")
+                if masked:
+                    for c in range(t):
+                        hits[_gather(shares[block], columns, c)] = 0
+                counts[block] += hits.sum(axis=1) if weights is None else hits @ weights
+        total += sum(w * c for (_m, _c, w), c in zip(group, counts.tolist()))
     return total
 
 
@@ -375,7 +429,7 @@ def _count_products_congruent_one(
 
 
 def count_exact(params: CensusParams) -> CensusResult:
-    """Exact ordered census via per-modulus residue folding."""
+    """Exact ordered census by the congruence engine (congruence_solutions)."""
     st = interval_stats(params.y)
 
     def count():
@@ -431,15 +485,18 @@ def _plan(p_primes, q_primes, k: int, ell: int, listing: bool) -> str:
     """The eligible plan with the smaller work estimate, refused over its cap.
 
     By modulus (every modulus below MODULUS_LIMIT, so residue products stay in
-    int64): per modulus, |P| residues, then a count folds them (_fold_products)
-    and a listing multiplies out k-1 residues and takes one inverse per
-    (k-1)-prefix multiset; a count at k = 2 (_count_pairs_by_blocks) takes
-    |P| * ceil(g/2) per modulus for g = (max P - min P) // min m + 1 partner
-    gathers, or the max P - min P entries of its partner table when those are
-    more.  At every CLI interval g <= 2, so k = 2 costs |P| per modulus, as
-    the fold did.  By quotient (k = ell, every product and modulus in int64):
-    one pass over the k-products per quotient u, then a sorted join against
-    the moduli.
+    int64): a listing ("modulus") takes, per modulus, |P| residues, then
+    multiplies out k-1 residues and takes one inverse per (k-1)-prefix
+    multiset.  A count ("modulus", _count_by_blocks, for k >= 2 while
+    |P|^k < 2^63) takes, per modulus, k - 2 multiply-mods and ceil(g/2)
+    passes of partner gathers, for g = (max P - min P) // min m + 1, per
+    (k-1)-multiset of P, or the max P - min P entries of its partner table
+    when those are more; at every CLI interval g <= 2.  The residue fold
+    ("fold", _count_products_congruent_one) takes _fold_products per modulus,
+    which is the same figure until its products saturate at the largest
+    modulus; it counts when the blocks do not, or estimate more.  By quotient
+    (k = ell, every product and modulus in int64): one pass over the
+    k-products per quotient u, then a sorted join against the moduli.
     """
     for t in (k, ell):
         if t < 1:
@@ -452,14 +509,17 @@ def _plan(p_primes, q_primes, k: int, ell: int, listing: bool) -> str:
         what = "pair search residues" if listing else "residue fold products"
         what += f" over the {ell}-prime moduli: {{}}"
         if listing:
-            ops = moduli * (n + (k - 1) * (math.comb(n + k - 2, k - 1) if n else 0))
-        elif k == 2:  # _count_pairs_by_blocks
-            span = max(p_primes, default=0) - min(p_primes, default=0)
-            gathers = span // min(q_primes, default=1) ** ell + 1
-            ops = max(moduli * n * -(-gathers // 2), span)
+            work["modulus"] = (what, moduli * (n + (k - 1) * (math.comb(n + k - 2, k - 1) if n else 0)))
         else:
-            ops = moduli * _fold_products(n, k, largest)
-        work["modulus"] = (what, ops)
+            plan, ops = "fold", moduli * _fold_products(n, k, largest)
+            if k >= 2 and n**k < 2**63:
+                span = max(p_primes, default=0) - min(p_primes, default=0)
+                gathers = span // min(q_primes, default=1) ** ell + 1
+                blocks = max(moduli * (k - 2 + -(-gathers // 2)) * math.comb(n + k - 2, k - 1), span)
+                # at k = 2 the fold's figure leaves out its sort: the blocks always count
+                if k == 2 or blocks <= ops:
+                    plan, ops = "modulus", blocks
+            work[plan] = (what, ops)
     if k == ell and n and moduli and max(max(p_primes) ** k, largest) < 2**63:
         passes = len(_quotients(p_primes, q_primes, k)) * math.comb(n + k - 1, k) + moduli
         work["quotient"] = (f"quotient passes over the {k}-prime products: {{}}", passes)
@@ -538,15 +598,16 @@ def congruence_solutions(
     (prod m, prod r, r, m) in sorted order when ``listing``.
 
     The one congruence engine under census_over and the pair search.  _plan
-    picks by modulus or by quotient and refuses over FOLD_OP_LIMIT (counting)
-    or PAIR_OP_LIMIT (listing) before any work.  Counting by modulus is
-    _count_pairs_by_blocks at k = 2 and the residue fold of
-    _count_products_congruent_one otherwise.
+    picks by modulus, by residue fold or by quotient and refuses over
+    FOLD_OP_LIMIT (counting) or PAIR_OP_LIMIT (listing) before any work.
+    Counting by modulus is _count_by_blocks; the fold,
+    _count_products_congruent_one per modulus, serves counts past int64 and
+    long tuples whose residue products collapse below the modulus.
     """
     plan = _plan(p_primes, q_primes, k, ell, listing)
     if plan == "modulus" and not listing:
-        if k == 2:
-            return _count_pairs_by_blocks(p_primes, q_primes, ell)
+        return _count_by_blocks(p_primes, q_primes, k, ell)
+    if plan == "fold":
         p = np.asarray(p_primes, dtype=np.int64)
         return sum(
             weight * _count_products_congruent_one(p, k, m, combo)

@@ -54,12 +54,18 @@ def _large_sieve(trials, bound):
 CASES = [
     # (limit's module, limit, lowered value, call, estimate, (engine's module, engine))
     (tc, "MODULUS_LIMIT", 1000, _census(60, 2, 3), 29**3,
-     (tc, "_count_pairs_by_blocks")),
+     (tc, "_count_by_blocks")),
     # k = 2 has no fold: 4 moduli x 7 residues x 1 pass of partner gathers
     # (g = 28 // 17 + 1 = 2), which is no less than the partner table's span 28
     (tc, "FOLD_OP_LIMIT", 27, _census(60, 2, 1), 4 * 7,
-     (tc, "_count_pairs_by_blocks")),
+     (tc, "_count_by_blocks")),
+    # k = 3 runs by blocks: 4 moduli x (1 multiply-mod + 1 pass of gathers) x
+    # C(8, 2) pairs of residues, the fold's 4 x (7 + 7 * 7) products
     (tc, "FOLD_OP_LIMIT", 100, _census(60, 3, 1), 4 * (7 + 7 * 7),
+     (tc, "_count_by_blocks")),
+    # 4^40 passes int64, so the fold counts: 2 moduli x (4 + 4 * 14 products
+    # of up to 2 residues, then 36 folds of 13 x 4) x 2 words per count
+    (tc, "FOLD_OP_LIMIT", 1000, _census(30, 40, 1), 2 * (4 + 4 * 14 + 36 * 13 * 4) * 2,
      (tc, "_count_products_congruent_one")),
     (tc, "DIRECT_OP_LIMIT", 100, lambda: tc.count_direct(CensusParams(60, 3, 2)), 7**3 * 4**2,
      (tc, "itertools")),
@@ -117,7 +123,7 @@ CASES = [
     "module,limit,value,run,estimate,engine",
     CASES,
     ids=[
-        "modulus", "fold-k2", "fold-k3", "direct", "sampled", "representation", "qt",
+        "modulus", "fold-k2", "fold-k3", "fold-past-int64", "direct", "sampled", "representation", "qt",
         "character-modulus", "character-count", "character-work-census", "character-work-family",
         "large-sieve-trials-work", "large-sieve-trials", "quotient", "pair", "pair-quotient",
         "exact-bits", "sieve", "smooth-count",

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from sunitlab.character_lab import enumerate_Qt
 from sunitlab.cli_report import main as cli_main
+import sunitlab.prime_tools as pt
 from sunitlab.errors import CapacityError, ValidationError
 from sunitlab.prime_tools import (
     DEFAULT_SIEVE_LIMIT,
@@ -162,6 +164,44 @@ def test_factorize_beyond_trial_bound():
     p, q = 1_000_000_007, 1_000_000_009
     assert factorize(p * q) == {p: 1, q: 1}
     assert factorize(p * p) == {p: 2}
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        {9999973: 1, 9999991: 2, 1_000_000_007: 1},  # primes just under the bound, one squared
+        {2: 5, 3: 1, 9999991: 1, 10000019: 1},  # a prime just over it
+        {10000019: 2},  # just past the bound squared: nothing to divide out
+        {9999991: 3},
+        {7: 2, 9999901: 1, 1_000_000_007: 1, 1_000_000_009: 1},
+        {7: 30},  # the wheel finds it all before the bound's square root
+        {7: 20, 3163: 1, 10000019: 1},  # under the bound squared once the wheel takes 7^20
+    ],
+)
+def test_factorize_past_the_square_of_the_trial_bound(factors):
+    n = math.prod(p**e for p, e in factors.items())
+    assert n > pt.TRIAL_DIVISION_BOUND**2
+    assert factorize(n) == factors
+
+
+@pytest.mark.parametrize(
+    "n",
+    [2**32, 2**64 - 1, 3**200, 10**40 + 1, 9999991 * 2**96 * 3**5, (2**31 - 1) * 9999991 * 5**30],
+    ids=["2^32", "2^64-1", "3^200", "10^40+1", "zero-limbs", "large-prime-factors"],
+)
+def test_trial_divisors_match_python_remainders(n):
+    # Horner's rule over 32-bit limbs, with limbs of all ones and of zeros
+    primes = pt._trial_primes().tolist()
+    assert pt._trial_divisors(n) == [p for p in primes if n % p == 0]
+
+
+def test_construct_past_the_trial_bound_still_refuses_the_cofactor(capsys):
+    # u0 has 316 bits; with every prime up to 10^7 divided out, is_prime
+    # refuses the 196-bit cofactor that is left
+    assert cli_main(["construct", "--y", "5", "--k", "200", "--ell", "1"]) == 3
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["code"] == "capacity"
+    assert "beyond the deterministic primality range" in error["message"]
 
 
 def test_factorize_rejects_nonpositive():

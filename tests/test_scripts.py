@@ -34,3 +34,10 @@ def test_census_trend_runs():
     proc = run_script("census_trend.py", "--steps", "2")
     assert proc.returncode == 0, proc.stderr
     assert len(proc.stdout.splitlines()) == 4  # title, header, one row per step
+
+
+def test_census_trend_runs_by_blocks_past_k2():
+    # y = 100 and 200 at k = 3, ell = 2: the census by blocks of moduli
+    proc = run_script("census_trend.py", "--k", "3", "--ell", "2", "--steps", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 4

@@ -331,7 +331,7 @@ def test_modulus_limit_refused_before_any_fold(monkeypatch):
         raise AssertionError("a residue fold ran before the refusal")
 
     monkeypatch.setattr(tc, "_count_products_congruent_one", no_folds)
-    monkeypatch.setattr(tc, "_count_pairs_by_blocks", no_folds)  # k = 2 runs here
+    monkeypatch.setattr(tc, "_count_by_blocks", no_folds)  # k = 2 runs here
     st = interval_stats(3000)
     with pytest.raises(CapacityError, match=str(1499**3)):
         census_over(st.product_primes, st.modulus_primes, 2, 3)
@@ -377,7 +377,7 @@ def test_k2_blocks_match_reference_fold(y, ell, block, monkeypatch):
         w * _reference_fold(st.product_primes, 2, m)
         for m, _c, w in _modulus_multisets(st.modulus_primes, ell)
     )
-    assert tc._count_pairs_by_blocks(st.product_primes, st.modulus_primes, ell) == want
+    assert tc._count_by_blocks(st.product_primes, st.modulus_primes, 2, ell) == want
 
 
 def test_k2_blocks_gather_every_partner_over_a_wide_span(monkeypatch):
@@ -396,6 +396,84 @@ def test_k2_blocks_gather_every_partner_over_a_wide_span(monkeypatch):
         census_over(p_primes, q_primes, 2, 1)
 
 
+# ------------------------------------------------------------ k >= 3 by blocks
+
+
+def _brute_census(p_primes, q_primes, k, ell):
+    """Every ordered tuple of list entries, a repeated prime once per entry."""
+    return sum(
+        1 for qs in itertools.product(q_primes, repeat=ell)
+        for ps in itertools.product(p_primes, repeat=k) if math.prod(ps) % math.prod(qs) == 1
+    )
+
+
+@pytest.mark.parametrize("y", [12, 30, 60, 150, 300])
+@pytest.mark.parametrize("ell", [1, 2, 3])
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_blocks_match_reference_fold_past_k2(y, k, ell, monkeypatch):
+    # at most 3 modulus primes, spread evenly, and 1 where the reference folds
+    # reach about 10^5 residues per modulus (k + ell >= 8 at y >= 150)
+    st = interval_stats(y)
+    q_primes = st.modulus_primes[:: -(-len(st.modulus_primes) // (1 if k + ell >= 8 else 3))]
+    want = sum(
+        w * _reference_fold(st.product_primes, k, m)
+        for m, _c, w in _modulus_multisets(q_primes, ell)
+    )
+    # 2^15: one slice of multisets; 20 and 1: slices by first index, with
+    # blocks of a few moduli or of one
+    for block in (1 << 15, 20, 1):
+        monkeypatch.setattr(tc, "_BLOCK_ELEMENTS", block)
+        assert tc._count_by_blocks(st.product_primes, q_primes, k, ell) == want, block
+
+
+def test_blocks_slice_the_multisets_by_first_index(monkeypatch):
+    # y = 60, k = 3: C(8, 2) = 28 pairs of the 7 residues, at most 7 per first
+    # index, so a block of 20 takes them 2 first indices at a time, once for
+    # each of the 5 groups of 20 // 7 = 2 moduli among the C(5, 2) = 10
+    slices = []
+    rows = tc._multiset_rows
+    monkeypatch.setattr(tc, "_multiset_rows", lambda n, t, lo, hi: slices.append((lo, hi)) or rows(n, t, lo, hi))
+    monkeypatch.setattr(tc, "_BLOCK_ELEMENTS", 20)
+    st = interval_stats(60)
+    want = sum(
+        w * _reference_fold(st.product_primes, 3, m)
+        for m, _c, w in _modulus_multisets(st.modulus_primes, 2)
+    )
+    assert tc._count_by_blocks(st.product_primes, st.modulus_primes, 3, 2) == want
+    assert slices == [(0, 2), (2, 4), (4, 6), (6, 7)] * 5
+
+
+@pytest.mark.parametrize(
+    "p_primes,q_primes,k,ell",
+    [
+        ((3, 7, 13), (3, 5), 3, 2),  # 3 drops out of the moduli 9 and 15 only
+        ((11, 13, 17), (11,), 3, 1),
+        ((7, 7, 13), (5,), 3, 1),  # a repeated prime counts once per entry
+        ((3, 3, 7, 13, 13), (3, 5), 4, 2),  # repeated, and shared with a modulus
+        ((7, 13, 19), (3, 5), 5, 3),
+    ],
+)
+def test_blocks_and_fold_count_explicit_lists_as_brute_force(p_primes, q_primes, k, ell, monkeypatch):
+    want = _brute_census(p_primes, q_primes, k, ell)
+    for block in (1 << 15, 1):
+        monkeypatch.setattr(tc, "_BLOCK_ELEMENTS", block)
+        assert tc._count_by_blocks(p_primes, q_primes, k, ell) == want, block
+    for plan in ("modulus", "fold"):
+        _run_plan(monkeypatch, plan)
+        assert census_over(p_primes, q_primes, k, ell) == want, plan
+
+
+def test_fold_counts_past_int64_where_the_blocks_estimate_less():
+    # 95003 divides 3^41 * 5^42 - 1, so the tuples of 41 threes and 42 fives,
+    # C(83, 41) > 2^63 of them, all count; the blocks' estimate, 82 x 83, is
+    # half the fold's (its counts take 2 words), but int64 would wrap
+    q = 95003
+    want = sum(math.comb(83, a) for a in range(84) if pow(3, a, q) * pow(5, 83 - a, q) % q == 1)
+    assert want == math.comb(83, 41) > 2**63
+    assert tc._plan((3, 5), (q,), 83, 1, False) == "fold"
+    assert census_over((3, 5), (q,), 83, 1) == want
+
+
 # ------------------------------------------------------------ congruence engine
 
 
@@ -406,6 +484,11 @@ def _run_plan(monkeypatch, plan):
 
 def _plans(k, ell):
     return ("modulus", "quotient") if k == ell else ("modulus",)
+
+
+def _count_plans(k, ell):
+    """Every plan that can count a (k, ell) cell: the blocks need k >= 2."""
+    return ("fold",) + ("modulus",) * (k >= 2) + ("quotient",) * (k == ell)
 
 
 LIST_GRID = [
@@ -451,7 +534,7 @@ def test_quotient_count_matches_reference_fold(y, k):
 @pytest.mark.parametrize("y,k,ell", [(20, 1, 1), (30, 2, 1), (30, 2, 2), (40, 2, 2), (40, 3, 1)])
 def test_count_plans_match_count_direct(y, k, ell, monkeypatch):
     want = count_direct(CensusParams(y, k, ell)).count
-    for plan in _plans(k, ell):
+    for plan in _count_plans(k, ell):
         _run_plan(monkeypatch, plan)
         assert count_exact(CensusParams(y, k, ell)).count == want, plan
 
@@ -460,10 +543,10 @@ def test_count_plans_match_count_direct(y, k, ell, monkeypatch):
 def test_quotient_plan_matches_the_fold(y, k, monkeypatch):
     st = interval_stats(y)
     counts = {}
-    for plan in ("modulus", "quotient"):
+    for plan in ("modulus", "fold", "quotient"):
         _run_plan(monkeypatch, plan)
         counts[plan] = census_over(st.product_primes, st.modulus_primes, k, k)
-    assert counts["quotient"] == counts["modulus"]
+    assert counts["quotient"] == counts["modulus"] == counts["fold"]
     if y == 3000:
         assert counts["quotient"] == 330
 
@@ -472,7 +555,10 @@ def test_quotient_plan_matches_the_fold(y, k, monkeypatch):
     "y,k,ell,listing,plan",
     [
         (1e5, 2, 1, False, "modulus"),  # census-1e5
-        (1000, 3, 2, False, "modulus"),  # census-1000-k3l2
+        (1000, 3, 2, False, "modulus"),  # census-1000-k3l2, by blocks
+        (1000, 4, 2, False, "modulus"),
+        (30, 40, 1, False, "fold"),  # 4^40 passes int64
+        (12, 40, 1, False, "fold"),  # residue products collapse below m = 5
         (1e4, 2, 2, False, "quotient"),
         (6000, 2, 1, True, "modulus"),  # construct-6000
         (1000, 2, 2, True, "quotient"),
