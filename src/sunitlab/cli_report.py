@@ -1,6 +1,7 @@
 """Command-line front end: argument parsing, run reports, artifact files.
 
-Report contract: a JSON object {config, version, results, timing} on stdout.
+Report contract: a JSON object {config, version, results, timing}, printed
+on one line of compact JSON on stdout.
 The results block is deterministic for a fixed config (sorted keys, integers
 as decimal strings, rationals as {num, den} string pairs); timing sits in its
 own block outside the determinism contract.  A float copy of an exact value
@@ -16,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import decimal
 import io
 import json
 import math
@@ -24,24 +24,14 @@ import os
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from . import __version__
-from .character_lab import (
-    census_via_characters,
-    enumerate_Qt,
-    large_sieve_check,
-    moment_check,
-    nonprincipal_contribution,
-    phi_slack,
-    random_sieve_instances,
-    tail_shape,
-)
-from .constructor import lower_bound_estimate, plan_parameters, run_construction
-from .errors import SUnitError, ValidationError, VerificationError, finite_float
-from .prime_tools import interval_stats
-from .smooth_verifier import enumerate_smooth_pairs, verify_solution
-from .tuple_census import CensusParams, count_direct, count_exact, count_sampled
+from .errors import SUnitError, ValidationError, VerificationError, digits, finite_float
+
+# Each command handler imports the engines it runs, so a process loads only
+# the modules of its command (and --version or a usage error loads none).
 
 PAIR_LIST_THRESHOLD = 50
 QT_LIST_THRESHOLD = 200
@@ -53,27 +43,51 @@ QT_LIST_THRESHOLD = 200
 def encode(obj):
     """Render a result object as JSON-safe data with lossless integers.
 
-    bool must be tested before int (bool is an int subclass); all true
-    integers become decimal strings and Fractions become string pairs, so no
-    consumer ever sees a rounded big integer.  Digits go through Decimal,
-    which the interpreter's int-to-str digit limit does not bind: lambda's
-    denominator passes that limit near y = 40,000.
+    Every integer becomes its decimal string, written by errors.digits (no
+    int-to-str digit limit; subquadratic in the digits), and a Fraction a
+    {num, den} pair of them, so no consumer ever sees a rounded big integer.
+    Dataclasses become dicts of their fields, dict keys strings, lists and
+    tuples lists.  The exact types int, dict, list and tuple are tested
+    first, and an int inside a dict, list or dataclass is written in place;
+    the rest keep the order bool (an int subclass), float, str, int
+    subclass, Fraction, complex, dataclass, dict, list.  Anything else is a
+    TypeError.
     """
+    kind = type(obj)
+    if kind is int:
+        return digits(obj)
+    if kind is dict:
+        return {
+            digits(k) if type(k) is int else str(k): digits(v) if type(v) is int else encode(v)
+            for k, v in obj.items()
+        }
+    if kind is list or kind is tuple:
+        return [digits(x) if type(x) is int else encode(x) for x in obj]
     if obj is None or isinstance(obj, (bool, float, str)):
         return obj
     if isinstance(obj, int):
-        return str(decimal.Decimal(obj))
+        return digits(obj)
     if isinstance(obj, Fraction):
-        return {"num": encode(obj.numerator), "den": encode(obj.denominator)}
+        return {"num": digits(obj.numerator), "den": digits(obj.denominator)}
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    if dataclasses.is_dataclass(obj):
-        return {f.name: encode(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if hasattr(kind, "__dataclass_fields__"):
+        return {
+            name: digits(v) if type(v := getattr(obj, name)) is int else encode(v)
+            for name in _field_names(kind)
+        }
     if isinstance(obj, dict):
-        return {str(k): encode(v) for k, v in obj.items()}
+        return encode(dict(obj))
     if isinstance(obj, (list, tuple)):
-        return [encode(x) for x in obj]
+        return encode(list(obj))
     raise TypeError(f"cannot encode {type(obj).__name__} into a report")
+
+
+@lru_cache(maxsize=None)
+def _field_names(cls) -> tuple[str, ...]:
+    """A dataclass's field names, read once per class from its
+    __dataclass_fields__ (dataclasses.fields drops ClassVar and InitVar)."""
+    return tuple(f.name for f in dataclasses.fields(cls))
 
 
 def solutions_csv(solutions) -> str:
@@ -99,6 +113,9 @@ def _fact_str(factors: dict[int, int]) -> str:
 # is a list of (path, text) files to write
 
 def run_census(args):
+    from .prime_tools import interval_stats
+    from .tuple_census import CensusParams, count_direct, count_exact, count_sampled
+
     params = CensusParams(args.y, args.k, args.ell, enforce_range=args.enforce_range)
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
     known = {"exact", "direct", "characters", "sampled"}
@@ -113,6 +130,8 @@ def run_census(args):
         elif method == "direct":
             records.append(count_direct(params))
         elif method == "characters":
+            from .character_lab import census_via_characters
+
             records.append(census_via_characters(params))
         else:
             if args.samples is None or args.seed is None:
@@ -140,6 +159,9 @@ def run_census(args):
 
 
 def run_construct(args):
+    from .constructor import lower_bound_estimate, run_construction
+    from .smooth_verifier import enumerate_smooth_pairs
+
     plan_args = {n: getattr(args, n) for n in ("alpha", "beta") if getattr(args, n) is not None}
     run = run_construction(args.y, args.k, args.ell, enforce_range=args.enforce_range, **plan_args)
     k, ell, plan, pairs = run.k, run.ell, run.plan, run.pairs
@@ -242,6 +264,8 @@ def _parse_s_primes(args) -> tuple[int, ...]:
 
 
 def run_verify(args):
+    from .smooth_verifier import enumerate_smooth_pairs, verify_solution
+
     primes = _parse_s_primes(args)
     pairs = enumerate_smooth_pairs(primes, args.limit)
     results = {
@@ -263,6 +287,8 @@ def run_verify(args):
 
 
 def _diag_large_sieve(args, warnings):
+    from .character_lab import large_sieve_check, random_sieve_instances
+
     if args.seed is None:
         raise ValidationError("large-sieve diagnostics draw random instances; --seed is required")
     for flag in ("trials", "q", "Q"):
@@ -292,6 +318,8 @@ def _diag_large_sieve(args, warnings):
 
 
 def _diag_moments(args, warnings):
+    from .character_lab import moment_check
+
     t = args.t if args.t is not None else 1
     return {
         which: encode(moment_check(t, args.y, which))
@@ -301,6 +329,10 @@ def _diag_moments(args, warnings):
 
 
 def _diag_tails(args, warnings):
+    from .character_lab import tail_shape
+    from .constructor import plan_parameters
+    from .tuple_census import CensusParams
+
     if args.k is not None and args.ell is not None:
         k, ell = args.k, args.ell
     else:
@@ -315,6 +347,8 @@ def _diag_tails(args, warnings):
 
 
 def _diag_qt(args, warnings):
+    from .character_lab import enumerate_Qt
+
     t = args.t if args.t is not None else 1
     cls = enumerate_Qt(t, args.y)
     record = {
@@ -332,6 +366,9 @@ def _diag_qt(args, warnings):
 
 
 def _diag_decomposition(args, warnings):
+    from .character_lab import nonprincipal_contribution, phi_slack
+    from .tuple_census import CensusParams
+
     k = args.k if args.k is not None else 2
     ell = args.ell if args.ell is not None else 1
     params = CensusParams(args.y, k, ell)
@@ -345,6 +382,8 @@ def _diag_decomposition(args, warnings):
 
 
 def run_diagnose(args):
+    from .prime_tools import interval_stats
+
     topic = args.topic
     warnings: list[str] = []
     results: dict = {"warnings": warnings}
@@ -467,13 +506,6 @@ _DISPATCH = {
 }
 
 
-def _config_echo(args) -> dict:
-    return {
-        k: (encode(v) if isinstance(v, (Fraction, int)) or v is None else v)
-        for k, v in sorted(vars(args).items())
-    }
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -490,12 +522,12 @@ def main(argv=None) -> int:
     elapsed = time.perf_counter() - start
 
     report = {
-        "config": _config_echo(args),
+        "config": encode(vars(args)),
         "version": __version__,
         "results": results,
         "timing": {"seconds": round(elapsed, 6)},
     }
-    text = json.dumps(report, sort_keys=True, indent=2)
+    text = json.dumps(report, sort_keys=True)  # one line, by json's C encoder
     try:
         _print_report(text)
         if args.out and fmt == "json":

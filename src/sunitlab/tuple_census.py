@@ -217,7 +217,8 @@ def _census_result(params: CensusParams, method: str, count, empty=(0, None)) ->
     ``count()`` returns (count, std_error) and runs only when the modulus
     range holds primes; otherwise the record carries ``empty`` instead.
     Exact values past EXACT_BITS_LIMIT bits are refused before ``count()``
-    and before lambda is built: writing them out is quadratic in their digits.
+    and before lambda is built: the Fraction gcds that build them are
+    quadratic in their bits (writing them out is not, see errors.digits).
     """
     st = interval_stats(params.y)
     what = "exact values of the census record: up to {} bits"

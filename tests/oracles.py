@@ -6,9 +6,12 @@ shares code with the package under test, so agreement is evidence rather
 than tautology.  Keep these slow and obvious.  The one exception is the
 character oracle: it reads a character table's generator orders and
 discrete logs (``orders``, ``dlog``), but not its transform (``sums``) or
-its primitive mask, which it checks.
+its primitive mask, which it checks.  ``oracle_encode`` is the report
+encoder as first written: one isinstance chain, digits through Decimal.
 """
 
+import dataclasses
+import decimal
 import random
 from collections import Counter
 from fractions import Fraction
@@ -267,3 +270,23 @@ def oracle_conductors(table):
         trivial = (t[:, units[units % d == 1 % d]] == 0).all(axis=1)
         conductors[trivial] = d
     return conductors
+
+
+def oracle_encode(obj):
+    """JSON-safe data with lossless integers: decimal strings, Fractions as
+    {num, den}, complex as {re, im}, dataclasses as dicts of their fields."""
+    if obj is None or isinstance(obj, (bool, float, str)):
+        return obj
+    if isinstance(obj, int):
+        return str(decimal.Decimal(obj))
+    if isinstance(obj, Fraction):
+        return {"num": oracle_encode(obj.numerator), "den": oracle_encode(obj.denominator)}
+    if isinstance(obj, complex):
+        return {"re": obj.real, "im": obj.imag}
+    if dataclasses.is_dataclass(obj):
+        return {f.name: oracle_encode(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): oracle_encode(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [oracle_encode(x) for x in obj]
+    raise TypeError(f"cannot encode {type(obj).__name__} into a report")

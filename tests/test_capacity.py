@@ -96,9 +96,9 @@ CASES = [
      (cl, "character_table")),
     # 10 trials x 210 points each pass the cap; each trial alone does not
     (cl, "CHARACTER_WORK_LIMIT", 1000, _large_sieve(10, 20), 10 * 210,
-     (cli, "large_sieve_check")),
+     (cl, "large_sieve_check")),
     (cl, "SIEVE_TRIALS_LIMIT", 5, _large_sieve(6, 2), 6,
-     (cli, "large_sieve_check")),
+     (cl, "large_sieve_check")),
     (tc, "FOLD_OP_LIMIT", 1000, _census(1000, 2, 2), QUOTIENT_1000,
      (tc, "_matches_by_quotient")),
     # 4 moduli x (7 residues + 7 one-prime prefixes)

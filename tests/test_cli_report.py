@@ -1,7 +1,9 @@
 import argparse
+import dataclasses
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -18,10 +20,12 @@ from hypothesis import given, settings, strategies as st
 import sunitlab
 import sunitlab.constructor as constructor
 from sunitlab.cli_report import build_parser, encode, main, solutions_csv
-from sunitlab.errors import VerificationError
+from sunitlab.errors import CapacityError, VerificationError, check_capacity, digits
 from sunitlab.prime_tools import interval_stats, is_prime
 from sunitlab.smooth_verifier import SmoothPair
 from sunitlab.tuple_census import census_over
+
+from oracles import oracle_encode, oracle_recip_sum
 
 
 def run_cli(argv, capsys):
@@ -56,6 +60,94 @@ def test_encode_scalars():
     assert encode({11: 2}) == {"11": "2"}
     with pytest.raises(TypeError):
         encode(object())
+
+
+@dataclasses.dataclass(frozen=True)
+class _Record:
+    value: object
+    extra: object = None
+
+
+class _Wide(int):
+    """An int subclass: written as its digits, after the exact-type tests."""
+
+
+def _big_int(bits, seed, sign):
+    return sign * random.Random(seed).getrandbits(bits)
+
+
+# 0, small ints, and ints of up to 10^5 bits, many of them near the ~2,000-bit
+# leaf of digits() and its first splits
+_BITS = st.one_of(
+    st.integers(0, 100_000),
+    st.sampled_from([1, 63, 64, 2047, 2048, 2049, 4095, 4096, 4097, 8193]),
+)
+_INTS = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.builds(_big_int, _BITS, st.integers(0, 2**32), st.sampled_from([1, -1])),
+)
+_LEAVES = st.one_of(
+    _INTS,
+    st.booleans(),
+    st.floats(),
+    st.none(),
+    st.text(max_size=5),
+    st.builds(Fraction, st.integers(-(2**300), 2**300), st.integers(1, 2**3000)),
+    st.complex_numbers(),
+    st.builds(_Wide, st.integers(-(2**3000), 2**3000)),
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=3), st.integers(-(10**6), 10**6)), children, max_size=4),
+        st.builds(_Record, children, children),
+    ),
+    max_leaves=12,
+)
+
+
+@given(_VALUES)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_encode_matches_its_oracle(value):
+    # compared as JSON text: a nan is written the same way by both
+    assert json.dumps(encode(value)) == json.dumps(oracle_encode(value))
+
+
+@given(_INTS)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_digits_match_decimal_and_str(n):
+    assert digits(n) == str(Decimal(n))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert digits(n) == str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_digits_ignore_the_int_digit_limit():
+    n = -random.Random(7).getrandbits(100_000)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # the least limit the interpreter allows
+    try:
+        with pytest.raises(ValueError):
+            str(n)
+        text = digits(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert Decimal(text) == n and len(text) == 30_104
+
+
+def test_capacity_message_of_a_30000_digit_estimate_is_unchanged():
+    estimate = 7 * 10**29_999 + 123_456_789
+    what = "multisets of t = 5000 primes: {}"
+    with pytest.raises(CapacityError) as exc:
+        check_capacity(what, estimate, 10**6)
+    # as written before digits(): the estimate formatted through Decimal
+    assert str(exc.value) == f"{what.format(Decimal(estimate))}, over the cap {10**6}"
+    assert len(str(exc.value)) == len(what) - 2 + 30_000 + len(", over the cap 1000000")
 
 
 def test_solutions_csv_format():
@@ -507,11 +599,65 @@ def test_readme_flag_table_lists_each_commands_flags():
             assert sorted(cell) == sorted(names), name
 
 
+def _run_python(args, extra_env=(), **kwargs):
+    env = dict(os.environ, PYTHONPATH=str(Path(sunitlab.__file__).parents[1]), **dict(extra_env))
+    return subprocess.run([sys.executable, *args], text=True, env=env, timeout=30, **kwargs)
+
+
 def _run_module(argv, **kwargs):
-    env = dict(os.environ, PYTHONPATH=str(Path(sunitlab.__file__).parents[1]))
-    return subprocess.run(
-        [sys.executable, "-m", "sunitlab", *argv], text=True, env=env, timeout=30, **kwargs
+    return _run_python(["-m", "sunitlab", *argv], **kwargs)
+
+
+def test_census_report_under_the_least_int_digit_limit(tmp_path):
+    # lambda's denominator at y = 1e4 has about 1,000 digits, past the least
+    # int-to-str limit of 640 that PYTHONINTMAXSTRDIGITS accepts
+    out = tmp_path / "run.json"
+    proc = _run_module(
+        ["census", "--y", "1e4", "--k", "2", "--ell", "1", "--out", str(out)],
+        capture_output=True, extra_env={"PYTHONINTMAXSTRDIGITS": "640"},
     )
+    assert proc.returncode == 0, proc.stderr
+    (line,) = proc.stdout.splitlines()
+    report = json.loads(line)
+    assert out.read_text() == line + "\n"
+    recip_sum = report["results"]["interval"]["recip_sum"]
+    want = oracle_recip_sum(1e4)
+    assert len(recip_sum["den"]) > 640
+    assert Fraction(int(recip_sum["num"]), int(recip_sum["den"])) == want
+    assert recip_sum["den"] == str(want.denominator)
+
+
+# each command loads only its own engines; --version loads none, nor numpy
+_PROBE = (
+    "import json, runpy, sys\n"
+    "sys.argv = ['sunitlab', *sys.argv[1:]]\n"
+    "try:\n"
+    "    runpy.run_module('sunitlab', run_name='__main__')\n"
+    "except SystemExit:\n"
+    "    pass\n"
+    "print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv,loaded,not_loaded",
+    [
+        (["--version"], {"sunitlab.cli_report"},
+         {"sunitlab.tuple_census", "sunitlab.character_lab", "sunitlab.constructor",
+          "sunitlab.smooth_verifier", "numpy"}),
+        (CENSUS_30, {"sunitlab.tuple_census"},
+         {"sunitlab.character_lab", "sunitlab.constructor", "sunitlab.smooth_verifier"}),
+        (["verify", "--s-primes", "2,3", "--limit", "100"], {"sunitlab.smooth_verifier"},
+         {"sunitlab.tuple_census", "sunitlab.character_lab", "sunitlab.constructor"}),
+    ],
+    ids=["version", "census-exact", "verify"],
+)
+def test_a_command_imports_only_its_modules(argv, loaded, not_loaded):
+    proc = _run_python(["-c", _PROBE, *argv], capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    modules = set(json.loads(proc.stderr.splitlines()[-1]))
+    assert loaded <= modules
+    assert not modules & not_loaded
 
 
 def test_closed_stdout_exits_1_with_one_io_line():
