@@ -330,12 +330,13 @@ def _diag_moments(args, warnings):
 
 def _diag_tails(args, warnings):
     from .character_lab import tail_shape
-    from .constructor import plan_parameters
     from .tuple_census import CensusParams
 
     if args.k is not None and args.ell is not None:
         k, ell = args.k, args.ell
     else:
+        from .constructor import plan_parameters
+
         plan = plan_parameters(args.y, k=args.k, ell=args.ell)
         k, ell = plan.k, plan.ell
         warnings.append(f"tail shapes defaulted to planned k={k}, ell={ell}")

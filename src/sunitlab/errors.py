@@ -10,9 +10,9 @@ import decimal
 import math
 from functools import lru_cache
 
-# digits() converts up to this many bits in one step, by libmpdec's quadratic
-# conversion from binary; leaves of 512 to 8,192 bits timed alike on a
-# 720,145-bit integer
+# digits() converts up to this many bits in one step: a whole integer by
+# int.__repr__, a piece of a longer one by libmpdec's quadratic conversion from
+# binary; leaves of 512 to 8,192 bits timed alike on a 720,145-bit integer
 _DIGITS_LEAF_BITS = 2048
 
 
@@ -40,16 +40,18 @@ class CapacityError(SUnitError):
 def digits(n: int) -> str:
     """The decimal digits of n, as str(n) writes them, in subquadratic time.
 
-    Never calls str(int), so the interpreter's int-to-str digit limit does not
-    bind.  Up to _DIGITS_LEAF_BITS bits this is str(Decimal(n)); past that, n
-    is split at 2^(w/2) for its bit length w, both halves are converted, and
-    they are recombined as hi * 2^(w/2) + lo in exact Decimal arithmetic,
-    whose multiplication is subquadratic (divide and conquer, as in Brent and
-    Zimmermann, Modern Computer Arithmetic, section 1.7).
+    The interpreter's int-to-str digit limit does not bind.  Up to
+    _DIGITS_LEAF_BITS bits this is int.__repr__(n), which writes the digits
+    of an int subclass too: at most 617 digits, under 640, the least limit the
+    interpreter accepts.  Past that, n is split at 2^(w/2) for its bit length
+    w, both halves are converted, and they are recombined as
+    hi * 2^(w/2) + lo in exact Decimal arithmetic, whose multiplication is
+    subquadratic (divide and conquer, as in Brent and Zimmermann, Modern
+    Computer Arithmetic, section 1.7).
     """
     w = n.bit_length()
     if w <= _DIGITS_LEAF_BITS:
-        return str(decimal.Decimal(n))
+        return int.__repr__(n)
     with decimal.localcontext() as ctx:
         ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
         return ("-" if n < 0 else "") + str(_exact_decimal(abs(n), w))

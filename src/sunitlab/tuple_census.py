@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ValidationError, check_capacity, check_power_capacity, finite_float
-from .prime_tools import PrimeStats, _phi_of_multiset, interval_stats
+from .prime_tools import PrimeStats, interval_stats
 
 MODULUS_LIMIT = 2**31
 DIRECT_OP_LIMIT = 50_000_000
@@ -243,20 +243,6 @@ def _merge(values: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return values[starts], np.add.reduceat(counts, starts)
 
 
-def _euler_inverses(units: np.ndarray, m: int, phi: int) -> np.ndarray:
-    """u^(phi(m)-1) mod m, the inverse of each unit u, by square-and-multiply."""
-    result = np.full_like(units, 1 % m)
-    power = units.copy()
-    e = phi - 1
-    while e:
-        if e & 1:
-            np.remainder(np.multiply(result, power, out=result), m, out=result)
-        e >>= 1
-        if e:
-            np.remainder(np.multiply(power, power, out=power), m, out=power)
-    return result
-
-
 def _tree_inverses(r: np.ndarray, m: np.ndarray) -> np.ndarray:
     """The inverse of every unit r[j, i] mod m[j, 0], by a product tree per row.
 
@@ -291,14 +277,14 @@ def _tree_inverses(r: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def _multiset_slices(n: int, t: int):
-    """Yield the t-multisets of n columns (t >= 1) in slices by first index of
-    about _BLOCK_ELEMENTS multisets, as (columns, weights): each index column,
+    """Yield the t-multisets of n columns in slices by first index of about
+    _BLOCK_ELEMENTS multisets, as (columns, weights): each index column,
     contiguous, and each multiset's weight w, the ordered t-tuples of columns
     it stands for.  At t = 1 the multisets are the columns in order, each of
-    weight 1: one slice, (None, None).
+    weight 1: one slice, (None, None).  At t = 0 the one empty multiset.
     """
-    if t == 1:
-        yield None, None
+    if t <= 1:
+        yield (None, None) if t else (np.zeros((0, 1), dtype=np.int64), np.ones(1, dtype=np.int64))
         return
     step = max(1, _BLOCK_ELEMENTS // math.comb(n + t - 2, t - 1))
     for first in range(0, n, step):
@@ -319,37 +305,44 @@ def _gather(a: np.ndarray, columns, c: int) -> np.ndarray:
     return a if columns is None else np.take(a, columns[c], axis=1)
 
 
-def _count_by_blocks(p_primes, q_primes, k: int, ell: int) -> int:
+def _count_by_blocks(p_primes, q_primes, k: int, ell: int, listing: bool = False):
     """Ordered k-tuples of p_primes with product == 1 (mod m), summed over the
-    ell-multisets m of q_primes with weight w(m): the census by modulus, k >= 2.
+    ell-multisets m of q_primes with weight w(m): the census by modulus.  With
+    ``listing``, the list of (r, m) multisets themselves instead, r as entries
+    of p_primes in index order.
 
     A tuple is a (k-1)-multiset of P's columns, counted w times for the
     ordered (k-1)-tuples it stands for, and a last factor.  The moduli come in
     groups of _BLOCK_ELEMENTS // |P| (at least 1), one row per modulus, with
     the residues p mod m and their inverses by _tree_inverses.  The multisets
     come in slices of about _BLOCK_ELEMENTS (_multiset_slices; at k = 2 the
-    columns themselves), and a group in blocks of _BLOCK_ELEMENTS // (slice)
-    moduli.  Per block and slice: the product s of the inverses along each
-    multiset (k - 2 multiply-mods), and the partners of s read off a table of
-    P over [min P, max P]: a partner is c0 + j*m, with
-    c0 = min P + ((s - min P) mod m), so (max P - min P) // min m + 1 gathers
-    find them all.  w comes from the index rows, so a prime listed twice
-    counts twice.  A p in m's multiset is the only kind sharing a prime with
-    m (P holds primes): it is set to 1 in the tree and every multiset holding
-    it is left out of the count; it is no partner, since its residue is not a
-    unit.  Exact while |P|^k < 2^63.
+    columns themselves, at k = 1 the empty multiset), and a group in blocks of
+    _BLOCK_ELEMENTS // (slice) moduli.  Per block and slice: the product s of
+    the inverses along each multiset (k - 2 multiply-mods), and the partners
+    of s read off a table of P over [min P, max P]: a partner is c0 + j*m,
+    with c0 = min P + ((s - min P) mod m), so (max P - min P) // min m + 1
+    gathers find them all.  A count weighs each hit by w, from the index
+    rows, so a prime listed twice counts twice; a listing maps each hit back
+    to its multiset and keeps the entries of P equal to the partner whose
+    index is at least the multiset's last.  A p in m's multiset is the only
+    kind sharing a prime with m (P holds primes): it is set to 1 in the tree
+    and every multiset holding it is sent past max P, where it finds no
+    partner; it is no partner, since its residue is not a unit.  Counts are
+    exact while |P|^k < 2^63.
     """
     if not p_primes:
-        return 0
+        return [] if listing else 0
     p = np.asarray(p_primes, dtype=np.int64)
     n, t = len(p), k - 1
     lo, span = int(p.min()), int(p.max()) - int(p.min())
     # ends in a zero, where np.take's clip sends every index past max P; int32
     # holds any count of P, and halves the table the gathers hit at random
     table = np.bincount(p - lo, minlength=span + 2).astype(np.int32)
+    # P's indices by value, and where each value's run of them starts
+    by_value, first = np.argsort(p, kind="stable"), np.cumsum(table) - table
     columns_of = {v: np.flatnonzero(p == v).tolist() for v in set(p_primes) & set(q_primes)}
     multisets = _modulus_multisets(tuple(q_primes), ell)
-    total = 0
+    total, pairs = 0, []
     while group := list(itertools.islice(multisets, max(1, _BLOCK_ELEMENTS // n))):
         moduli = np.array([[mod] for mod, _combo, _w in group], dtype=np.int64)
         masked = tuple(zip(*(
@@ -367,23 +360,35 @@ def _count_by_blocks(p_primes, q_primes, k: int, ell: int) -> int:
             height = max(1, _BLOCK_ELEMENTS // (n if weights is None else len(weights)))
             for b in range(0, len(group), height):
                 block, m = slice(b, b + height), moduli[b : b + height]
-                offsets = _gather(inverses[block], columns, 0)
+                offsets = _gather(inverses[block], columns, 0) if t else np.ones_like(m)
                 for c in range(1, t):
                     offsets *= _gather(inverses[block], columns, c)
                     if c < t - 1:  # the last product is reduced with the shift below
                         offsets %= m
                 offsets -= lo
                 offsets %= m
-                hits = np.take(table, offsets, mode="clip")
-                for _ in range(span // int(m.min())):
-                    offsets += m
-                    hits += np.take(table, offsets, mode="clip")
                 if masked:
                     for c in range(t):
-                        hits[_gather(shares[block], columns, c)] = 0
-                counts[block] += hits.sum(axis=1) if weights is None else hits @ weights
+                        offsets[_gather(shares[block], columns, c)] = span + 1
+                for shift in range(span // int(m.min()) + 1):
+                    if shift:
+                        offsets += m
+                    hits = np.take(table, offsets, mode="clip")
+                    if not listing:
+                        counts[block] += hits.sum(axis=1) if weights is None else hits @ weights
+                        continue
+                    row, col = np.nonzero(hits)
+                    runs = hits[row, col]
+                    # a hit at offset o stands for the P indices by_value[first[o]:][:runs]
+                    owner = np.repeat(np.arange(len(runs)), runs)
+                    start = first[offsets[row, col]] - np.cumsum(runs) + runs
+                    tail = by_value[np.arange(len(owner)) + np.repeat(start, runs)]
+                    head = (col[:, None] if columns is None else columns[:, col].T)[owner]
+                    keep = tail >= (head[:, -1] if t else 0)
+                    rs = p[np.column_stack((head[keep], tail[keep]))].tolist()
+                    pairs += zip(map(tuple, rs), (group[b + j][1] for j in row[owner[keep]].tolist()))
         total += sum(w * c for (_m, _c, w), c in zip(group, counts.tolist()))
-    return total
+    return pairs if listing else total
 
 
 def _count_products_congruent_one(
@@ -396,7 +401,7 @@ def _count_products_congruent_one(
     (value, count) pairs, folded k-2 times by an outer product mod m and a
     sort-merge (in slices of _FOLD_CHUNK products).  The last factor is read
     off instead of folded: s completes a tuple exactly when the other k-1
-    factors multiply to s^-1, and every s^-1 comes at once as s^(phi(m)-1).
+    factors multiply to s^-1, and every s^-1 comes off one _tree_inverses row.
     int64 residue products are exact because m < MODULUS_LIMIT = 2^31;
     counts are Python ints whenever n^k tuples could pass 2^63.
     """
@@ -421,7 +426,7 @@ def _count_products_congruent_one(
                 np.concatenate((folded_counts, weights.ravel())),
             )
         dist, dist_counts = folded, folded_counts
-    inverses = _euler_inverses(values, m, _phi_of_multiset(combo))
+    inverses = _tree_inverses(values[None, :], np.array([[m]], dtype=np.int64))[0]
     order = np.argsort(inverses)
     inverses, counts = inverses[order], counts[order]
     at = np.minimum(np.searchsorted(dist, inverses), len(dist) - 1)
@@ -485,19 +490,19 @@ def _quotients(p_primes, q_primes, k: int) -> range:
 def _plan(p_primes, q_primes, k: int, ell: int, listing: bool) -> str:
     """The eligible plan with the smaller work estimate, refused over its cap.
 
-    By modulus (every modulus below MODULUS_LIMIT, so residue products stay in
-    int64): a listing ("modulus") takes, per modulus, |P| residues, then
-    multiplies out k-1 residues and takes one inverse per (k-1)-prefix
-    multiset.  A count ("modulus", _count_by_blocks, for k >= 2 while
-    |P|^k < 2^63) takes, per modulus, k - 2 multiply-mods and ceil(g/2)
-    passes of partner gathers, for g = (max P - min P) // min m + 1, per
-    (k-1)-multiset of P, or the max P - min P entries of its partner table
-    when those are more; at every CLI interval g <= 2.  The residue fold
-    ("fold", _count_products_congruent_one) takes _fold_products per modulus,
-    which is the same figure until its products saturate at the largest
-    modulus; it counts when the blocks do not, or estimate more.  By quotient
-    (k = ell, every product and modulus in int64): one pass over the
-    k-products per quotient u, then a sorted join against the moduli.
+    By modulus ("modulus", _count_by_blocks; every modulus below
+    MODULUS_LIMIT, so residue products stay in int64): per modulus, k - 2
+    multiply-mods and ceil(g/2) passes of partner gathers, for
+    g = (max P - min P) // min m + 1, per (k-1)-multiset of P (per residue at
+    k = 1, whose work is the residues' inverses), or the max P - min P entries
+    of its partner table when those are more; at every CLI interval g <= 2.
+    It lists at every k and counts at k >= 2 while |P|^k < 2^63.  The residue
+    fold ("fold", _count_products_congruent_one) takes _fold_products per
+    modulus, which is the same figure at k >= 3 until its products saturate
+    at the largest modulus; it counts when the blocks do not, or estimate
+    more.  By quotient (k = ell, every product and modulus in int64): one
+    pass over the k-products per quotient u, then a sorted join against the
+    moduli.
     """
     for t in (k, ell):
         if t < 1:
@@ -507,20 +512,17 @@ def _plan(p_primes, q_primes, k: int, ell: int, listing: bool) -> str:
     moduli = math.comb(len(q_primes) + ell - 1, ell)
     work = {}
     if largest <= MODULUS_LIMIT:
+        span = max(p_primes, default=0) - min(p_primes, default=0)
+        gathers = span // min(q_primes, default=1) ** ell + 1
+        multisets = max(math.comb(n + k - 2, k - 1), n) if n else 0
+        plan, ops = "modulus", max(moduli * (max(k - 2, 0) + -(-gathers // 2)) * multisets, span)
+        if not listing:
+            fold = moduli * _fold_products(n, k, largest)
+            # at k = 2 the fold's figure leaves out its sort: the blocks always count
+            if k < 2 or n**k >= 2**63 or (k > 2 and fold < ops):
+                plan, ops = "fold", fold
         what = "pair search residues" if listing else "residue fold products"
-        what += f" over the {ell}-prime moduli: {{}}"
-        if listing:
-            work["modulus"] = (what, moduli * (n + (k - 1) * (math.comb(n + k - 2, k - 1) if n else 0)))
-        else:
-            plan, ops = "fold", moduli * _fold_products(n, k, largest)
-            if k >= 2 and n**k < 2**63:
-                span = max(p_primes, default=0) - min(p_primes, default=0)
-                gathers = span // min(q_primes, default=1) ** ell + 1
-                blocks = max(moduli * (k - 2 + -(-gathers // 2)) * math.comb(n + k - 2, k - 1), span)
-                # at k = 2 the fold's figure leaves out its sort: the blocks always count
-                if k == 2 or blocks <= ops:
-                    plan, ops = "modulus", blocks
-            work[plan] = (what, ops)
+        work[plan] = (what + f" over the {ell}-prime moduli: {{}}", ops)
     if k == ell and n and moduli and max(max(p_primes) ** k, largest) < 2**63:
         passes = len(_quotients(p_primes, q_primes, k)) * math.comb(n + k - 1, k) + moduli
         work["quotient"] = (f"quotient passes over the {k}-prime products: {{}}", passes)
@@ -529,35 +531,6 @@ def _plan(p_primes, q_primes, k: int, ell: int, listing: bool) -> str:
     plan = min(work, key=lambda name: work[name][1])
     check_capacity(*work[plan], PAIR_OP_LIMIT if listing else FOLD_OP_LIMIT)
     return plan
-
-
-def _matches_by_modulus(p_primes, q_primes, k: int, ell: int):
-    """Yield (r, m) multisets with r == 1 (mod m), modulus by modulus.
-
-    Per modulus m: the residue of every (k-1)-prefix multiset, its inverse
-    (prefixes sharing a prime with m have none), and every prime of P in that
-    inverse's residue class whose index is at least the prefix's last index.
-    """
-    p = np.asarray(p_primes, dtype=np.int64)
-    prefixes = _multiset_rows(len(p), k - 1)
-    last = prefixes[:, -1] if k > 1 else np.zeros(1, dtype=np.int64)
-    for m, combo, _weight in _modulus_multisets(tuple(q_primes), ell):
-        res = p % m
-        order = np.argsort(res, kind="stable")
-        classes = res[order]
-        pre = np.full(len(prefixes), 1 % m, dtype=np.int64)
-        for j in range(k - 1):
-            pre = pre * res[prefixes[:, j]] % m
-        units = np.flatnonzero(np.gcd(pre, m) == 1)
-        inverses = _euler_inverses(pre[units], m, _phi_of_multiset(combo))
-        lo = np.searchsorted(classes, inverses, "left")
-        counts = np.searchsorted(classes, inverses, "right") - lo
-        owner = np.repeat(units, counts)
-        tail = order[np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - lo, counts)]
-        keep = tail >= last[owner]
-        rows = np.column_stack((prefixes[owner[keep]], tail[keep]))
-        for r in p[rows].tolist():
-            yield tuple(r), combo
 
 
 def _matches_by_quotient(p_primes, q_primes, k: int, ell: int):
@@ -601,21 +574,24 @@ def congruence_solutions(
     The one congruence engine under census_over and the pair search.  _plan
     picks by modulus, by residue fold or by quotient and refuses over
     FOLD_OP_LIMIT (counting) or PAIR_OP_LIMIT (listing) before any work.
-    Counting by modulus is _count_by_blocks; the fold,
-    _count_products_congruent_one per modulus, serves counts past int64 and
-    long tuples whose residue products collapse below the modulus.
+    By modulus, _count_by_blocks counts and lists; the fold,
+    _count_products_congruent_one per modulus, serves counts at k = 1, past
+    int64, and of long tuples whose residue products collapse below the
+    modulus.
     """
     plan = _plan(p_primes, q_primes, k, ell, listing)
-    if plan == "modulus" and not listing:
-        return _count_by_blocks(p_primes, q_primes, k, ell)
     if plan == "fold":
         p = np.asarray(p_primes, dtype=np.int64)
         return sum(
             weight * _count_products_congruent_one(p, k, m, combo)
             for m, combo, weight in _modulus_multisets(tuple(q_primes), ell)
         )
-    find = _matches_by_quotient if plan == "quotient" else _matches_by_modulus
-    matches = find(p_primes, q_primes, k, ell)
+    if plan == "quotient":
+        matches = _matches_by_quotient(p_primes, q_primes, k, ell)
+    elif listing:
+        matches = _count_by_blocks(p_primes, q_primes, k, ell, listing=True)
+    else:
+        return _count_by_blocks(p_primes, q_primes, k, ell)
     if listing:
         return sorted((math.prod(m), math.prod(r), r, m) for r, m in matches)
     return ordered_weight(matches)

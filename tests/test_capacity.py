@@ -42,7 +42,7 @@ def _census(y, k, ell):
 
 
 # y = 1000, k = ell = 2: quotients u in 2..15 over C(74, 2) products, plus
-# the C(43, 2) moduli; by modulus, 903 moduli x 73 residues (x 2 to list)
+# the C(43, 2) moduli; by modulus, 903 moduli x 73 residues
 QUOTIENT_1000 = 14 * 2701 + 903
 
 
@@ -101,9 +101,9 @@ CASES = [
      (cl, "large_sieve_check")),
     (tc, "FOLD_OP_LIMIT", 1000, _census(1000, 2, 2), QUOTIENT_1000,
      (tc, "_matches_by_quotient")),
-    # 4 moduli x (7 residues + 7 one-prime prefixes)
-    (tc, "PAIR_OP_LIMIT", 10, lambda: constructor.solve_congruence_pairs(60, 2, 1), 4 * (7 + 7),
-     (tc, "_matches_by_modulus")),
+    # by blocks, as for the fold-k2 row: 4 moduli x 7 residues x 1 pass of gathers
+    (tc, "PAIR_OP_LIMIT", 10, lambda: constructor.solve_congruence_pairs(60, 2, 1), 4 * 7,
+     (tc, "_count_by_blocks")),
     (tc, "PAIR_OP_LIMIT", 1000, lambda: constructor.solve_congruence_pairs(1000, 2, 2), QUOTIENT_1000,
      (tc, "_matches_by_quotient")),
     # y = 60, k = 2, ell = 1: lambda over 17, 19, 23, 29 (5 bits each), P = 7;

@@ -649,8 +649,10 @@ _PROBE = (
          {"sunitlab.character_lab", "sunitlab.constructor", "sunitlab.smooth_verifier"}),
         (["verify", "--s-primes", "2,3", "--limit", "100"], {"sunitlab.smooth_verifier"},
          {"sunitlab.tuple_census", "sunitlab.character_lab", "sunitlab.constructor"}),
+        (["diagnose", "tails", "--y", "100", "--k", "4", "--ell", "2"], {"sunitlab.character_lab"},
+         {"sunitlab.constructor", "sunitlab.smooth_verifier"}),
     ],
-    ids=["version", "census-exact", "verify"],
+    ids=["version", "census-exact", "verify", "diagnose-tails"],
 )
 def test_a_command_imports_only_its_modules(argv, loaded, not_loaded):
     proc = _run_python(["-c", _PROBE, *argv], capture_output=True)

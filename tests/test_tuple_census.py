@@ -451,13 +451,19 @@ def test_blocks_slice_the_multisets_by_first_index(monkeypatch):
         ((7, 7, 13), (5,), 3, 1),  # a repeated prime counts once per entry
         ((3, 3, 7, 13, 13), (3, 5), 4, 2),  # repeated, and shared with a modulus
         ((7, 13, 19), (3, 5), 5, 3),
+        ((3, 7, 13, 13, 19), (3, 2), 1, 2),  # k = 1: the partners of 1 mod 9, 6 and 4
     ],
 )
 def test_blocks_and_fold_count_explicit_lists_as_brute_force(p_primes, q_primes, k, ell, monkeypatch):
     want = _brute_census(p_primes, q_primes, k, ell)
+    moduli = list(combinations_with_replacement(q_primes, ell))
+    pairs = [(r, m) for *_, r, m in oracle_congruence_pairs(p_primes, moduli, k)]
+    _run_plan(monkeypatch, "modulus")
     for block in (1 << 15, 1):
         monkeypatch.setattr(tc, "_BLOCK_ELEMENTS", block)
         assert tc._count_by_blocks(p_primes, q_primes, k, ell) == want, block
+        got = tc.congruence_solutions(p_primes, q_primes, k, ell, listing=True)
+        assert [(r, m) for _m, _r, r, m in got] == pairs, block
     for plan in ("modulus", "fold"):
         _run_plan(monkeypatch, plan)
         assert census_over(p_primes, q_primes, k, ell) == want, plan
