@@ -46,7 +46,7 @@ from .tuple_census import (
     _census_result,
     _check_multisets,
     _modulus_multisets,
-    census_over,
+    congruence_solutions,
     main_term,
     representation_counts,
 )
@@ -308,7 +308,7 @@ def nonprincipal_contribution(params: CensusParams) -> NonprincipalReport:
     st = interval_stats(params.y)
     # the direct bound walks Q_ell, the class bounds Q_1 .. Q_ell
     _check_character_work(st, [params.ell, *range(1, params.ell + 1)])
-    count = census_over(st.product_primes, st.modulus_primes, params.k, params.ell)
+    count = congruence_solutions(st.product_primes, st.modulus_primes, params.k, params.ell)
     principal = principal_contribution(params)
     value = Fraction(count) - principal
 

@@ -12,15 +12,17 @@ c = product.
 
 from __future__ import annotations
 
+import heapq
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import ValidationError, VerificationError, check_capacity
 from .prime_tools import _MR_VALID_BELOW, TRIAL_DIVISION_BOUND, factorize, interval_stats, sieve_interval
 from .smooth_verifier import SmoothPair, verify_solution
-from .tuple_census import CensusParams, census_over, congruence_solutions, main_term, ordered_weight
+from .tuple_census import CensusParams, _ordered_count, congruence_solutions, main_term
 
 DEFAULT_ALPHA = Fraction(1, 3)
 DEFAULT_BETA = Fraction(1, 4)
@@ -139,11 +141,11 @@ def plan_parameters(
 
 @dataclass(frozen=True)
 class CongruencePair:
-    """One unordered congruence solution: product == 1 (mod modulus).
+    """One unordered congruence solution, a row of CongruencePairs.
 
-    product is a product of k primes from (y/2, y] (multiset recorded in
-    product_factors), modulus a product of ell primes from (y/4, y/2], and
-    quotient = (product - 1) // modulus, an integer by construction.
+    product == 1 (mod modulus): product is a product of k primes from (y/2, y]
+    (multiset recorded in product_factors), modulus a product of ell primes
+    from (y/4, y/2], and quotient = (product - 1) // modulus, an integer.
     """
 
     product: int
@@ -153,36 +155,54 @@ class CongruencePair:
     modulus_factors: tuple[int, ...]
 
 
-def solve_congruence_pairs(y: float, k: int, ell: int) -> list[CongruencePair]:
+@dataclass(frozen=True, eq=False)
+class CongruencePairs:
+    """The congruence pairs as columns, one row per pair, sorted by (modulus,
+    product).  r_rows (n x k) and m_rows (n x ell) index each pair's product
+    and modulus multisets into p_primes and q_primes; products, moduli and
+    quotients are int64, or Python ints past int64 (congruence_solutions).
+    Iteration builds a CongruencePair per row.
+    """
+
+    p_primes: tuple[int, ...]
+    q_primes: tuple[int, ...]
+    r_rows: np.ndarray
+    m_rows: np.ndarray
+    products: np.ndarray
+    moduli: np.ndarray
+    quotients: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.products)
+
+    def __iter__(self):
+        factors = np.asarray(self.p_primes)[self.r_rows], np.asarray(self.q_primes)[self.m_rows]
+        columns = (self.products, self.moduli, self.quotients, *factors)
+        for r, m, u, r_combo, m_combo in zip(*(column.tolist() for column in columns)):
+            yield CongruencePair(r, m, u, tuple(r_combo), tuple(m_combo))
+
+
+def solve_congruence_pairs(y: float, k: int, ell: int) -> CongruencePairs:
     """All unordered (product multiset, modulus multiset) pairs with the congruence.
 
     Each congruence solution appears once; the ordered census counts it up to
     k! * ell! times, so len(result) >= census / (k! * ell!).  Exact division
-    and the quotient range bound quotient < 4^ell * y^(k-ell) are checked on
-    every pair the engine lists.
+    and the quotient range bound quotient < 4^ell * y^(k-ell) are checked in
+    bulk on every listed pair, and the first pair failing either is named.
     """
     st = interval_stats(y)
-    matches = congruence_solutions(st.product_primes, st.modulus_primes, k, ell, listing=True)
+    p_primes, q_primes = st.product_primes, st.modulus_primes
+    r_rows, m_rows, products, moduli = congruence_solutions(p_primes, q_primes, k, ell, listing=True)
+    quotients, rests = (products - 1) // moduli, (products - 1) % moduli
     quotient_cap = 4**ell * Fraction(y) ** (k - ell)
-    cap = math.floor(quotient_cap)
-    pairs: list[CongruencePair] = []
-    for m, r, r_combo, q_combo in matches:
-        u, rest = divmod(r - 1, m)
-        if rest or u > cap:
-            raise VerificationError(
-                f"pair ({r}, {m}) has (r - 1)/m = {Fraction(r - 1, m)}, not an integer "
-                f"within the range bound {quotient_cap}; enumeration bug"
-            )
-        pairs.append(
-            CongruencePair(
-                product=r,
-                modulus=m,
-                quotient=u,
-                product_factors=r_combo,
-                modulus_factors=q_combo,
-            )
+    bad = np.flatnonzero((rests != 0) | (quotients > math.floor(quotient_cap)))
+    if len(bad):
+        r, m = int(products[bad[0]]), int(moduli[bad[0]])
+        raise VerificationError(
+            f"pair ({r}, {m}) has (r - 1)/m = {Fraction(r - 1, m)}, not an integer "
+            f"within the range bound {quotient_cap}; enumeration bug"
         )
-    return pairs
+    return CongruencePairs(p_primes, q_primes, r_rows, m_rows, products, moduli, quotients)
 
 
 @dataclass(frozen=True)
@@ -198,27 +218,26 @@ class ResidueHistogram:
 
     def top(self, n: int = 10) -> list[tuple[int, int]]:
         """Most common quotients, multiplicity descending then value ascending."""
-        return sorted(self.counts.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
+        return heapq.nsmallest(n, self.counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
-def popular_residue(pairs: list[CongruencePair]) -> ResidueHistogram:
-    """Pigeonhole step: the quotient shared by the most pairs (ties: smallest).
+def popular_residue(quotients) -> ResidueHistogram:
+    """Pigeonhole step over the quotient column: the quotient most pairs share (ties: smallest).
 
     The returned multiplicity always satisfies the exact pigeonhole bound
     multiplicity >= ceil(total / distinct).
     """
-    if not pairs:
+    if not len(quotients):
         raise ValidationError("no congruence pairs: popular residue undefined")
-    counts = Counter(pr.quotient for pr in pairs)
-    popular, multiplicity = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    total = sum(counts.values())
+    values, counts = (column.tolist() for column in np.unique(quotients, return_counts=True))
+    best = counts.index(max(counts))  # the first, so the smallest, of the most common
     return ResidueHistogram(
-        counts=dict(counts),
-        total=total,
-        distinct=len(counts),
-        pigeonhole_floor=math.ceil(total / len(counts)),
-        popular=popular,
-        multiplicity=multiplicity,
+        counts=dict(zip(values, counts)),
+        total=len(quotients),
+        distinct=len(values),
+        pigeonhole_floor=math.ceil(len(quotients) / len(values)),
+        popular=values[best],
+        multiplicity=counts[best],
     )
 
 
@@ -303,39 +322,25 @@ def solution_count_benchmarks(s: int) -> tuple[float | None, float | None]:
     return math.exp(root / (10 * log_s**0.75)), math.exp(root / log_s)
 
 
-def count_solutions_for_u0(
-    pairs: list[CongruencePair], assembled: AssembledSet
-) -> ConstructionResult:
+def count_solutions_for_u0(pairs: CongruencePairs, assembled: AssembledSet) -> ConstructionResult:
     """Emit and verify the consecutive smooth pair for every pair with quotient u0 = assembled.u0.
 
     a = modulus * u0 and c = product satisfy a + 1 = c; both must factor over
     S = assembled.primes.  A verification failure here means an internal bug,
-    so it aborts hard rather than dropping the solution.
+    so it aborts hard rather than dropping the solution.  Only the rows with
+    quotient u0 are read out of the columns, in their order: by modulus, so by a.
     """
     u0 = assembled.u0
     solutions = []
-    for pr in pairs:
-        if pr.quotient != u0:
-            continue
-        a, c = pr.modulus * u0, pr.product
+    rows = pairs.quotients == u0
+    for c, m in zip(pairs.products[rows].tolist(), pairs.moduli[rows].tolist()):
+        a = m * u0
         if a + 1 != c:
-            raise VerificationError(
-                f"pair ({pr.product}, {pr.modulus}): a+1 = {a + 1} != c = {c}"
-            )
+            raise VerificationError(f"pair ({c}, {m}): a+1 = {a + 1} != c = {c}")
         cert = verify_solution(a, assembled.primes)
         if not cert.ok:
-            raise VerificationError(
-                f"solution ({a}, {c}) is not smooth over S = {assembled.primes}"
-            )
-        solutions.append(
-            SmoothPair(
-                a=a,
-                c=c,
-                factorization_a=cert.factorization_a,
-                factorization_c=cert.factorization_c,
-            )
-        )
-    solutions.sort(key=lambda sp: sp.a)
+            raise VerificationError(f"solution ({a}, {c}) is not smooth over S = {assembled.primes}")
+        solutions.append(SmoothPair(a, c, cert.factorization_a, cert.factorization_c))
     conservative, headline = solution_count_benchmarks(assembled.size)
     return ConstructionResult(
         u0=u0,
@@ -356,16 +361,14 @@ class ConstructionRun:
     k: int
     ell: int
     plan: ExponentPlan | None
-    pairs: list[CongruencePair]
+    pairs: CongruencePairs
     census: int
     histogram: ResidueHistogram | None
     assembled: AssembledSet | None
     result: ConstructionResult | None
 
 
-def run_construction(
-    y: float, k: int | None = None, ell: int | None = None, **plan
-) -> ConstructionRun:
+def run_construction(y: float, k: int | None = None, ell: int | None = None, **plan) -> ConstructionRun:
     """The construction pipeline: lengths, pairs, census check, pigeonhole, verified S.
 
     plan_parameters plans missing lengths from the plan arguments (alpha,
@@ -391,8 +394,8 @@ def run_construction(
         least = k * math.log2(min(st.product_primes)) - ell * math.log2(max(st.modulus_primes))
         check_capacity("bits of every quotient u0: at least {}", math.floor(least) + 1, U0_BITS_LIMIT)
     pairs = solve_congruence_pairs(y, k, ell)
-    census = census_over(st.product_primes, st.modulus_primes, k, ell)
-    listed = ordered_weight((p.product_factors, p.modulus_factors) for p in pairs)
+    census = congruence_solutions(st.product_primes, st.modulus_primes, k, ell)
+    listed = _ordered_count(pairs.r_rows, pairs.m_rows, pairs.products.dtype)
     if listed != census:
         raise VerificationError(
             f"the {len(pairs)} listed pairs stand for {listed} ordered tuples, "
@@ -400,7 +403,7 @@ def run_construction(
         )
     hist = assembled = result = None
     if pairs:
-        hist = popular_residue(pairs)
+        hist = popular_residue(pairs.quotients)
         assembled = assemble_set(y, hist.popular)
         result = count_solutions_for_u0(pairs, assembled)
     return ConstructionRun(k, ell, chosen, pairs, census, hist, assembled, result)

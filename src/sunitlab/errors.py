@@ -14,6 +14,8 @@ from functools import lru_cache
 # int.__repr__, a piece of a longer one by libmpdec's quadratic conversion from
 # binary; leaves of 512 to 8,192 bits timed alike on a 720,145-bit integer
 _DIGITS_LEAF_BITS = 2048
+# looked up once: digits() writes most integers of a report through it
+_int_repr = int.__repr__
 
 
 class SUnitError(Exception):
@@ -51,7 +53,7 @@ def digits(n: int) -> str:
     """
     w = n.bit_length()
     if w <= _DIGITS_LEAF_BITS:
-        return int.__repr__(n)
+        return _int_repr(n)
     with decimal.localcontext() as ctx:
         ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
         return ("-" if n < 0 else "") + str(_exact_decimal(abs(n), w))

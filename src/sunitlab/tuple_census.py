@@ -18,7 +18,6 @@ import bisect
 import itertools
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -139,29 +138,39 @@ def error_term(params: CensusParams) -> ErrorTerm:
     return ErrorTerm(applicable=applicable, value=value, exact=exact, note=note)
 
 
-def _multiset_weight(combo: tuple[int, ...]) -> int:
-    """Ordered tuples realizing the multiset combo: len(combo)! / prod(mult!).
-
-    Summing weighted per-multiset counts reproduces the ordered count.  This
-    is the one place the multinomial weight of a multiset of values is
-    computed; _multiset_slices computes it for rows of indices.
+def _row_weights(rows: np.ndarray, dtype=None) -> np.ndarray:
+    """Ordered tuples behind each row of nondecreasing indices: t! / prod(mult!)
+    over the repeats of its t indices, the one multinomial weight routine.
+    Exact in ``dtype``: by default int64 while t! < 2^63, else Python ints
+    (object); int64 also holds every weight of rows over n indices while n^t < 2^63.
     """
-    weight = math.factorial(len(combo))
-    if len(set(combo)) < len(combo):  # distinct primes, the common case, divide by 1
-        for mult in Counter(combo).values():
-            weight //= math.factorial(mult)
-    return weight
+    dtype = dtype or (np.int64 if math.factorial(rows.shape[1]) < 2**63 else object)
+    # w built up column by column as w * (j + 1) / run, with run the
+    # repeats of the last index; dividing by run / gcd first stays exact
+    weights, run = np.ones(len(rows), dtype=dtype), np.ones(len(rows), dtype=np.int64)
+    for j in range(1, rows.shape[1]):
+        run = np.where(rows[:, j] == rows[:, j - 1], run + 1, 1)
+        g = np.gcd(run, j + 1)
+        weights = weights // (run // g) * ((j + 1) // g)
+    return weights
 
 
-def ordered_weight(matches) -> int:
-    """Ordered tuples behind (product multiset, modulus multiset) matches: sum w(r) w(m)."""
-    return sum(_multiset_weight(r) * _multiset_weight(m) for r, m in matches)
+def _ordered_count(r_rows: np.ndarray, m_rows: np.ndarray, dtype) -> int:
+    """Ordered tuples behind (r, m) index rows: sum w(r) w(m), each term exact in ``dtype``."""
+    return sum((_row_weights(r_rows, dtype) * _row_weights(m_rows, dtype)).tolist())
 
 
 def _modulus_multisets(primes: tuple[int, ...], t: int):
-    """Yield (product, multiset, ordered-tuple weight) per multiset of t primes."""
-    for combo in itertools.combinations_with_replacement(primes, t):
-        yield math.prod(combo), combo, _multiset_weight(combo)
+    """Yield (product, multiset, ordered-tuple weight) per multiset of t >= 1 primes, in
+    combinations_with_replacement order.  The weights come in slices of about 2^12
+    multisets: enough for the callers' Python work per multiset to amortize a
+    slice's numpy calls, and few enough that its arrays raise no peak memory."""
+    n, combos = len(primes), itertools.combinations_with_replacement(primes, t)
+    step = max(1, 2**12 // math.comb(n + t - 2, t - 1))
+    for lo in range(0, n, step):
+        # the slice's weights first: zip then stops before taking a combo past them
+        for weight, combo in zip(_row_weights(_multiset_rows(n, t, lo, min(lo + step, n))).tolist(), combos):
+            yield math.prod(combo), combo, weight
 
 
 def _check_multisets(cap: int, what: str, *classes: tuple[int, int], per: int = 1) -> int:
@@ -279,9 +288,10 @@ def _tree_inverses(r: np.ndarray, m: np.ndarray) -> np.ndarray:
 def _multiset_slices(n: int, t: int):
     """Yield the t-multisets of n columns in slices by first index of about
     _BLOCK_ELEMENTS multisets, as (columns, weights): each index column,
-    contiguous, and each multiset's weight w, the ordered t-tuples of columns
-    it stands for.  At t = 1 the multisets are the columns in order, each of
-    weight 1: one slice, (None, None).  At t = 0 the one empty multiset.
+    contiguous, and each multiset's int64 weight (exact where a count runs,
+    n^(t+1) < 2^63; a listing reads none).  At t = 1 the multisets are the
+    columns in order, weight 1 each: one slice, (None, None).  At t = 0 the
+    one empty multiset.
     """
     if t <= 1:
         yield (None, None) if t else (np.zeros((0, 1), dtype=np.int64), np.ones(1, dtype=np.int64))
@@ -289,14 +299,8 @@ def _multiset_slices(n: int, t: int):
     step = max(1, _BLOCK_ELEMENTS // math.comb(n + t - 2, t - 1))
     for first in range(0, n, step):
         rows = _multiset_rows(n, t, first, min(first + step, n))
-        # w built up column by column as w * (j + 1) / run, with run the
-        # repeats of the last index; dividing by run / gcd first stays exact
-        weights, run = np.ones(len(rows), dtype=np.int64), np.ones(len(rows), dtype=np.int64)
-        for j in range(1, t):
-            run = np.where(rows[:, j] == rows[:, j - 1], run + 1, 1)
-            g = np.gcd(run, j + 1)
-            weights = weights // (run // g) * ((j + 1) // g)
-        yield rows.T.copy(), weights  # np.take gathers 4x faster along a contiguous index
+        # np.take gathers 4x faster along a contiguous index
+        yield rows.T.copy(), _row_weights(rows, np.int64)
 
 
 def _gather(a: np.ndarray, columns, c: int) -> np.ndarray:
@@ -308,8 +312,8 @@ def _gather(a: np.ndarray, columns, c: int) -> np.ndarray:
 def _count_by_blocks(p_primes, q_primes, k: int, ell: int, listing: bool = False):
     """Ordered k-tuples of p_primes with product == 1 (mod m), summed over the
     ell-multisets m of q_primes with weight w(m): the census by modulus.  With
-    ``listing``, the list of (r, m) multisets themselves instead, r as entries
-    of p_primes in index order.
+    ``listing``, the (r, m) multisets themselves instead, as index rows
+    (r_rows into p_primes, in index order, and m_rows into q_primes).
 
     A tuple is a (k-1)-multiset of P's columns, counted w times for the
     ordered (k-1)-tuples it stands for, and a last factor.  The moduli come in
@@ -330,35 +334,33 @@ def _count_by_blocks(p_primes, q_primes, k: int, ell: int, listing: bool = False
     partner; it is no partner, since its residue is not a unit.  Counts are
     exact while |P|^k < 2^63.
     """
-    if not p_primes:
-        return [] if listing else 0
     p = np.asarray(p_primes, dtype=np.int64)
+    q = np.asarray(q_primes, dtype=np.int64)
     n, t = len(p), k - 1
+    m_rows = _multiset_rows(len(q), ell)
+    r_parts, m_parts = [np.zeros((0, k), dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    if not n:
+        return (r_parts[0], m_rows[:0]) if listing else 0
     lo, span = int(p.min()), int(p.max()) - int(p.min())
     # ends in a zero, where np.take's clip sends every index past max P; int32
     # holds any count of P, and halves the table the gathers hit at random
     table = np.bincount(p - lo, minlength=span + 2).astype(np.int32)
     # P's indices by value, and where each value's run of them starts
     by_value, first = np.argsort(p, kind="stable"), np.cumsum(table) - table
-    columns_of = {v: np.flatnonzero(p == v).tolist() for v in set(p_primes) & set(q_primes)}
-    multisets = _modulus_multisets(tuple(q_primes), ell)
-    total, pairs = 0, []
-    while group := list(itertools.islice(multisets, max(1, _BLOCK_ELEMENTS // n))):
-        moduli = np.array([[mod] for mod, _combo, _w in group], dtype=np.int64)
-        masked = tuple(zip(*(
-            (j, i) for j, (_m, combo, _w) in enumerate(group)
-            for q in set(combo) for i in columns_of.get(q, ())
-        )))
+    sharing = bool(set(p_primes) & set(q_primes))
+    all_moduli = np.prod(q[m_rows], axis=1, keepdims=True)
+    counts = np.zeros(len(m_rows), dtype=np.int64)
+    size = max(1, _BLOCK_ELEMENTS // n)
+    for g in range(0, len(m_rows), size):
+        moduli, tally = all_moduli[g : g + size], counts[g : g + size]
         r = p % moduli
-        if masked:
-            r[masked] = 1
-            shares = np.zeros(r.shape, dtype=bool)
-            shares[masked] = True
+        if sharing:
+            shares = (q[m_rows[g : g + size]][:, :, None] == p).any(axis=1)
+            r[shares] = 1
         inverses = _tree_inverses(r, moduli)
-        counts = np.zeros(len(group), dtype=np.int64)
         for columns, weights in _multiset_slices(n, t):
             height = max(1, _BLOCK_ELEMENTS // (n if weights is None else len(weights)))
-            for b in range(0, len(group), height):
+            for b in range(0, len(moduli), height):
                 block, m = slice(b, b + height), moduli[b : b + height]
                 offsets = _gather(inverses[block], columns, 0) if t else np.ones_like(m)
                 for c in range(1, t):
@@ -367,7 +369,7 @@ def _count_by_blocks(p_primes, q_primes, k: int, ell: int, listing: bool = False
                         offsets %= m
                 offsets -= lo
                 offsets %= m
-                if masked:
+                if sharing:
                     for c in range(t):
                         offsets[_gather(shares[block], columns, c)] = span + 1
                 for shift in range(span // int(m.min()) + 1):
@@ -375,7 +377,7 @@ def _count_by_blocks(p_primes, q_primes, k: int, ell: int, listing: bool = False
                         offsets += m
                     hits = np.take(table, offsets, mode="clip")
                     if not listing:
-                        counts[block] += hits.sum(axis=1) if weights is None else hits @ weights
+                        tally[block] += hits.sum(axis=1) if weights is None else hits @ weights
                         continue
                     row, col = np.nonzero(hits)
                     runs = hits[row, col]
@@ -385,10 +387,11 @@ def _count_by_blocks(p_primes, q_primes, k: int, ell: int, listing: bool = False
                     tail = by_value[np.arange(len(owner)) + np.repeat(start, runs)]
                     head = (col[:, None] if columns is None else columns[:, col].T)[owner]
                     keep = tail >= (head[:, -1] if t else 0)
-                    rs = p[np.column_stack((head[keep], tail[keep]))].tolist()
-                    pairs += zip(map(tuple, rs), (group[b + j][1] for j in row[owner[keep]].tolist()))
-        total += sum(w * c for (_m, _c, w), c in zip(group, counts.tolist()))
-    return pairs if listing else total
+                    r_parts.append(np.column_stack((head[keep], tail[keep])))
+                    m_parts.append(g + b + row[owner[keep]])
+    if listing:
+        return np.concatenate(r_parts), m_rows[np.concatenate(m_parts)]
+    return sum(w * c for w, c in zip(_row_weights(m_rows).tolist(), counts.tolist()))
 
 
 def _count_products_congruent_one(
@@ -439,20 +442,10 @@ def count_exact(params: CensusParams) -> CensusResult:
     st = interval_stats(params.y)
 
     def count():
-        census = census_over(st.product_primes, st.modulus_primes, params.k, params.ell)
+        census = congruence_solutions(st.product_primes, st.modulus_primes, params.k, params.ell)
         return census, None
 
     return _census_result(params, "residue-dp", count)
-
-
-def census_over(
-    p_primes: tuple[int, ...], q_primes: tuple[int, ...], k: int, ell: int
-) -> int:
-    """Ordered census over explicit prime lists (the engine under count_exact).
-
-    A p sharing a prime with the modulus is never part of a counted tuple.
-    """
-    return congruence_solutions(p_primes, q_primes, k, ell)
 
 
 def _multiset_rows(n: int, t: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
@@ -534,10 +527,12 @@ def _plan(p_primes, q_primes, k: int, ell: int, listing: bool) -> str:
 
 
 def _matches_by_quotient(p_primes, q_primes, k: int, ell: int):
-    """Yield (r, m) multisets with r == 1 (mod m), quotient by quotient (k = ell).
+    """The (r, m) multisets with r == 1 (mod m) as index rows (r_rows into
+    p_primes, m_rows into q_primes), found quotient by quotient (k = ell).
 
     The k-products come in blocks of about _FOLD_CHUNK; per block and quotient
-    u, (r - 1)/u over the r == 1 (mod u) is looked up among the sorted moduli.
+    u, (r - 1)/u over the r == 1 (mod u) is looked up among the sorted moduli,
+    each equal one matching (a prime listed twice makes equal moduli).
     """
     p = np.asarray(p_primes, dtype=np.int64)
     q = np.asarray(q_primes, dtype=np.int64)
@@ -547,31 +542,33 @@ def _matches_by_quotient(p_primes, q_primes, k: int, ell: int):
     moduli = moduli[order]
     quotients = _quotients(p_primes, q_primes, k)
     step = max(1, _FOLD_CHUNK // math.comb(len(p) + k - 2, k - 1))
+    r_parts, m_parts = [np.zeros((0, k), dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for lo in range(0, len(p), step):
         r_rows = _multiset_rows(len(p), k, lo, min(lo + step, len(p)))
         r = np.prod(p[r_rows], axis=1)
         for u in quotients:
             sel = np.flatnonzero((r - 1) % u == 0)
             v = (r[sel] - 1) // u
-            at = np.minimum(np.searchsorted(moduli, v), len(moduli) - 1)
-            hit = moduli[at] == v
-            rs = p[r_rows[sel[hit]]].tolist()
-            ms = q[m_rows[order[at[hit]]]].tolist()
-            yield from zip(map(tuple, rs), map(tuple, ms))
+            first = np.searchsorted(moduli, v)
+            runs = np.searchsorted(moduli, v, "right") - first
+            r_parts.append(np.repeat(r_rows[sel], runs, axis=0))
+            m_parts.append(order[np.arange(runs.sum()) + np.repeat(first - np.cumsum(runs) + runs, runs)])
+    return np.concatenate(r_parts), m_rows[np.concatenate(m_parts)]
 
 
 def congruence_solutions(
-    p_primes: tuple[int, ...],
-    q_primes: tuple[int, ...],
-    k: int,
-    ell: int,
-    listing: bool = False,
+    p_primes: tuple[int, ...], q_primes: tuple[int, ...], k: int, ell: int, listing: bool = False
 ):
     """Every k-multiset r of p_primes and ell-multiset m of q_primes with
-    r == 1 (mod m): counted as ordered tuples, sum w(r) w(m), or listed as
-    (prod m, prod r, r, m) in sorted order when ``listing``.
+    r == 1 (mod m): counted as ordered tuples, sum w(r) w(m), or listed when
+    ``listing`` as columns (r_rows, m_rows, products, moduli) sorted by
+    (modulus, product).  The index rows of r into p_primes (n x k) and of m
+    into q_primes (n x ell) are int64; the products and moduli are too while
+    max(p_primes)^k and k! l! (which bounds w(r) w(m)) are below 2^63, else
+    Python ints (object); every modulus a plan admits is below 2^63.  A p
+    sharing a prime with the modulus is never part of a counted tuple.
 
-    The one congruence engine under census_over and the pair search.  _plan
+    The one congruence engine under the census and the pair search.  _plan
     picks by modulus, by residue fold or by quotient and refuses over
     FOLD_OP_LIMIT (counting) or PAIR_OP_LIMIT (listing) before any work.
     By modulus, _count_by_blocks counts and lists; the fold,
@@ -586,15 +583,20 @@ def congruence_solutions(
             weight * _count_products_congruent_one(p, k, m, combo)
             for m, combo, weight in _modulus_multisets(tuple(q_primes), ell)
         )
-    if plan == "quotient":
-        matches = _matches_by_quotient(p_primes, q_primes, k, ell)
-    elif listing:
-        matches = _count_by_blocks(p_primes, q_primes, k, ell, listing=True)
-    else:
+    if plan == "modulus" and not listing:
         return _count_by_blocks(p_primes, q_primes, k, ell)
-    if listing:
-        return sorted((math.prod(m), math.prod(r), r, m) for r, m in matches)
-    return ordered_weight(matches)
+    if plan == "quotient":
+        r_rows, m_rows = _matches_by_quotient(p_primes, q_primes, k, ell)
+    else:
+        r_rows, m_rows = _count_by_blocks(p_primes, q_primes, k, ell, listing=True)
+    bound = max(max(p_primes, default=1) ** k, math.factorial(k) * math.factorial(ell))
+    dtype = np.int64 if bound < 2**63 else object
+    if not listing:
+        return _ordered_count(r_rows, m_rows, dtype)
+    products = np.prod(np.asarray(p_primes, dtype=dtype)[r_rows], axis=1)
+    moduli = np.prod(np.asarray(q_primes, dtype=dtype)[m_rows], axis=1)
+    order = np.lexsort((products, moduli))
+    return r_rows[order], m_rows[order], products[order], moduli[order]
 
 
 def count_direct(params: CensusParams) -> CensusResult:

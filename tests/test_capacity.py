@@ -38,7 +38,7 @@ class Tripwire:
 
 def _census(y, k, ell):
     st = interval_stats(y)  # y = 60: 7 product primes, 4 modulus primes up to 29
-    return lambda: tc.census_over(st.product_primes, st.modulus_primes, k, ell)
+    return lambda: tc.congruence_solutions(st.product_primes, st.modulus_primes, k, ell)
 
 
 # y = 1000, k = ell = 2: quotients u in 2..15 over C(74, 2) products, plus

@@ -23,7 +23,7 @@ from sunitlab.cli_report import build_parser, encode, main, solutions_csv
 from sunitlab.errors import CapacityError, VerificationError, check_capacity, digits
 from sunitlab.prime_tools import interval_stats, is_prime
 from sunitlab.smooth_verifier import SmoothPair
-from sunitlab.tuple_census import census_over
+from sunitlab.tuple_census import congruence_solutions
 
 from oracles import oracle_encode, oracle_recip_sum
 
@@ -294,12 +294,24 @@ def test_construct_no_pairs_is_clean_exit(capsys):
     assert any("nothing to construct" in w for w in res["warnings"])
 
 
+def test_construct_no_pairs_past_int64_is_clean_exit(capsys):
+    # 11^21 > 2^63: the empty listing runs on Python-int columns
+    report = run_json(["construct", "--y", "12", "--k", "21", "--ell", "3"], capsys)
+    res = report["results"]
+    assert res["pairs"] == [] and res["pair_count"] == "0"
+    assert res["histogram"] is None and res["construction"] is None
+    assert any("no congruence solutions" in w for w in res["warnings"])
+
+
 def test_construct_refuses_pairs_the_census_does_not_count(monkeypatch, capsys):
     # an engine that loses one pair: the listed pairs no longer weigh the census
     engine = constructor.congruence_solutions
-    monkeypatch.setattr(
-        constructor, "congruence_solutions", lambda *args, **kw: engine(*args, **kw)[:-1]
-    )
+
+    def losing(*args, listing=False):
+        found = engine(*args, listing=listing)
+        return tuple(column[:-1] for column in found) if listing else found
+
+    monkeypatch.setattr(constructor, "congruence_solutions", losing)
     message = "2 listed pairs stand for 3 ordered tuples, the census counts 5"
     with pytest.raises(VerificationError, match=message):
         constructor.run_construction(30, 2, 1)
@@ -315,7 +327,7 @@ def test_census_past_the_double_range_reports_null_floats(k, capsys):
     report = run_json(["census", "--y", "30", "--k", str(k), "--ell", "1"], capsys)
     (rec,) = report["results"]["census"]
     st = interval_stats(30)
-    count = census_over(st.product_primes, st.modulus_primes, k, 1)
+    count = congruence_solutions(st.product_primes, st.modulus_primes, k, 1)
     assert int(rec["count"]) == count
     # the bound 4 lambda P * 30^(k/2) is past any double at both k; its exact copy is kept
     assert rec["error_bound"]["value"] is None

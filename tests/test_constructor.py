@@ -2,6 +2,9 @@ import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+import dataclasses
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +12,7 @@ import sunitlab.constructor as constructor
 import sunitlab.prime_tools as pt
 import sunitlab.smooth_verifier as sv
 from sunitlab.constructor import (
-    CongruencePair,
+    CongruencePairs,
     assemble_set,
     count_solutions_for_u0,
     lower_bound_estimate,
@@ -23,7 +26,7 @@ from sunitlab.errors import ValidationError, VerificationError
 from sunitlab.prime_tools import interval_stats
 from sunitlab.tuple_census import CensusParams, count_exact
 
-from oracles import oracle_primes_in
+from oracles import oracle_congruence_pairs, oracle_primes_in
 
 
 def test_plan_defaults_y30():
@@ -114,20 +117,29 @@ def test_pair_internal_consistency():
         assert pr.product_factors == tuple(sorted(pr.product_factors))
 
 
+def _one_pair(r_row, m_row, modulus=None):
+    """An engine listing one pair at y = 30 by its index rows into
+    P = (17, 19, 23, 29) and Q = (11, 13), or with the modulus given."""
+    st = interval_stats(30)
+    product = math.prod(st.product_primes[i] for i in r_row)
+    modulus = modulus or math.prod(st.modulus_primes[i] for i in m_row)
+    columns = (np.array([r_row]), np.array([m_row]), np.array([product]), np.array([modulus]))
+    return lambda *args, **kw: columns
+
+
 @pytest.mark.parametrize(
     "match",
-    [(11, 323, (17, 19), (11,)), (13, 841, (29, 29), (13,))],  # 322/11, 840/13: no integers
+    [((0, 1), (0,)), ((3, 3), (1,))],  # 17 * 19 mod 11, 29 * 29 mod 13: 322/11, 840/13 no integers
 )
 def test_pair_search_rechecks_every_listed_pair(match, monkeypatch):
-    monkeypatch.setattr(constructor, "congruence_solutions", lambda *args, **kw: [match])
+    monkeypatch.setattr(constructor, "congruence_solutions", _one_pair(*match))
     with pytest.raises(VerificationError, match="enumeration bug"):
         solve_congruence_pairs(30, 2, 1)
 
 
 def test_pair_search_rechecks_the_quotient_range(monkeypatch):
     # 29 * 29 = 841 = 1 + 2 * 420, but a quotient of 420 is past 4 * 30
-    match = (2, 841, (29, 29), (2,))
-    monkeypatch.setattr(constructor, "congruence_solutions", lambda *args, **kw: [match])
+    monkeypatch.setattr(constructor, "congruence_solutions", _one_pair((3, 3), (0,), modulus=2))
     with pytest.raises(VerificationError, match="range bound 120"):
         solve_congruence_pairs(30, 2, 1)
 
@@ -138,19 +150,8 @@ def test_pairs_validation():
 
 
 def _fake_pairs(quotients):
-    # synthetic pairs: only the quotient matters to the histogram
-    out = []
-    for u in quotients:
-        out.append(
-            CongruencePair(
-                product=3 * u + 1,
-                modulus=3,
-                quotient=u,
-                product_factors=(3 * u + 1,),
-                modulus_factors=(3,),
-            )
-        )
-    return out
+    # a synthetic quotient column: only the quotients matter to the histogram
+    return np.array(quotients)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=120))
@@ -263,8 +264,32 @@ def test_construction_checks_each_prime_of_s_once(monkeypatch):
 def test_construction_empty_pairs():
     # (11, 22] products never land on 1 modulo the (5.5, 11] primes
     run = run_construction(22, 1, 1)
-    assert run.pairs == [] and run.census == 0
+    assert list(run.pairs) == [] and run.census == 0
     assert run.histogram is None and run.assembled is None and run.result is None
+
+
+@pytest.mark.parametrize(
+    "k,pairs,census",
+    [(13, 100, 12_311_651), (22, 447, 3_225_160_289_125), (40, 2341, 221_636_398_685_820_811_511_780)],
+)
+def test_construction_past_int64(k, pairs, census):
+    # 29^k > 2^63 at every k here, and 22! > 2^63: products, quotients and
+    # weights are Python ints
+    run = run_construction(30, k, 1)
+    assert run.pairs.products.dtype == object
+    assert (len(run.pairs), run.census, run.histogram.multiplicity) == (pairs, census, 1)
+    assert run.result.multiplicity == 1
+    for pr in run.pairs:
+        assert math.prod(pr.product_factors) == pr.product
+        assert math.prod(pr.modulus_factors) == pr.modulus
+        assert pr.product % pr.modulus == 1
+        assert pr.quotient * pr.modulus == pr.product - 1
+        assert pr.quotient < 4 * Fraction(30) ** (k - 1)
+        assert pr.product_factors == tuple(sorted(pr.product_factors))
+    st = interval_stats(30)
+    moduli = list(combinations_with_replacement(st.modulus_primes, 1))
+    want = oracle_congruence_pairs(st.product_primes, moduli, k)
+    assert [dataclasses.astuple(pr) for pr in run.pairs] == want
 
 
 def test_construction_refuses_ell_above_k():
@@ -287,12 +312,13 @@ def test_construction_refuses_plan_arguments_with_both_lengths(plan):
 
 
 def test_count_solutions_rejects_inconsistent_pair():
-    bad = CongruencePair(
-        product=10, modulus=3, quotient=2, product_factors=(10,), modulus_factors=(3,)
+    bad = CongruencePairs(
+        p_primes=np.array([10]), q_primes=np.array([3]), r_rows=np.array([[0]]), m_rows=np.array([[0]]),
+        products=np.array([10]), moduli=np.array([3]), quotients=np.array([2]),
     )
     assembled = assemble_set(30, 2)
     with pytest.raises(VerificationError):
-        count_solutions_for_u0([bad], assembled)
+        count_solutions_for_u0(bad, assembled)
 
 
 def test_count_solutions_filters_by_quotient():

@@ -18,7 +18,7 @@ from sunitlab.tuple_census import (
     CensusParams,
     _count_products_congruent_one,
     _modulus_multisets,
-    census_over,
+    congruence_solutions,
     count_direct,
     count_exact,
     count_sampled,
@@ -110,11 +110,11 @@ def test_count_methods_agree(y, k, ell):
 def test_census_over_shuffle_invariance(seed):
     stats = interval_stats(40)
     p_list, q_list = list(stats.product_primes), list(stats.modulus_primes)
-    baseline = census_over(tuple(p_list), tuple(q_list), 2, 2)
+    baseline = congruence_solutions(tuple(p_list), tuple(q_list), 2, 2)
     rng = random.Random(seed)
     rng.shuffle(p_list)
     rng.shuffle(q_list)
-    assert census_over(tuple(p_list), tuple(q_list), 2, 2) == baseline
+    assert congruence_solutions(tuple(p_list), tuple(q_list), 2, 2) == baseline
 
 
 def test_empty_interval_flag():
@@ -290,27 +290,27 @@ def test_fold_in_slices_matches_reference(monkeypatch):
         w * _reference_fold(st.product_primes, 4, m)
         for m, _c, w in _modulus_multisets(st.modulus_primes, 2)
     )
-    assert census_over(st.product_primes, st.modulus_primes, 4, 2) == want
+    assert congruence_solutions(st.product_primes, st.modulus_primes, 4, 2) == want
 
 
 def test_fold_exact_past_int64():
     st = interval_stats(30)
-    got = census_over(st.product_primes, st.modulus_primes, 40, 1)
+    got = congruence_solutions(st.product_primes, st.modulus_primes, 40, 1)
     assert got == 221636398685820811511780 > 2**63
     assert got == sum(_reference_fold(st.product_primes, 40, q) for q in st.modulus_primes)
 
 
 def test_fold_drops_residues_sharing_a_prime_with_the_modulus():
     # 11 = 0 mod 11 can never be part of a product == 1 mod 11
-    assert census_over((11, 13), (11,), 2, 1) == 0
-    assert census_over((11, 23), (11,), 1, 1) == 1
+    assert congruence_solutions((11, 13), (11,), 2, 1) == 0
+    assert congruence_solutions((11, 23), (11,), 1, 1) == 1
     # moduli 9, 15 (twice) and 25: the prime 3 drops out of the first two only
     want = (
         _reference_fold((7, 13), 2, 9)
         + 2 * _reference_fold((7, 13), 2, 15)
         + _reference_fold((3, 7, 13), 2, 25)
     )
-    assert census_over((3, 7, 13), (3, 5), 2, 2) == want
+    assert congruence_solutions((3, 7, 13), (3, 5), 2, 2) == want
 
 
 def test_fold_capacity(monkeypatch):
@@ -320,7 +320,7 @@ def test_fold_capacity(monkeypatch):
     monkeypatch.setattr(tc, "FOLD_OP_LIMIT", 10)
     st = interval_stats(60)
     with pytest.raises(CapacityError, match="residue fold"):
-        census_over(st.product_primes, st.modulus_primes, 3, 1)
+        congruence_solutions(st.product_primes, st.modulus_primes, 3, 1)
 
 
 def test_modulus_limit_refused_before_any_fold(monkeypatch):
@@ -334,7 +334,7 @@ def test_modulus_limit_refused_before_any_fold(monkeypatch):
     monkeypatch.setattr(tc, "_count_by_blocks", no_folds)  # k = 2 runs here
     st = interval_stats(3000)
     with pytest.raises(CapacityError, match=str(1499**3)):
-        census_over(st.product_primes, st.modulus_primes, 2, 3)
+        congruence_solutions(st.product_primes, st.modulus_primes, 2, 3)
 
 
 # ------------------------------------------------------------ k = 2 by blocks
@@ -389,11 +389,11 @@ def test_k2_blocks_gather_every_partner_over_a_wide_span(monkeypatch):
             1 for qs in itertools.product(q_primes, repeat=ell)
             for p1, p2 in itertools.product(p_primes, repeat=2) if p1 * p2 % math.prod(qs) == 1
         )
-        assert census_over(p_primes, q_primes, 2, ell) == want
+        assert congruence_solutions(p_primes, q_primes, 2, ell) == want
     # the estimate: 2 moduli x 8 residues x ceil(498 / 2) passes
     monkeypatch.setattr(tc, "FOLD_OP_LIMIT", 10)
     with pytest.raises(CapacityError, match=r"\b3984\b"):
-        census_over(p_primes, q_primes, 2, 1)
+        congruence_solutions(p_primes, q_primes, 2, 1)
 
 
 # ------------------------------------------------------------ k >= 3 by blocks
@@ -430,15 +430,21 @@ def test_blocks_slice_the_multisets_by_first_index(monkeypatch):
     # y = 60, k = 3: C(8, 2) = 28 pairs of the 7 residues, at most 7 per first
     # index, so a block of 20 takes them 2 first indices at a time, once for
     # each of the 5 groups of 20 // 7 = 2 moduli among the C(5, 2) = 10
-    slices = []
-    rows = tc._multiset_rows
-    monkeypatch.setattr(tc, "_multiset_rows", lambda n, t, lo, hi: slices.append((lo, hi)) or rows(n, t, lo, hi))
-    monkeypatch.setattr(tc, "_BLOCK_ELEMENTS", 20)
     st = interval_stats(60)
     want = sum(
         w * _reference_fold(st.product_primes, 3, m)
         for m, _c, w in _modulus_multisets(st.modulus_primes, 2)
     )
+    slices = []
+    rows = tc._multiset_rows
+
+    def recorded(n, t, lo=0, hi=None):
+        if n == len(st.product_primes):  # the slices of P; the moduli's rows come whole
+            slices.append((lo, hi))
+        return rows(n, t, lo, hi)
+
+    monkeypatch.setattr(tc, "_multiset_rows", recorded)
+    monkeypatch.setattr(tc, "_BLOCK_ELEMENTS", 20)
     assert tc._count_by_blocks(st.product_primes, st.modulus_primes, 3, 2) == want
     assert slices == [(0, 2), (2, 4), (4, 6), (6, 7)] * 5
 
@@ -463,10 +469,28 @@ def test_blocks_and_fold_count_explicit_lists_as_brute_force(p_primes, q_primes,
         monkeypatch.setattr(tc, "_BLOCK_ELEMENTS", block)
         assert tc._count_by_blocks(p_primes, q_primes, k, ell) == want, block
         got = tc.congruence_solutions(p_primes, q_primes, k, ell, listing=True)
-        assert [(r, m) for _m, _r, r, m in got] == pairs, block
+        assert _listed(p_primes, q_primes, got) == pairs, block
     for plan in ("modulus", "fold"):
         _run_plan(monkeypatch, plan)
-        assert census_over(p_primes, q_primes, k, ell) == want, plan
+        assert congruence_solutions(p_primes, q_primes, k, ell) == want, plan
+
+
+@pytest.mark.parametrize(
+    "p_primes,q_primes,k",
+    [((7, 7, 13, 19), (3, 5), 2), ((7, 13, 19), (3, 5, 3), 2), ((7, 13, 19), (3, 5, 3), 3)],
+)
+def test_every_plan_counts_and_lists_repeated_primes_as_brute_force(p_primes, q_primes, k, monkeypatch):
+    # a prime listed twice is two entries, and a modulus multiset of entries
+    # weighs the ordered tuples of entries, equal moduli included
+    want = _brute_census(p_primes, q_primes, k, k)
+    moduli = list(combinations_with_replacement(q_primes, k))
+    pairs = [(r, m) for *_, r, m in oracle_congruence_pairs(p_primes, moduli, k)]
+    for plan in ("modulus", "fold", "quotient"):
+        _run_plan(monkeypatch, plan)
+        assert congruence_solutions(p_primes, q_primes, k, k) == want, plan
+        if plan != "fold":
+            got = tc.congruence_solutions(p_primes, q_primes, k, k, listing=True)
+            assert _listed(p_primes, q_primes, got) == pairs, plan
 
 
 def test_fold_counts_past_int64_where_the_blocks_estimate_less():
@@ -477,10 +501,21 @@ def test_fold_counts_past_int64_where_the_blocks_estimate_less():
     want = sum(math.comb(83, a) for a in range(84) if pow(3, a, q) * pow(5, 83 - a, q) % q == 1)
     assert want == math.comb(83, 41) > 2**63
     assert tc._plan((3, 5), (q,), 83, 1, False) == "fold"
-    assert census_over((3, 5), (q,), 83, 1) == want
+    assert congruence_solutions((3, 5), (q,), 83, 1) == want
 
 
 # ------------------------------------------------------------ congruence engine
+
+
+def _listed(p_primes, q_primes, columns):
+    """A listing's columns as (r multiset, m multiset) of primes, row by row,
+    each row's products checked against its index rows."""
+    r_rows, m_rows, products, moduli = columns
+    rs = [tuple(p_primes[i] for i in row) for row in r_rows.tolist()]
+    ms = [tuple(q_primes[i] for i in row) for row in m_rows.tolist()]
+    assert list(map(math.prod, rs)) == products.tolist()
+    assert list(map(math.prod, ms)) == moduli.tolist()
+    return list(zip(rs, ms))
 
 
 def _run_plan(monkeypatch, plan):
@@ -512,7 +547,7 @@ def test_list_plans_match_the_reference_pair_loop(y, k, ell, monkeypatch):
     for plan in _plans(k, ell):
         _run_plan(monkeypatch, plan)
         got = tc.congruence_solutions(st.product_primes, q_primes, k, ell, listing=True)
-        assert [(r, m) for _m, _r, r, m in got] == want, plan
+        assert _listed(st.product_primes, q_primes, got) == want, plan
 
 
 @pytest.mark.parametrize("y,k,ell", [(30, 2, 1), (60, 2, 1), (60, 3, 2), (150, 2, 2)])
@@ -533,8 +568,8 @@ def test_quotient_count_matches_reference_fold(y, k):
         w * _reference_fold(st.product_primes, k, m)
         for m, _c, w in _modulus_multisets(st.modulus_primes, k)
     )
-    matches = tc._matches_by_quotient(st.product_primes, st.modulus_primes, k, k)
-    assert tc.ordered_weight(matches) == want
+    r_rows, m_rows = tc._matches_by_quotient(st.product_primes, st.modulus_primes, k, k)
+    assert tc._ordered_count(r_rows, m_rows, np.int64) == want
 
 
 @pytest.mark.parametrize("y,k,ell", [(20, 1, 1), (30, 2, 1), (30, 2, 2), (40, 2, 2), (40, 3, 1)])
@@ -551,7 +586,7 @@ def test_quotient_plan_matches_the_fold(y, k, monkeypatch):
     counts = {}
     for plan in ("modulus", "fold", "quotient"):
         _run_plan(monkeypatch, plan)
-        counts[plan] = census_over(st.product_primes, st.modulus_primes, k, k)
+        counts[plan] = congruence_solutions(st.product_primes, st.modulus_primes, k, k)
     assert counts["quotient"] == counts["modulus"] == counts["fold"]
     if y == 3000:
         assert counts["quotient"] == 330
@@ -577,12 +612,12 @@ def test_planner_picks_the_cheaper_eligible_plan(y, k, ell, listing, plan):
 
 def test_quotient_plan_runs_past_the_modulus_limit(monkeypatch):
     st = interval_stats(60)
-    want = census_over(st.product_primes, st.modulus_primes, 2, 2)
+    want = congruence_solutions(st.product_primes, st.modulus_primes, 2, 2)
     monkeypatch.setattr(tc, "MODULUS_LIMIT", 100)  # below 29^2: no plan by modulus
     assert tc._plan(st.product_primes, st.modulus_primes, 2, 2, False) == "quotient"
-    assert census_over(st.product_primes, st.modulus_primes, 2, 2) == want
+    assert congruence_solutions(st.product_primes, st.modulus_primes, 2, 2) == want
     with pytest.raises(CapacityError, match=str(29**2)):
-        census_over(st.product_primes, st.modulus_primes, 3, 2)  # k != ell: no plan by quotient
+        congruence_solutions(st.product_primes, st.modulus_primes, 3, 2)  # k != ell: no plan by quotient
 
 
 @pytest.mark.parametrize("y", [3, 12, 30, 30.5, 60, 150, 1000])
