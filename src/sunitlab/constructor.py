@@ -12,7 +12,6 @@ c = product.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -218,7 +217,7 @@ class ResidueHistogram:
 
     def top(self, n: int = 10) -> list[tuple[int, int]]:
         """Most common quotients, multiplicity descending then value ascending."""
-        return heapq.nsmallest(n, self.counts.items(), key=lambda kv: (-kv[1], kv[0]))
+        return sorted(self.counts.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
 
 
 def popular_residue(quotients) -> ResidueHistogram:

@@ -42,6 +42,10 @@ _FOLD_CHUNK = 1 << 20
 # 2^16 0.50 s at 33.6 MB.  At y = 1000, ell = 2, 2^14 to 2^17 all took 0.03 to
 # 0.04 s at k = 3 and 1.08 to 1.14 s at k = 4
 _BLOCK_ELEMENTS = 1 << 15
+# multisets weighed per slice by _modulus_multisets, whose callers work per
+# multiset in Python: 2^15 raised the peak RSS of `diagnose qt --y 2e6 --t 1`
+# from 36.2 to 36.6-36.8 MB, and 2^12 keeps it at 36.2 MB
+_WEIGH_SLICE = 1 << 12
 # Mersenne Twister words per numpy block of the Monte Carlo census, and the
 # longest tuple (k + ell draws) it resolves as arrays; longer ones cost k + ell
 # array passes for the few tuples a block holds, and are walked one by one.
@@ -161,15 +165,12 @@ def _ordered_count(r_rows: np.ndarray, m_rows: np.ndarray, dtype) -> int:
 
 
 def _modulus_multisets(primes: tuple[int, ...], t: int):
-    """Yield (product, multiset, ordered-tuple weight) per multiset of t >= 1 primes, in
-    combinations_with_replacement order.  The weights come in slices of about 2^12
-    multisets: enough for the callers' Python work per multiset to amortize a
-    slice's numpy calls, and few enough that its arrays raise no peak memory."""
-    n, combos = len(primes), itertools.combinations_with_replacement(primes, t)
-    step = max(1, 2**12 // math.comb(n + t - 2, t - 1))
-    for lo in range(0, n, step):
-        # the slice's weights first: zip then stops before taking a combo past them
-        for weight, combo in zip(_row_weights(_multiset_rows(n, t, lo, min(lo + step, n))).tolist(), combos):
+    """Yield (product, multiset, ordered-tuple weight) per multiset of t >= 1
+    primes, in combinations_with_replacement order, weighed a slice at a time."""
+    combos = itertools.combinations_with_replacement(primes, t)
+    for rows in _row_slices(len(primes), t, _WEIGH_SLICE):
+        weights = _row_weights(rows).tolist()
+        for weight, combo in zip(weights, itertools.islice(combos, len(weights))):
             yield math.prod(combo), combo, weight
 
 
@@ -296,9 +297,7 @@ def _multiset_slices(n: int, t: int):
     if t <= 1:
         yield (None, None) if t else (np.zeros((0, 1), dtype=np.int64), np.ones(1, dtype=np.int64))
         return
-    step = max(1, _BLOCK_ELEMENTS // math.comb(n + t - 2, t - 1))
-    for first in range(0, n, step):
-        rows = _multiset_rows(n, t, first, min(first + step, n))
+    for rows in _row_slices(n, t, _BLOCK_ELEMENTS):
         # np.take gathers 4x faster along a contiguous index
         yield rows.T.copy(), _row_weights(rows, np.int64)
 
@@ -442,8 +441,7 @@ def count_exact(params: CensusParams) -> CensusResult:
     st = interval_stats(params.y)
 
     def count():
-        census = congruence_solutions(st.product_primes, st.modulus_primes, params.k, params.ell)
-        return census, None
+        return congruence_solutions(st.product_primes, st.modulus_primes, params.k, params.ell), None
 
     return _census_result(params, "residue-dp", count)
 
@@ -471,6 +469,14 @@ def _multiset_rows(n: int, t: int, lo: int = 0, hi: int | None = None) -> np.nda
         if j:
             at = parents[j - 1][at]
     return rows
+
+
+def _row_slices(n: int, t: int, size: int):
+    """The rows of _multiset_rows(n, t), t >= 1, in slices by first index of
+    about ``size`` rows (at least the rows of one first index); none at n = 0."""
+    step = max(1, size // math.comb(max(n, 1) + t - 2, t - 1))
+    for lo in range(0, n, step):
+        yield _multiset_rows(n, t, lo, min(lo + step, n))
 
 
 def _quotients(p_primes, q_primes, k: int) -> range:
@@ -541,10 +547,8 @@ def _matches_by_quotient(p_primes, q_primes, k: int, ell: int):
     order = np.argsort(moduli)
     moduli = moduli[order]
     quotients = _quotients(p_primes, q_primes, k)
-    step = max(1, _FOLD_CHUNK // math.comb(len(p) + k - 2, k - 1))
     r_parts, m_parts = [np.zeros((0, k), dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for lo in range(0, len(p), step):
-        r_rows = _multiset_rows(len(p), k, lo, min(lo + step, len(p)))
+    for r_rows in _row_slices(len(p), k, _FOLD_CHUNK):
         r = np.prod(p[r_rows], axis=1)
         for u in quotients:
             sel = np.flatnonzero((r - 1) % u == 0)

@@ -264,6 +264,11 @@ def test_enumerate_Qt_structure():
         assert all(m > (30 / 4) ** t for m in cls.moduli)
 
 
+def test_enumerate_Qt_empty_modulus_interval():
+    # y = 3: no prime in (y/4, y/2], so no modulus of any length
+    assert [enumerate_Qt(t, 3).moduli for t in (1, 2, 3)] == [(), (), ()]
+
+
 def test_enumerate_Qt_capacity_and_validation(monkeypatch):
     monkeypatch.setattr(cl, "QT_LIMIT", 10)
     with pytest.raises(CapacityError):

@@ -294,6 +294,14 @@ def test_construct_no_pairs_is_clean_exit(capsys):
     assert any("nothing to construct" in w for w in res["warnings"])
 
 
+def test_construct_empty_modulus_interval_is_clean_exit(capsys):
+    # y = 3: no prime in (y/4, y/2], so there is no modulus to list pairs over
+    report = run_json(["construct", "--y", "3", "--k", "1", "--ell", "1"], capsys)
+    res = report["results"]
+    assert res["pairs"] == [] and res["conversion"]["census"] == "0"
+    assert any("no congruence solutions" in w for w in res["warnings"])
+
+
 def test_construct_no_pairs_past_int64_is_clean_exit(capsys):
     # 11^21 > 2^63: the empty listing runs on Python-int columns
     report = run_json(["construct", "--y", "12", "--k", "21", "--ell", "3"], capsys)

@@ -268,6 +268,15 @@ def test_construction_empty_pairs():
     assert run.histogram is None and run.assembled is None and run.result is None
 
 
+@pytest.mark.parametrize("k,ell", [(1, 1), (3, 2), (2, 1), (4, 4)])
+def test_construction_empty_modulus_interval(k, ell):
+    # (3/4, 3/2] holds no prime: no modulus, so the listing by modulus finds no
+    # pair, and the census (by blocks at k = 2, else by fold) counts 0
+    run = run_construction(3, k, ell)
+    assert list(run.pairs) == [] and run.census == 0
+    assert run.histogram is None and run.assembled is None and run.result is None
+
+
 @pytest.mark.parametrize(
     "k,pairs,census",
     [(13, 100, 12_311_651), (22, 447, 3_225_160_289_125), (40, 2341, 221_636_398_685_820_811_511_780)],

@@ -449,6 +449,19 @@ def test_blocks_slice_the_multisets_by_first_index(monkeypatch):
     assert slices == [(0, 2), (2, 4), (4, 6), (6, 7)] * 5
 
 
+@pytest.mark.parametrize("block", [1 << 12, 5, 1])
+@pytest.mark.parametrize("primes,t", [((), 1), ((), 3), ((3,), 4), ((5, 7, 11, 13), 3), ((3, 5, 3), 2)])
+def test_modulus_multisets_weigh_every_multiset(primes, t, block, monkeypatch):
+    # slices of 5 and 1 rows weigh the multisets a first index or two at a
+    # time; an empty list has no multiset; a repeated prime is a second entry
+    monkeypatch.setattr(tc, "_WEIGH_SLICE", block)
+    got = list(_modulus_multisets(primes, t))
+    indices = list(combinations_with_replacement(range(len(primes)), t))
+    assert [combo for _m, combo, _w in got] == [tuple(primes[i] for i in ix) for ix in indices]
+    assert all(m == math.prod(combo) for m, combo, _w in got)
+    assert [w for *_, w in got] == [len(set(itertools.permutations(ix))) for ix in indices]
+
+
 @pytest.mark.parametrize(
     "p_primes,q_primes,k,ell",
     [
