@@ -166,11 +166,14 @@ def _ordered_count(r_rows: np.ndarray, m_rows: np.ndarray, dtype) -> int:
 
 def _modulus_multisets(primes: tuple[int, ...], t: int):
     """Yield (product, multiset, ordered-tuple weight) per multiset of t >= 1
-    primes, in combinations_with_replacement order, weighed a slice at a time."""
-    combos = itertools.combinations_with_replacement(primes, t)
+    primes, in combinations_with_replacement order, a slice of index rows at
+    a time."""
     for rows in _row_slices(len(primes), t, _WEIGH_SLICE):
-        weights = _row_weights(rows).tolist()
-        for weight, combo in zip(weights, itertools.islice(combos, len(weights))):
+        entries = map(primes.__getitem__, rows.ravel().tolist())
+        # zip draws from its arguments left to right, so each combo is the t
+        # entries of one row; a list per row raised the peak RSS of
+        # `diagnose qt --y 2e6 --t 1` by about 0.4 MB
+        for combo, weight in zip(zip(*[entries] * t), _row_weights(rows).tolist()):
             yield math.prod(combo), combo, weight
 
 
@@ -188,14 +191,14 @@ def _check_multisets(cap: int, what: str, *classes: tuple[int, int], per: int = 
 
 def _fold_products(n: int, k: int, largest: int) -> int:
     """Upper bound on the residue products of _count_products_congruent_one
-    for n primes, k factors and a modulus up to ``largest``: n reductions, then
+    for n primes, k >= 2 factors and a modulus up to ``largest``: n reductions, then
     fold j takes the at most min(C(v+j-1, j), largest) products of j residues
     times v = min(n, largest); the C terms below ``largest`` sum to C(v+J, J) - 1.
     Once counts pass int64 (n^k >= 2^63) each product counts once per 64-bit
     word of its Python-int count, which is what it costs.
     """
     v = min(n, largest)
-    folds = range(1, max(k - 1, 1))
+    folds = range(1, k - 1)
     small = bisect.bisect_left(folds, True, key=lambda j: math.comb(v + j - 1, j) >= largest)
     products = n + v * (math.comb(v + small, small) - 1) + (len(folds) - small) * largest * v
     return products * ((n**k).bit_length() // 64 + 1)
@@ -287,15 +290,14 @@ def _tree_inverses(r: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def _multiset_slices(n: int, t: int):
-    """Yield the t-multisets of n columns in slices by first index of about
-    _BLOCK_ELEMENTS multisets, as (columns, weights): each index column,
+    """Yield the t-multisets (t >= 1) of n columns in slices by first index of
+    about _BLOCK_ELEMENTS multisets, as (columns, weights): each index column,
     contiguous, and each multiset's int64 weight (exact where a count runs,
     n^(t+1) < 2^63; a listing reads none).  At t = 1 the multisets are the
-    columns in order, weight 1 each: one slice, (None, None).  At t = 0 the
-    one empty multiset.
+    columns in order, weight 1 each: one slice, (None, None).
     """
-    if t <= 1:
-        yield (None, None) if t else (np.zeros((0, 1), dtype=np.int64), np.ones(1, dtype=np.int64))
+    if t == 1:
+        yield None, None
         return
     for rows in _row_slices(n, t, _BLOCK_ELEMENTS):
         # np.take gathers 4x faster along a contiguous index
@@ -309,68 +311,53 @@ def _gather(a: np.ndarray, columns, c: int) -> np.ndarray:
 
 
 def _count_by_blocks(p_primes, q_primes, k: int, ell: int, listing: bool = False):
-    """Ordered k-tuples of p_primes with product == 1 (mod m), summed over the
-    ell-multisets m of q_primes with weight w(m): the census by modulus.  With
-    ``listing``, the (r, m) multisets themselves instead, as index rows
-    (r_rows into p_primes, in index order, and m_rows into q_primes).
+    """Ordered k-tuples (k >= 2) of p_primes with product == 1 (mod m), summed
+    over the ell-multisets m of q_primes with weight w(m): the census by
+    modulus.  With ``listing``, the (r, m) multisets themselves instead, as
+    index rows (r_rows into p_primes, in index order, and m_rows into q_primes).
 
     A tuple is a (k-1)-multiset of P's columns, counted w times for the
     ordered (k-1)-tuples it stands for, and a last factor.  The moduli come in
     groups of _BLOCK_ELEMENTS // |P| (at least 1), one row per modulus, with
-    the residues p mod m and their inverses by _tree_inverses.  The multisets
-    come in slices of about _BLOCK_ELEMENTS (_multiset_slices; at k = 2 the
-    columns themselves, at k = 1 the empty multiset), and a group in blocks of
-    _BLOCK_ELEMENTS // (slice) moduli.  Per block and slice: the product s of
-    the inverses along each multiset (k - 2 multiply-mods), and the partners
-    of s read off a table of P over [min P, max P]: a partner is c0 + j*m,
-    with c0 = min P + ((s - min P) mod m), so (max P - min P) // min m + 1
-    gathers find them all.  A count weighs each hit by w, from the index
-    rows, so a prime listed twice counts twice; a listing maps each hit back
-    to its multiset and keeps the entries of P equal to the partner whose
-    index is at least the multiset's last.  A p in m's multiset is the only
-    kind sharing a prime with m (P holds primes): it is set to 1 in the tree
-    and every multiset holding it is sent past max P, where it finds no
-    partner; it is no partner, since its residue is not a unit.  Counts are
-    exact while |P|^k < 2^63.
+    the residues p mod m (units: P and Q share no prime) and their inverses by
+    _tree_inverses.  The multisets come in slices of about _BLOCK_ELEMENTS
+    (_multiset_slices; at k = 2 the columns themselves), and a group in
+    blocks of _BLOCK_ELEMENTS // (slice) moduli.  Per block and slice: the
+    product s of the inverses along each multiset (k - 2 multiply-mods), and
+    the partners of s read off a table of P over [min P, max P]: a partner is
+    c0 + j*m, with c0 = min P + ((s - min P) mod m), so
+    (max P - min P) // min m + 1 gathers find them all.  A count weighs each
+    hit by w, from the index rows; a listing reads the partner's index off
+    the table and keeps it when it is at least the multiset's last.  Counts
+    are exact while |P|^k < 2^63.
     """
     p = np.asarray(p_primes, dtype=np.int64)
     q = np.asarray(q_primes, dtype=np.int64)
     n, t = len(p), k - 1
     m_rows = _multiset_rows(len(q), ell)
     r_parts, m_parts = [np.zeros((0, k), dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    if not n:
-        return (r_parts[0], m_rows[:0]) if listing else 0
     lo, span = int(p.min()), int(p.max()) - int(p.min())
-    # ends in a zero, where np.take's clip sends every index past max P; int32
-    # holds any count of P, and halves the table the gathers hit at random
-    table = np.bincount(p - lo, minlength=span + 2).astype(np.int32)
-    # P's indices by value, and where each value's run of them starts
-    by_value, first = np.argsort(p, kind="stable"), np.cumsum(table) - table
-    sharing = bool(set(p_primes) & set(q_primes))
+    # 1 at each p (1 + its index in a listing), ending in a zero where np.take's
+    # clip sends every index past max P; int32 halves the table the gathers hit at random
+    table = np.zeros(span + 2, dtype=np.int32)
+    table[p - lo] = np.arange(1, n + 1) if listing else 1
     all_moduli = np.prod(q[m_rows], axis=1, keepdims=True)
     counts = np.zeros(len(m_rows), dtype=np.int64)
     size = max(1, _BLOCK_ELEMENTS // n)
     for g in range(0, len(m_rows), size):
         moduli, tally = all_moduli[g : g + size], counts[g : g + size]
-        r = p % moduli
-        if sharing:
-            shares = (q[m_rows[g : g + size]][:, :, None] == p).any(axis=1)
-            r[shares] = 1
-        inverses = _tree_inverses(r, moduli)
+        inverses = _tree_inverses(p % moduli, moduli)
         for columns, weights in _multiset_slices(n, t):
             height = max(1, _BLOCK_ELEMENTS // (n if weights is None else len(weights)))
             for b in range(0, len(moduli), height):
                 block, m = slice(b, b + height), moduli[b : b + height]
-                offsets = _gather(inverses[block], columns, 0) if t else np.ones_like(m)
+                offsets = _gather(inverses[block], columns, 0)
                 for c in range(1, t):
                     offsets *= _gather(inverses[block], columns, c)
                     if c < t - 1:  # the last product is reduced with the shift below
                         offsets %= m
                 offsets -= lo
                 offsets %= m
-                if sharing:
-                    for c in range(t):
-                        offsets[_gather(shares[block], columns, c)] = span + 1
                 for shift in range(span // int(m.min()) + 1):
                     if shift:
                         offsets += m
@@ -379,43 +366,30 @@ def _count_by_blocks(p_primes, q_primes, k: int, ell: int, listing: bool = False
                         tally[block] += hits.sum(axis=1) if weights is None else hits @ weights
                         continue
                     row, col = np.nonzero(hits)
-                    runs = hits[row, col]
-                    # a hit at offset o stands for the P indices by_value[first[o]:][:runs]
-                    owner = np.repeat(np.arange(len(runs)), runs)
-                    start = first[offsets[row, col]] - np.cumsum(runs) + runs
-                    tail = by_value[np.arange(len(owner)) + np.repeat(start, runs)]
-                    head = (col[:, None] if columns is None else columns[:, col].T)[owner]
-                    keep = tail >= (head[:, -1] if t else 0)
+                    head = col[:, None] if columns is None else columns[:, col].T
+                    tail = hits[row, col] - 1
+                    keep = tail >= head[:, -1]
                     r_parts.append(np.column_stack((head[keep], tail[keep])))
-                    m_parts.append(g + b + row[owner[keep]])
+                    m_parts.append(g + b + row[keep])
     if listing:
         return np.concatenate(r_parts), m_rows[np.concatenate(m_parts)]
     return sum(w * c for w, c in zip(_row_weights(m_rows).tolist(), counts.tolist()))
 
 
-def _count_products_congruent_one(
-    p: np.ndarray, k: int, m: int, combo: tuple[int, ...]
-) -> int:
-    """Number of ordered k-tuples of the primes p whose product is 1 mod m.
+def _count_products_congruent_one(p: np.ndarray, k: int, m: int) -> int:
+    """Number of ordered k-tuples (k >= 2) of the primes p whose product is
+    1 mod m, for m coprime to every p.
 
-    m is the product of the prime multiset combo.  Residues sharing a prime
-    with m never reach 1 and are dropped; the rest collapse to sorted
-    (value, count) pairs, folded k-2 times by an outer product mod m and a
-    sort-merge (in slices of _FOLD_CHUNK products).  The last factor is read
-    off instead of folded: s completes a tuple exactly when the other k-1
-    factors multiply to s^-1, and every s^-1 comes off one _tree_inverses row.
-    int64 residue products are exact because m < MODULUS_LIMIT = 2^31;
-    counts are Python ints whenever n^k tuples could pass 2^63.
+    The residues collapse to sorted (value, count) pairs, folded k-2 times by
+    an outer product mod m and a sort-merge (in slices of _FOLD_CHUNK
+    products).  The last factor is read off instead of folded: s completes a
+    tuple exactly when the other k-1 factors multiply to s^-1, and every s^-1
+    comes off one _tree_inverses row.  int64 residue products are exact
+    because m < MODULUS_LIMIT = 2^31; counts are Python ints whenever n^k
+    tuples could pass 2^63.
     """
-    r = p % m
-    for q in set(combo):
-        r = r[r % q != 0]
-    if not len(r):
-        return 0
-    values, counts = np.unique(r, return_counts=True)
-    counts = counts.astype(np.int64 if len(r) ** k < 2**63 else object)
-    if k == 1:
-        return int(counts[values == 1 % m].sum())
+    values, counts = np.unique(p % m, return_counts=True)
+    counts = counts.astype(np.int64 if len(p) ** k < 2**63 else object)
     dist, dist_counts = values, counts
     rows = max(1, _FOLD_CHUNK // len(values))
     for _ in range(k - 2):
@@ -447,14 +421,12 @@ def count_exact(params: CensusParams) -> CensusResult:
 
 
 def _multiset_rows(n: int, t: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
-    """Index rows i_1 <= ... <= i_t < n with lo <= i_1 < hi, one per t-multiset,
-    in itertools.combinations_with_replacement order; t = 0 gives one empty row.
+    """Index rows i_1 <= ... <= i_t < n with lo <= i_1 < hi, one per t-multiset
+    (t >= 1), in itertools.combinations_with_replacement order.
 
     Column j is built once, with a pointer from each entry to the entry of
     column j-1 it extends; the rows are read back along those pointers.
     """
-    if t == 0:
-        return np.zeros((1, 0), dtype=np.int64)
     cols = [np.arange(lo, n if hi is None else hi, dtype=np.int64)]
     parents = []
     for _ in range(t - 1):
@@ -487,42 +459,39 @@ def _quotients(p_primes, q_primes, k: int) -> range:
 
 
 def _plan(p_primes, q_primes, k: int, ell: int, listing: bool) -> str:
-    """The eligible plan with the smaller work estimate, refused over its cap.
+    """The eligible plan with the smaller work estimate, refused over its cap,
+    for nonempty P and Q and 1 <= ell <= k.
 
-    By modulus ("modulus", _count_by_blocks; every modulus below
+    By modulus ("modulus", _count_by_blocks; k >= 2 and every modulus below
     MODULUS_LIMIT, so residue products stay in int64): per modulus, k - 2
     multiply-mods and ceil(g/2) passes of partner gathers, for
-    g = (max P - min P) // min m + 1, per (k-1)-multiset of P (per residue at
-    k = 1, whose work is the residues' inverses), or the max P - min P entries
-    of its partner table when those are more; at every CLI interval g <= 2.
-    It lists at every k and counts at k >= 2 while |P|^k < 2^63.  The residue
-    fold ("fold", _count_products_congruent_one) takes _fold_products per
-    modulus, which is the same figure at k >= 3 until its products saturate
-    at the largest modulus; it counts when the blocks do not, or estimate
-    more.  By quotient (k = ell, every product and modulus in int64): one
-    pass over the k-products per quotient u, then a sorted join against the
-    moduli.
+    g = (max P - min P) // min m + 1, per (k-1)-multiset of P, or the
+    max P - min P entries of its partner table when those are more; at every
+    CLI interval g <= 2.  It lists, and counts while |P|^k < 2^63.  The
+    residue fold ("fold", _count_products_congruent_one) takes
+    _fold_products per modulus, which is the same figure at k >= 3 until its
+    products saturate at the largest modulus; it counts when the blocks do
+    not, or estimate more.  By quotient (k = ell, every product and modulus
+    in int64; the one plan at k = 1): one pass over the k-products per
+    quotient u, then a sorted join against the moduli.
     """
-    for t in (k, ell):
-        if t < 1:
-            raise ValidationError(f"need multisets of t >= 1 primes, got t={t}")
     n = len(p_primes)
-    largest = max(q_primes, default=1) ** ell
+    largest = max(q_primes) ** ell
     moduli = math.comb(len(q_primes) + ell - 1, ell)
     work = {}
-    if largest <= MODULUS_LIMIT:
-        span = max(p_primes, default=0) - min(p_primes, default=0)
-        gathers = span // min(q_primes, default=1) ** ell + 1
-        multisets = max(math.comb(n + k - 2, k - 1), n) if n else 0
-        plan, ops = "modulus", max(moduli * (max(k - 2, 0) + -(-gathers // 2)) * multisets, span)
+    if k >= 2 and largest <= MODULUS_LIMIT:
+        span = max(p_primes) - min(p_primes)
+        gathers = span // min(q_primes) ** ell + 1
+        multisets = math.comb(n + k - 2, k - 1)
+        plan, ops = "modulus", max(moduli * (k - 2 + -(-gathers // 2)) * multisets, span)
         if not listing:
             fold = moduli * _fold_products(n, k, largest)
             # at k = 2 the fold's figure leaves out its sort: the blocks always count
-            if k < 2 or n**k >= 2**63 or (k > 2 and fold < ops):
+            if n**k >= 2**63 or (k > 2 and fold < ops):
                 plan, ops = "fold", fold
         what = "pair search residues" if listing else "residue fold products"
         work[plan] = (what + f" over the {ell}-prime moduli: {{}}", ops)
-    if k == ell and n and moduli and max(max(p_primes) ** k, largest) < 2**63:
+    if k == ell and max(max(p_primes) ** k, largest) < 2**63:
         passes = len(_quotients(p_primes, q_primes, k)) * math.comb(n + k - 1, k) + moduli
         work["quotient"] = (f"quotient passes over the {k}-prime products: {{}}", passes)
     if not work:
@@ -538,7 +507,7 @@ def _matches_by_quotient(p_primes, q_primes, k: int, ell: int):
 
     The k-products come in blocks of about _FOLD_CHUNK; per block and quotient
     u, (r - 1)/u over the r == 1 (mod u) is looked up among the sorted moduli,
-    each equal one matching (a prime listed twice makes equal moduli).
+    which are distinct (Q holds distinct primes), so one match at most.
     """
     p = np.asarray(p_primes, dtype=np.int64)
     q = np.asarray(q_primes, dtype=np.int64)
@@ -553,10 +522,10 @@ def _matches_by_quotient(p_primes, q_primes, k: int, ell: int):
         for u in quotients:
             sel = np.flatnonzero((r - 1) % u == 0)
             v = (r[sel] - 1) // u
-            first = np.searchsorted(moduli, v)
-            runs = np.searchsorted(moduli, v, "right") - first
-            r_parts.append(np.repeat(r_rows[sel], runs, axis=0))
-            m_parts.append(order[np.arange(runs.sum()) + np.repeat(first - np.cumsum(runs) + runs, runs)])
+            at = np.minimum(np.searchsorted(moduli, v), len(moduli) - 1)
+            hit = moduli[at] == v
+            r_parts.append(r_rows[sel[hit]])
+            m_parts.append(order[at[hit]])
     return np.concatenate(r_parts), m_rows[np.concatenate(m_parts)]
 
 
@@ -569,23 +538,31 @@ def congruence_solutions(
     (modulus, product).  The index rows of r into p_primes (n x k) and of m
     into q_primes (n x ell) are int64; the products and moduli are too while
     max(p_primes)^k and k! l! (which bounds w(r) w(m)) are below 2^63, else
-    Python ints (object); every modulus a plan admits is below 2^63.  A p
-    sharing a prime with the modulus is never part of a counted tuple.
+    Python ints (object); every modulus a plan admits is below 2^63.
 
-    The one congruence engine under the census and the pair search.  _plan
-    picks by modulus, by residue fold or by quotient and refuses over
-    FOLD_OP_LIMIT (counting) or PAIR_OP_LIMIT (listing) before any work.
-    By modulus, _count_by_blocks counts and lists; the fold,
-    _count_products_congruent_one per modulus, serves counts at k = 1, past
-    int64, and of long tuples whose residue products collapse below the
-    modulus.
+    The one congruence engine under the census and the pair search.  Its
+    input is the census's: two disjoint lists of distinct primes, such as
+    the (y/2, y] and (y/4, y/2] primes, and 1 <= ell <= k; any other is
+    refused with ValidationError.  _plan picks by modulus (k >= 2), by
+    residue fold or by quotient (k = ell, and so every k = 1) and refuses
+    over FOLD_OP_LIMIT (counting) or PAIR_OP_LIMIT (listing) before any
+    work.  By modulus, _count_by_blocks counts and lists; the fold,
+    _count_products_congruent_one per modulus, serves counts past int64 and
+    of long tuples whose residue products collapse below the modulus.
     """
+    if len(set(p_primes) | set(q_primes)) < len(p_primes) + len(q_primes):
+        raise ValidationError("need two disjoint lists of distinct primes")
+    if not 1 <= ell <= k:
+        raise ValidationError(f"need 1 <= ell <= k, got k={k}, ell={ell}")
+    if not (p_primes and q_primes):  # (y/4, y/2] holds no prime for y < 4
+        r_rows, m_rows = np.zeros((0, k), dtype=np.int64), np.zeros((0, ell), dtype=np.int64)
+        return (r_rows, m_rows, r_rows[:, 0], m_rows[:, 0]) if listing else 0
     plan = _plan(p_primes, q_primes, k, ell, listing)
     if plan == "fold":
         p = np.asarray(p_primes, dtype=np.int64)
         return sum(
-            weight * _count_products_congruent_one(p, k, m, combo)
-            for m, combo, weight in _modulus_multisets(tuple(q_primes), ell)
+            weight * _count_products_congruent_one(p, k, m)
+            for m, _combo, weight in _modulus_multisets(q_primes, ell)
         )
     if plan == "modulus" and not listing:
         return _count_by_blocks(p_primes, q_primes, k, ell)
@@ -593,7 +570,7 @@ def congruence_solutions(
         r_rows, m_rows = _matches_by_quotient(p_primes, q_primes, k, ell)
     else:
         r_rows, m_rows = _count_by_blocks(p_primes, q_primes, k, ell, listing=True)
-    bound = max(max(p_primes, default=1) ** k, math.factorial(k) * math.factorial(ell))
+    bound = max(max(p_primes) ** k, math.factorial(k) * math.factorial(ell))
     dtype = np.int64 if bound < 2**63 else object
     if not listing:
         return _ordered_count(r_rows, m_rows, dtype)

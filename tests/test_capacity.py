@@ -53,7 +53,7 @@ def _large_sieve(trials, bound):
 
 CASES = [
     # (limit's module, limit, lowered value, call, estimate, (engine's module, engine))
-    (tc, "MODULUS_LIMIT", 1000, _census(60, 2, 3), 29**3,
+    (tc, "MODULUS_LIMIT", 1000, _census(60, 4, 3), 29**3,
      (tc, "_count_by_blocks")),
     # k = 2 has no fold: 4 moduli x 7 residues x 1 pass of partner gathers
     # (g = 28 // 17 + 1 = 2), which is no less than the partner table's span 28

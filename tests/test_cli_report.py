@@ -5,6 +5,7 @@ import json
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -579,11 +580,21 @@ def test_help_and_version_exit_zero(flag, capsys):
         "verify-smooth-count", "verify-int64", "construct-hopeless-u0",
     ],
 )
-def test_runaway_command_refused_up_front(argv, estimate):
-    proc = _run_module(argv, capture_output=True)
-    assert proc.returncode == 3
-    assert proc.stdout == ""
-    (line,) = proc.stderr.splitlines()
+def test_runaway_command_refused_up_front(argv, estimate, capsys):
+    def hang(signum, frame):
+        raise TimeoutError("no refusal within 30 s")
+
+    # in-process, so a lost refusal would stall the suite: it fails at 30 s instead
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, 30)
+    try:
+        status, out, err = run_cli(argv, capsys)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert status == 3
+    assert out == ""
+    (line,) = err.splitlines()
     error = json.loads(line)["error"]
     assert error["code"] == "capacity"
     assert str(estimate) in error["message"]

@@ -28,6 +28,7 @@ from sunitlab.tuple_census import (
 )
 
 from oracles import oracle_census, oracle_congruence_pairs, oracle_rep_counts, oracle_sampled_hits
+from test_capacity import Tripwire
 
 
 def test_params_validation():
@@ -269,14 +270,14 @@ def _reference_fold(p_primes, k, m):
 
 @pytest.mark.parametrize("y", [12, 30, 60, 150, 300])
 @pytest.mark.parametrize("ell", [1, 2, 3])
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_numpy_fold_matches_reference_fold(y, k, ell):
     st = interval_stats(y)
     p = np.asarray(st.product_primes, dtype=np.int64)
     multisets = list(_modulus_multisets(st.modulus_primes, ell))
     # all multisets up to 40, else 40 spread evenly: the reference is slow at y = 300
     for m, combo, _w in multisets[:: -(-len(multisets) // 40)]:
-        got = _count_products_congruent_one(p, k, m, combo)
+        got = _count_products_congruent_one(p, k, m)
         assert got == _reference_fold(st.product_primes, k, m), (m, combo)
 
 
@@ -300,17 +301,34 @@ def test_fold_exact_past_int64():
     assert got == sum(_reference_fold(st.product_primes, 40, q) for q in st.modulus_primes)
 
 
-def test_fold_drops_residues_sharing_a_prime_with_the_modulus():
-    # 11 = 0 mod 11 can never be part of a product == 1 mod 11
-    assert congruence_solutions((11, 13), (11,), 2, 1) == 0
-    assert congruence_solutions((11, 23), (11,), 1, 1) == 1
-    # moduli 9, 15 (twice) and 25: the prime 3 drops out of the first two only
-    want = (
-        _reference_fold((7, 13), 2, 9)
-        + 2 * _reference_fold((7, 13), 2, 15)
-        + _reference_fold((3, 7, 13), 2, 25)
-    )
-    assert congruence_solutions((3, 7, 13), (3, 5), 2, 2) == want
+@pytest.mark.parametrize(
+    "p_primes,q_primes,k,ell",
+    [
+        ((11, 13), (11,), 2, 1),  # a prime in both lists
+        ((11, 23), (11,), 1, 1),
+        ((3, 7, 13), (3, 5), 2, 2),
+        ((7, 7, 13), (5,), 3, 1),  # a prime listed twice
+        ((7, 13, 19), (3, 5, 3), 2, 2),
+        ((7, 13, 19), (3, 5), 1, 2),  # ell > k
+        ((7, 13, 19), (3, 5), 2, 0),  # ell < 1
+        ((), (3,), 1, 2),  # refused before the empty list returns
+    ],
+)
+def test_engine_refuses_shared_or_repeated_primes_and_ell_past_k(p_primes, q_primes, k, ell, monkeypatch):
+    for engine in ("_plan", "_count_by_blocks", "_count_products_congruent_one", "_matches_by_quotient"):
+        monkeypatch.setattr(tc, engine, Tripwire())
+    for listing in (False, True):
+        with pytest.raises(ValidationError):
+            congruence_solutions(p_primes, q_primes, k, ell, listing=listing)
+
+
+@pytest.mark.parametrize("k,ell", [(1, 1), (2, 1), (3, 3)])
+def test_engine_answers_an_empty_list_without_a_plan(k, ell, monkeypatch):
+    # y < 4 leaves (y/4, y/2] without a prime
+    monkeypatch.setattr(tc, "_plan", Tripwire())
+    assert congruence_solutions((2, 3), (), k, ell) == 0
+    r_rows, m_rows, products, moduli = congruence_solutions((2, 3), (), k, ell, listing=True)
+    assert (r_rows.shape, m_rows.shape, products.shape, moduli.shape) == ((0, k), (0, ell), (0,), (0,))
 
 
 def test_fold_capacity(monkeypatch):
@@ -331,10 +349,10 @@ def test_modulus_limit_refused_before_any_fold(monkeypatch):
         raise AssertionError("a residue fold ran before the refusal")
 
     monkeypatch.setattr(tc, "_count_products_congruent_one", no_folds)
-    monkeypatch.setattr(tc, "_count_by_blocks", no_folds)  # k = 2 runs here
+    monkeypatch.setattr(tc, "_count_by_blocks", no_folds)
     st = interval_stats(3000)
     with pytest.raises(CapacityError, match=str(1499**3)):
-        congruence_solutions(st.product_primes, st.modulus_primes, 2, 3)
+        congruence_solutions(st.product_primes, st.modulus_primes, 4, 3)  # k != ell: no plan by quotient
 
 
 # ------------------------------------------------------------ k = 2 by blocks
@@ -381,16 +399,16 @@ def test_k2_blocks_match_reference_fold(y, ell, block, monkeypatch):
 
 
 def test_k2_blocks_gather_every_partner_over_a_wide_span(monkeypatch):
-    # moduli 2, 3 (ell = 1) and 4, 6, 9 (ell = 2) against P spanning 994:
-    # g = 994 // 2 + 1 = 498 gathers, where the CLI intervals need at most 2
-    p_primes, q_primes = (3, 5, 7, 11, 13, 101, 103, 997), (2, 3)
+    # moduli 2, 3 (ell = 1) and 4, 6, 9 (ell = 2) against P spanning 992:
+    # g = 992 // 2 + 1 = 497 gathers, where the CLI intervals need at most 2
+    p_primes, q_primes = (5, 7, 11, 13, 17, 101, 103, 997), (2, 3)
     for ell in (1, 2):
         want = sum(
             1 for qs in itertools.product(q_primes, repeat=ell)
             for p1, p2 in itertools.product(p_primes, repeat=2) if p1 * p2 % math.prod(qs) == 1
         )
         assert congruence_solutions(p_primes, q_primes, 2, ell) == want
-    # the estimate: 2 moduli x 8 residues x ceil(498 / 2) passes
+    # the estimate: 2 moduli x 8 residues x ceil(497 / 2) passes
     monkeypatch.setattr(tc, "FOLD_OP_LIMIT", 10)
     with pytest.raises(CapacityError, match=r"\b3984\b"):
         congruence_solutions(p_primes, q_primes, 2, 1)
@@ -465,12 +483,12 @@ def test_modulus_multisets_weigh_every_multiset(primes, t, block, monkeypatch):
 @pytest.mark.parametrize(
     "p_primes,q_primes,k,ell",
     [
-        ((3, 7, 13), (3, 5), 3, 2),  # 3 drops out of the moduli 9 and 15 only
-        ((11, 13, 17), (11,), 3, 1),
-        ((7, 7, 13), (5,), 3, 1),  # a repeated prime counts once per entry
-        ((3, 3, 7, 13, 13), (3, 5), 4, 2),  # repeated, and shared with a modulus
+        ((2, 7, 13), (3, 5), 3, 2),
+        ((13, 17, 19), (11,), 3, 1),
+        ((7, 11, 13), (5,), 3, 1),
+        ((2, 7, 11, 13, 17), (3, 5), 4, 2),
         ((7, 13, 19), (3, 5), 5, 3),
-        ((3, 7, 13, 13, 19), (3, 2), 1, 2),  # k = 1: the partners of 1 mod 9, 6 and 4
+        ((7, 11, 13, 17, 19), (2, 3), 2, 2),  # g = 12 // 2 + 1 = 7 partner gathers at m = 2
     ],
 )
 def test_blocks_and_fold_count_explicit_lists_as_brute_force(p_primes, q_primes, k, ell, monkeypatch):
@@ -488,22 +506,21 @@ def test_blocks_and_fold_count_explicit_lists_as_brute_force(p_primes, q_primes,
         assert congruence_solutions(p_primes, q_primes, k, ell) == want, plan
 
 
-@pytest.mark.parametrize(
-    "p_primes,q_primes,k",
-    [((7, 7, 13, 19), (3, 5), 2), ((7, 13, 19), (3, 5, 3), 2), ((7, 13, 19), (3, 5, 3), 3)],
-)
-def test_every_plan_counts_and_lists_repeated_primes_as_brute_force(p_primes, q_primes, k, monkeypatch):
-    # a prime listed twice is two entries, and a modulus multiset of entries
-    # weighs the ordered tuples of entries, equal moduli included
-    want = _brute_census(p_primes, q_primes, k, k)
-    moduli = list(combinations_with_replacement(q_primes, k))
+@pytest.mark.parametrize("k,ell", [(k, ell) for k in range(1, 6) for ell in range(1, min(k, 3) + 1)])
+def test_every_plan_counts_and_lists_explicit_lists_as_brute_force(k, ell, monkeypatch):
+    # P spans 12 against moduli from 2: up to 7 partner gathers by modulus,
+    # and quotients up to 857 at k = ell = 3
+    p_primes, q_primes = (7, 11, 13, 17, 19), (2, 3, 5)
+    want = _brute_census(p_primes, q_primes, k, ell)
+    moduli = list(combinations_with_replacement(q_primes, ell))
     pairs = [(r, m) for *_, r, m in oracle_congruence_pairs(p_primes, moduli, k)]
-    for plan in ("modulus", "fold", "quotient"):
+    for plan in _count_plans(k, ell):
         _run_plan(monkeypatch, plan)
-        assert congruence_solutions(p_primes, q_primes, k, k) == want, plan
-        if plan != "fold":
-            got = tc.congruence_solutions(p_primes, q_primes, k, k, listing=True)
-            assert _listed(p_primes, q_primes, got) == pairs, plan
+        assert congruence_solutions(p_primes, q_primes, k, ell) == want, plan
+    for plan in _plans(k, ell):
+        _run_plan(monkeypatch, plan)
+        got = tc.congruence_solutions(p_primes, q_primes, k, ell, listing=True)
+        assert _listed(p_primes, q_primes, got) == pairs, plan
 
 
 def test_fold_counts_past_int64_where_the_blocks_estimate_less():
@@ -537,12 +554,13 @@ def _run_plan(monkeypatch, plan):
 
 
 def _plans(k, ell):
-    return ("modulus", "quotient") if k == ell else ("modulus",)
+    """Every plan that can list a (k, ell) cell: the blocks need k >= 2, the quotient k = ell."""
+    return ("modulus",) * (k >= 2) + ("quotient",) * (k == ell)
 
 
 def _count_plans(k, ell):
-    """Every plan that can count a (k, ell) cell: the blocks need k >= 2."""
-    return ("fold",) + ("modulus",) * (k >= 2) + ("quotient",) * (k == ell)
+    """Every plan that can count a (k, ell) cell: the listing plans, and the fold at k >= 2."""
+    return ("fold",) * (k >= 2) + _plans(k, ell)
 
 
 LIST_GRID = [
@@ -608,14 +626,34 @@ def test_quotient_plan_matches_the_fold(y, k, monkeypatch):
 @pytest.mark.parametrize(
     "y,k,ell,listing,plan",
     [
+        # every cell a benchmark job runs: census, diagnose and construct
         (1e5, 2, 1, False, "modulus"),  # census-1e5
         (1000, 3, 2, False, "modulus"),  # census-1000-k3l2, by blocks
-        (1000, 4, 2, False, "modulus"),
-        (30, 40, 1, False, "fold"),  # 4^40 passes int64
-        (12, 40, 1, False, "fold"),  # residue products collapse below m = 5
-        (1e4, 2, 2, False, "quotient"),
+        (30, 2, 1, False, "modulus"),
+        (30, 2, 1, True, "modulus"),
+        (150, 3, 2, False, "modulus"),
+        (1000, 2, 1, False, "modulus"),
+        (1000, 3, 1, False, "modulus"),
+        (1000, 3, 1, True, "modulus"),
+        (2000, 2, 1, False, "modulus"),
+        (2000, 2, 1, True, "modulus"),
+        (6000, 2, 1, False, "modulus"),
         (6000, 2, 1, True, "modulus"),  # construct-6000
+        (1e4, 2, 1, False, "modulus"),
+        (1000, 4, 2, False, "modulus"),
+        # fold: 4^40 passes int64; residue products collapse below m
+        (30, 40, 1, False, "fold"),
+        (12, 40, 1, False, "fold"),
+        (100, 19, 2, False, "fold"),
+        # quotient: k = ell = 2, and k = 1 at every y
+        (1e4, 2, 2, False, "quotient"),
+        (3e4, 2, 2, False, "quotient"),
         (1000, 2, 2, True, "quotient"),
+        (4, 1, 1, False, "quotient"),
+        (4, 1, 1, True, "quotient"),
+        (12, 1, 1, False, "quotient"),
+        (1e5, 1, 1, False, "quotient"),
+        (1e5, 1, 1, True, "quotient"),
     ],
 )
 def test_planner_picks_the_cheaper_eligible_plan(y, k, ell, listing, plan):
