@@ -1,5 +1,3 @@
-import sys
+from .cli_report import console_main
 
-from .cli_report import main
-
-sys.exit(main())
+console_main()

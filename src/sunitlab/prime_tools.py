@@ -134,7 +134,7 @@ def sieve_interval(lo: float, hi: float) -> PrimeInterval:
             mask[start - seg_lo :: p] = False
         if seg_lo <= 1:
             mask[: 2 - seg_lo] = False
-        primes.extend(int(n) for n in np.flatnonzero(mask) + seg_lo)
+        primes.extend((np.flatnonzero(mask) + seg_lo).tolist())
     return PrimeInterval(lo, hi, tuple(primes))
 
 

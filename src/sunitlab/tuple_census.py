@@ -37,11 +37,11 @@ EXACT_BITS_LIMIT = 2**20
 # within FOLD_OP_LIMIT could otherwise hold 3*10^8 products (gigabytes) at once
 _FOLD_CHUNK = 1 << 20
 # residues per group of moduli, and multiset products per block, in the census
-# by blocks.  Timed at k = 2, y = 10^5 against the per-modulus fold (2.9 s,
-# 31.3 MB peak RSS): 2^14 took 0.72 s at 31.3 MB, 2^15 0.56 s at 32.1 MB, and
-# 2^16 0.50 s at 33.6 MB.  At y = 1000, ell = 2, 2^14 to 2^17 all took 0.03 to
-# 0.04 s at k = 3 and 1.08 to 1.14 s at k = 4
-_BLOCK_ELEMENTS = 1 << 15
+# by blocks.  Timed on uint32 residues, median of 5 fresh processes (best of 3
+# runs each) at k = 2, ell = 1, y = 10^5: 2^15 took 0.39 s, 2^16 0.30 s and
+# 2^17 0.39 s; at y = 1000, ell = 2 all three took 0.04 s at k = 3 and 1.2 to
+# 1.4 s at k = 4
+_BLOCK_ELEMENTS = 1 << 16
 # multisets weighed per slice by _modulus_multisets, whose callers work per
 # multiset in Python: 2^15 raised the peak RSS of `diagnose qt --y 2e6 --t 1`
 # from 36.2 to 36.6-36.8 MB, and 2^12 keeps it at 36.2 MB
@@ -172,9 +172,10 @@ def _modulus_multisets(primes: tuple[int, ...], t: int):
         entries = map(primes.__getitem__, rows.ravel().tolist())
         # zip draws from its arguments left to right, so each combo is the t
         # entries of one row; a list per row raised the peak RSS of
-        # `diagnose qt --y 2e6 --t 1` by about 0.4 MB
+        # `diagnose qt --y 2e6 --t 1` by about 0.4 MB, and at t = 1 a product
+        # is the prime itself: math.prod's copy of each raised it by 0.8 MB
         for combo, weight in zip(zip(*[entries] * t), _row_weights(rows).tolist()):
-            yield math.prod(combo), combo, weight
+            yield combo[0] if t == 1 else math.prod(combo), combo, weight
 
 
 def _check_multisets(cap: int, what: str, *classes: tuple[int, int], per: int = 1) -> int:
@@ -259,11 +260,13 @@ def _merge(values: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def _tree_inverses(r: np.ndarray, m: np.ndarray) -> np.ndarray:
     """The inverse of every unit r[j, i] mod m[j, 0], by a product tree per row.
 
-    Columns are multiplied in pairs, level by level, down to one column (the
-    last column of an odd level goes up alone, as if paired with a 1); each
+    Columns are multiplied in pairs, level by level, down to one column:
+    column j with column j + half, so each factor is a contiguous slice (the
+    last column of an odd level goes up alone, as if paired with a 1).  Each
     row's total is inverted once by pow, and walking back down, a child's
     inverse is its parent's times its sibling.  About 3 multiply-mods per
-    entry, written in place; exact in int64 for m < 2^31.
+    entry, written in place in r's dtype, which must hold m^2 (int64 for
+    m < 2^31, uint32 for m < 2^16).
     """
 
     def mulmod(a, b, out):
@@ -273,18 +276,18 @@ def _tree_inverses(r: np.ndarray, m: np.ndarray) -> np.ndarray:
     while levels[-1].shape[1] > 1:
         level = levels[-1]
         half = level.shape[1] // 2
-        evens, odds = level[:, 0 : 2 * half : 2], level[:, 1::2]
         up = np.empty_like(level[:, : level.shape[1] - half])
-        mulmod(evens, odds, up[:, :half])
+        mulmod(level[:, :half], level[:, half : 2 * half], up[:, :half])
         up[:, half:] = level[:, 2 * half :]
         levels.append(up)
-    inv = np.array([[pow(x, -1, q)] for x, q in zip(levels.pop().ravel().tolist(), m.ravel().tolist())])
+    roots = zip(levels.pop().ravel().tolist(), m.ravel().tolist())
+    inv = np.array([[pow(x, -1, q)] for x, q in roots], dtype=r.dtype)
     while levels:
         level = levels.pop()
         half = level.shape[1] // 2
         parent, inv = inv, np.empty_like(level)
-        mulmod(parent[:, :half], level[:, 1::2], inv[:, 0 : 2 * half : 2])
-        mulmod(parent[:, :half], level[:, 0 : 2 * half : 2], inv[:, 1::2])
+        mulmod(parent[:, :half], level[:, half : 2 * half], inv[:, :half])
+        mulmod(parent[:, :half], level[:, :half], inv[:, half : 2 * half])
         inv[:, 2 * half :] = parent[:, half:]
     return inv
 
@@ -342,6 +345,12 @@ def _count_by_blocks(p_primes, q_primes, k: int, ell: int, listing: bool = False
     table = np.zeros(span + 2, dtype=np.int32)
     table[p - lo] = np.arange(1, n + 1) if listing else 1
     all_moduli = np.prod(q[m_rows], axis=1, keepdims=True)
+    # residues in the narrowest exact width: uint32 when it holds P, a product
+    # of two residues plus the shift below (m^2 + m) and the last partner
+    # offset (m * gathers); at the CLI's intervals, every modulus below 2^16
+    top, gathers = int(all_moduli.max()), span // int(all_moduli.min()) + 1
+    dtype = np.uint32 if max(int(p.max()), top * top + top, top * gathers) < 2**32 else np.int64
+    p, all_moduli = p.astype(dtype), all_moduli.astype(dtype)
     counts = np.zeros(len(m_rows), dtype=np.int64)
     size = max(1, _BLOCK_ELEMENTS // n)
     for g in range(0, len(m_rows), size):
@@ -356,7 +365,7 @@ def _count_by_blocks(p_primes, q_primes, k: int, ell: int, listing: bool = False
                     offsets *= _gather(inverses[block], columns, c)
                     if c < t - 1:  # the last product is reduced with the shift below
                         offsets %= m
-                offsets -= lo
+                offsets += m - lo % m  # (s - lo) mod m, never below 0 unsigned
                 offsets %= m
                 for shift in range(span // int(m.min()) + 1):
                     if shift:
@@ -494,8 +503,9 @@ def _plan(p_primes, q_primes, k: int, ell: int, listing: bool) -> str:
     if k == ell and max(max(p_primes) ** k, largest) < 2**63:
         passes = len(_quotients(p_primes, q_primes, k)) * math.comb(n + k - 1, k) + moduli
         work["quotient"] = (f"quotient passes over the {k}-prime products: {{}}", passes)
-    if not work:
+    if not work:  # past MODULUS_LIMIT at k >= 2, past int64 products at k = 1
         check_capacity("modulus {}", largest, MODULUS_LIMIT)
+        check_capacity(f"{k}-prime products in int64: {{}}", max(p_primes) ** k, 2**63 - 1)
     plan = min(work, key=lambda name: work[name][1])
     check_capacity(*work[plan], PAIR_OP_LIMIT if listing else FOLD_OP_LIMIT)
     return plan

@@ -101,6 +101,10 @@ CASES = [
      (cl, "large_sieve_check")),
     (tc, "FOLD_OP_LIMIT", 1000, _census(1000, 2, 2), QUOTIENT_1000,
      (tc, "_matches_by_quotient")),
+    # k = 1 runs only by quotient, whose products must fit in int64: no plan
+    # is left for a prime past 2^63, whatever the limit
+    (tc, "MODULUS_LIMIT", tc.MODULUS_LIMIT, lambda: tc.congruence_solutions((2**63 + 29,), (3,), 1, 1),
+     2**63 + 29, (tc, "_matches_by_quotient")),
     # by blocks, as for the fold-k2 row: 4 moduli x 7 residues x 1 pass of gathers
     (tc, "PAIR_OP_LIMIT", 10, lambda: constructor.solve_congruence_pairs(60, 2, 1), 4 * 7,
      (tc, "_count_by_blocks")),
@@ -125,7 +129,7 @@ CASES = [
     ids=[
         "modulus", "fold-k2", "fold-k3", "fold-past-int64", "direct", "sampled", "representation", "qt",
         "character-modulus", "character-count", "character-work-census", "character-work-family",
-        "large-sieve-trials-work", "large-sieve-trials", "quotient", "pair", "pair-quotient",
+        "large-sieve-trials-work", "large-sieve-trials", "quotient", "k1-past-int64", "pair", "pair-quotient",
         "exact-bits", "sieve", "smooth-count",
     ],
 )

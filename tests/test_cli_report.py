@@ -658,15 +658,21 @@ def test_census_report_under_the_least_int_digit_limit(tmp_path):
     assert recip_sum["den"] == str(want.denominator)
 
 
-# each command loads only its own engines; --version loads none, nor numpy
+# each command loads only its own engines; --version loads none, nor numpy.
+# The probe turns the hard exit after the report into a SystemExit, prints
+# the loaded modules, then exits with the command's own status
 _PROBE = (
-    "import json, runpy, sys\n"
+    "import json, os, runpy, sys\n"
+    "def _exit(code):\n"
+    "    raise SystemExit(code)\n"
+    "os._exit = _exit\n"
     "sys.argv = ['sunitlab', *sys.argv[1:]]\n"
     "try:\n"
     "    runpy.run_module('sunitlab', run_name='__main__')\n"
-    "except SystemExit:\n"
-    "    pass\n"
+    "except SystemExit as exc:\n"
+    "    status = exc.code\n"
     "print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n"
+    "sys.exit(status)\n"
 )
 
 
@@ -703,6 +709,35 @@ def test_closed_stdout_exits_1_with_one_io_line():
     assert proc.returncode == 1
     (line,) = proc.stderr.splitlines()
     assert json.loads(line)["error"]["code"] == "io"
+
+
+def test_module_run_leaves_complete_report_and_artifacts(tmp_path, capsys):
+    # the process ends by os._exit after the report: stdout and every file
+    # must be whole, and equal to an in-process run's
+    argv = ["construct", "--y", "1000", "--k", "2", "--ell", "1", "--out"]
+    proc = _run_module(argv + [str(tmp_path / "cli.json")], capture_output=True)
+    assert proc.returncode == 0 and proc.stderr == ""
+    want = run_json(argv + [str(tmp_path / "in.json")], capsys)
+    got = json.loads(proc.stdout)
+    assert json.loads((tmp_path / "cli.json").read_text()) == got
+    assert got["results"] == want["results"]
+    for suffix in (".S.json", ".solutions.csv"):
+        written = (tmp_path / f"cli.json{suffix}").read_text()
+        assert written and written == (tmp_path / f"in.json{suffix}").read_text()
+
+
+def test_module_run_skips_interpreter_teardown():
+    # an atexit hook runs at teardown only; --version still tears down
+    probe = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(print, 'teardown', file=sys.stderr)\n"
+        "sys.argv = ['sunitlab', *sys.argv[1:]]\n"
+        "runpy.run_module('sunitlab', run_name='__main__')\n"
+    )
+    for argv, code in ((CENSUS_30, 0), (["census", "--y", "30", "--k", "0", "--ell", "1"], 2), (["--version"], 0)):
+        proc = _run_python(["-c", probe, *argv], capture_output=True)
+        assert proc.returncode == code
+        assert ("teardown" in proc.stderr) == (argv == ["--version"]), proc.stderr
 
 
 def test_write_failure_after_the_report_exits_1(tmp_path, capsys):

@@ -365,10 +365,16 @@ def test_modulus_limit_refused_before_any_fold(monkeypatch):
         [7, 11, 13, 17, 19],
         [9, 15, 25, 2 * 3 * 5 * 7, 1024],  # composite moduli
         [2**31 - 1, 2**31 - 19, 2**31 - 2, 2**31 - 9],  # just under MODULUS_LIMIT
+        # uint32, the blocks' width for moduli below 2^16, up to the largest
+        # prime and the largest integer below it
+        pytest.param(np.array([7, 11, 13, 17, 19], dtype=np.uint32), id="uint32-small"),
+        pytest.param(np.array([65521, 65519, 2**16 - 1, 2**16 - 2, 2**15 + 3], dtype=np.uint32), id="uint32-top"),
     ],
 )
-@pytest.mark.parametrize("entries", [1, 2, 3, 8, 13, 64])
+@pytest.mark.parametrize("entries", [1, 2, 3, 5, 8, 13, 33, 64])
 def test_tree_inverses_match_pow(moduli, entries):
+    dtype = getattr(moduli, "dtype", np.int64)
+    moduli = [int(q) for q in moduli]
     rng = random.Random(len(moduli) * 100 + entries)
     rows = [[] for _ in moduli]
     for row, m in zip(rows, moduli):
@@ -376,9 +382,10 @@ def test_tree_inverses_match_pow(moduli, entries):
             u = rng.randrange(1, m)
             if math.gcd(u, m) == 1:
                 row.append(u)
-    r = np.array(rows, dtype=np.int64)
-    m = np.array(moduli, dtype=np.int64)[:, None]
+    r = np.array(rows, dtype=dtype)
+    m = np.array(moduli, dtype=dtype)[:, None]
     got = tc._tree_inverses(r, m)
+    assert got.dtype == dtype
     assert got.tolist() == [[pow(u, -1, q) for u in row] for row, q in zip(rows, moduli)]
     assert r.tolist() == rows  # the residues are left as they were
 
@@ -412,6 +419,55 @@ def test_k2_blocks_gather_every_partner_over_a_wide_span(monkeypatch):
     monkeypatch.setattr(tc, "FOLD_OP_LIMIT", 10)
     with pytest.raises(CapacityError, match=r"\b3984\b"):
         congruence_solutions(p_primes, q_primes, 2, 1)
+
+
+def _spy_widths(monkeypatch) -> list:
+    """The residue dtype of every _tree_inverses call from here on."""
+    widths, tree = [], tc._tree_inverses
+
+    def spied(r, m):
+        widths.append(r.dtype)
+        return tree(r, m)
+
+    monkeypatch.setattr(tc, "_tree_inverses", spied)
+    return widths
+
+
+@pytest.mark.parametrize(
+    "y,k,ell,width",
+    [
+        (511, 2, 2, np.uint32),  # largest modulus 251^2 = 63,001
+        (520, 2, 2, np.int64),  # 257^2 = 66,049
+        (511, 3, 2, np.uint32),  # the unreduced last product plus its shift: < 63,001^2 + 63,001
+        (1.3e5, 2, 1, np.uint32),  # 64,997
+        (1.32e5, 2, 1, np.int64),  # 65,993
+    ],
+)
+def test_blocks_count_and_list_either_side_of_the_uint32_switch(y, k, ell, width, monkeypatch):
+    st = interval_stats(y)
+    p_primes, q_primes = st.product_primes, st.modulus_primes[-3:]  # the largest moduli set the width
+    widths = _spy_widths(monkeypatch)
+    want = sum(w * _reference_fold(p_primes, k, m) for m, _c, w in _modulus_multisets(q_primes, ell))
+    assert tc._count_by_blocks(p_primes, q_primes, k, ell) == want
+    _run_plan(monkeypatch, "modulus")
+    r_rows, m_rows, *columns = tc.congruence_solutions(p_primes, q_primes, k, ell, listing=True)
+    assert set(widths) == {np.dtype(width)}
+    listed = _listed(p_primes, q_primes, (r_rows, m_rows, *columns))
+    if len(p_primes) < 100:  # the pair loop takes C(|P| + k - 1, k) steps per modulus
+        moduli = list(combinations_with_replacement(q_primes, ell))
+        assert listed == [(r, m) for *_, r, m in oracle_congruence_pairs(p_primes, moduli, k)]
+    else:  # each listed pair solves r == 1 (mod m), once, and they make up the count
+        assert all(math.prod(r) % math.prod(m) == 1 for r, m in listed)
+        assert len(set(listed)) == len(listed) > 0
+        assert tc._ordered_count(r_rows, m_rows, np.int64) == want
+
+
+def test_census_at_1e5_runs_on_uint32(monkeypatch):
+    # the benchmark's largest exact census: every modulus below 2^16
+    widths = _spy_widths(monkeypatch)
+    st = interval_stats(1e5)
+    assert congruence_solutions(st.product_primes, st.modulus_primes, 2, 1) == 1311552
+    assert set(widths) == {np.dtype(np.uint32)}
 
 
 # ------------------------------------------------------------ k >= 3 by blocks
@@ -468,7 +524,9 @@ def test_blocks_slice_the_multisets_by_first_index(monkeypatch):
 
 
 @pytest.mark.parametrize("block", [1 << 12, 5, 1])
-@pytest.mark.parametrize("primes,t", [((), 1), ((), 3), ((3,), 4), ((5, 7, 11, 13), 3), ((3, 5, 3), 2)])
+@pytest.mark.parametrize(
+    "primes,t", [((), 1), ((), 3), ((3,), 4), ((5, 7, 11, 13), 3), ((3, 5, 3), 2), ((1009, 1013, 2**61 - 1), 1)]
+)
 def test_modulus_multisets_weigh_every_multiset(primes, t, block, monkeypatch):
     # slices of 5 and 1 rows weigh the multisets a first index or two at a
     # time; an empty list has no multiset; a repeated prime is a second entry
@@ -477,6 +535,8 @@ def test_modulus_multisets_weigh_every_multiset(primes, t, block, monkeypatch):
     indices = list(combinations_with_replacement(range(len(primes)), t))
     assert [combo for _m, combo, _w in got] == [tuple(primes[i] for i in ix) for ix in indices]
     assert all(m == math.prod(combo) for m, combo, _w in got)
+    if t == 1:  # the prime itself, not a copy per modulus
+        assert all(m is combo[0] for m, combo, _w in got)
     assert [w for *_, w in got] == [len(set(itertools.permutations(ix))) for ix in indices]
 
 
