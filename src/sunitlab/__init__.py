@@ -3,6 +3,7 @@
 Modules:
   prime_tools      prime intervals, interval statistics, factorization
   tuple_census     congruence engine; exact/direct/sampled census of its count
+  monte_carlo      the draws of the sampled census, loaded only when it runs
   character_lab    Dirichlet characters, large sieve and moment checks
   constructor      parameter planning, pigeonhole, prime set assembly
   smooth_verifier  independent smoothness oracle

@@ -55,8 +55,11 @@ class PrimeInterval:
 
         Binary splitting (Haible & Papanikolaou 1998): each node of a product
         tree returns its partial sum as a numerator over the product of its
-        primes, so the big multiplications are balanced and the one gcd comes
-        at the end.  The primes are distinct, so that gcd is 1.
+        primes, so the big multiplications are balanced.  The primes are
+        distinct, so no prime divides the numerator and the sum is in lowest
+        terms: the Fraction is built from its parts without Fraction()'s gcd
+        (as Python 3.12's Fraction._from_coprime_ints does, on every version).
+        At y = 2*10^6 (a 720k-bit denominator) that gcd took 0.64 of 0.80 s.
         """
 
         def split(lo: int, hi: int) -> tuple[int, int]:
@@ -67,7 +70,11 @@ class PrimeInterval:
             num_hi, den_hi = split(mid, hi)
             return num_lo * den_hi + num_hi * den_lo, den_lo * den_hi
 
-        return Fraction(*split(0, len(self.primes))) if self.primes else Fraction(0)
+        if not self.primes:
+            return Fraction(0)
+        lam = object.__new__(Fraction)
+        lam._numerator, lam._denominator = split(0, len(self.primes))
+        return lam
 
 
 @dataclass(frozen=True)

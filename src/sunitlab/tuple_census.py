@@ -8,8 +8,9 @@ Counts ordered tuples (p_1, ..., p_k, q_1, ..., q_l) with each p_i a prime in
 Exposes the one congruence engine (congruence_solutions), which counts or
 lists the matching (product multiset, modulus multiset) pairs by modulus or by
 quotient, the exact counter built on it, a brute-force direct counter for
-cross-checks, a Monte Carlo estimator, and the exact rational main/error
-reference terms the count is compared against.
+cross-checks, a Monte Carlo estimator (its draws are read in monte_carlo),
+and the exact rational main/error reference terms the count is compared
+against.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -46,13 +46,6 @@ _BLOCK_ELEMENTS = 1 << 16
 # multiset in Python: 2^15 raised the peak RSS of `diagnose qt --y 2e6 --t 1`
 # from 36.2 to 36.6-36.8 MB, and 2^12 keeps it at 36.2 MB
 _WEIGH_SLICE = 1 << 12
-# Mersenne Twister words per numpy block of the Monte Carlo census, and the
-# longest tuple (k + ell draws) it resolves as arrays; longer ones cost k + ell
-# array passes for the few tuples a block holds, and are walked one by one.
-# Timed per draw, the two break even at 32 to 112 draws (fewer for Python-int
-# residues or many rejected words, more for y >= 1000): 64 sits in that range
-_DRAW_BLOCK = 1 << 13
-_CHAIN_DRAWS = 64
 
 
 @dataclass(frozen=True)
@@ -231,8 +224,9 @@ def _census_result(params: CensusParams, method: str, count, empty=(0, None)) ->
     ``count()`` returns (count, std_error) and runs only when the modulus
     range holds primes; otherwise the record carries ``empty`` instead.
     Exact values past EXACT_BITS_LIMIT bits are refused before ``count()``
-    and before lambda is built: the Fraction gcds that build them are
-    quadratic in their bits (writing them out is not, see errors.digits).
+    and before lambda is built: the Fraction gcds that build the main term
+    and error bound from lambda are quadratic in their bits (writing them
+    out is not, see errors.digits).
     """
     st = interval_stats(params.y)
     what = "exact values of the census record: up to {} bits"
@@ -366,7 +360,10 @@ def _count_by_blocks(p_primes, q_primes, k: int, ell: int, listing: bool = False
                     if c < t - 1:  # the last product is reduced with the shift below
                         offsets %= m
                 offsets += m - lo % m  # (s - lo) mod m, never below 0 unsigned
-                offsets %= m
+                if t == 1:  # inverses are below m, so the shifted ones below 2m
+                    offsets -= m * (offsets >= m)
+                else:
+                    offsets %= m
                 for shift in range(span // int(m.min()) + 1):
                     if shift:
                         offsets += m
@@ -609,111 +606,12 @@ def count_direct(params: CensusParams) -> CensusResult:
     return _census_result(params, "direct", count)
 
 
-def _accepted(words: np.ndarray, primes: np.ndarray):
-    """What random.choice(primes) makes of each 32-bit word: the top
-    n.bit_length() bits, n = len(primes), rejected when >= n.  Returns the
-    accepted words' positions, the primes they pick, and rank[i], the
-    accepted words before position i (i <= len(words))."""
-    n = len(primes)
-    picks = words >> np.uint32(32 - n.bit_length())
-    ok = picks < n
-    at = np.flatnonzero(ok)
-    rank = np.zeros(len(words) + 1, dtype=np.int64)
-    np.cumsum(ok, out=rank[1:])
-    return at, primes[picks[at]], rank
-
-
-def _sampled_hits(p_primes, q_primes, k: int, ell: int, samples: int, seed: int) -> int:
-    """Tuples with product 1 mod m among ``samples`` drawn as the loop
-    m = prod(choice(q_primes) for ell draws), r = r * choice(p_primes) % m for
-    k draws, with choice from random.Random(seed), would draw them.
-
-    The same Mersenne Twister words are read in blocks of _DRAW_BLOCK, in draw
-    order, from getrandbits.  In a block, a whole tuple drawn from word s ends
-    at word jump[s] (found by rank: the ell-th accepted Q-word, then the k-th
-    accepted P-word after it); the tuple starts s, jump[s], jump[jump[s]], ...
-    come at once by pointer doubling, and their hits are folded as arrays.
-    Tuples longer than _CHAIN_DRAWS draws are walked one at a time instead.  A
-    tuple the block cuts off is carried as (draws made, m, r) into the next.
-    Residue products stay in int64 while max(q)^ell * max(p) < 2^63.  The
-    helpers below read the current block's arrays.
-    """
-    wide = max(q_primes) ** min(ell, 64) * max(p_primes) >= 2**63
-    p, q = (np.array(primes, dtype=object if wide else np.int64) for primes in (p_primes, q_primes))
-    rng = random.Random(seed)
-    hits, draws, m, r = 0, 0, 1, 1
-
-    def resume(s, draws, m, r):
-        """Draw on from word s of the current block; returns (the word after
-        the tuple, or end if the block runs out first, draws, m, r)."""
-        if draws < ell:
-            a = q_rank[s]
-            taken = q_val[a : a + ell - draws].tolist()
-            m *= math.prod(taken)
-            draws += len(taken)
-            if draws < ell:
-                return end, draws, m, r
-            s = q_at[a + len(taken) - 1] + 1
-        b = p_rank[s]
-        taken = p_val[b : b + k + ell - draws].tolist()
-        for v in taken:
-            r = r * v % m
-        draws += len(taken)
-        return (p_at[b + len(taken) - 1] + 1 if draws == k + ell else end), draws, m, r
-
-    def chain(s, most):
-        """The whole tuples of the current block from word s on, at most
-        ``most`` of them: (hits, tuples, the word after the last)."""
-        # jump[s]: the word after a whole tuple drawn from word s, or end + 1
-        # when the block cuts it off; jump[end + 1] = end + 1
-        q_after = np.append(q_at, end)[np.minimum(q_rank + ell - 1, len(q_at))] + 1
-        p_last = p_rank[np.minimum(q_after, end)] + k - 1
-        jump = np.append(np.append(p_at, end)[np.minimum(p_last, len(p_at))] + 1, end + 1)
-        jumps = [jump]  # jump^(2^j), enough powers for every tuple the block can hold
-        while 2 ** len(jumps) < min(most, len(q_at) // ell, len(p_at) // k):
-            jumps.append(jumps[-1][jumps[-1]])
-        nodes = np.array([s])  # s, jump[s], jump[jump[s]], ...
-        for power in reversed(jumps):
-            nodes = np.concatenate((nodes, power[nodes]))
-        nodes = np.sort(nodes)
-        starts = nodes[jump[nodes] <= end][:most]
-        a = q_rank[starts]
-        mods = np.prod(q_val[a[:, None] + np.arange(ell)], axis=1)
-        b = p_rank[q_at[a + ell - 1] + 1]
-        res = 1
-        for j in range(k):
-            res = res * p_val[b + j] % mods
-        after = jump[starts[-1]] if len(starts) else s
-        return int(np.count_nonzero(res == 1)), len(starts), after
-
-    while samples:
-        words = np.frombuffer(
-            rng.getrandbits(32 * _DRAW_BLOCK).to_bytes(4 * _DRAW_BLOCK, "little"), "<u4"
-        )
-        (q_at, q_val, q_rank), (p_at, p_val, p_rank) = _accepted(words, q), _accepted(words, p)
-        end = len(words)
-        s = 0
-        while samples:
-            if not draws and k + ell <= _CHAIN_DRAWS:
-                hit_count, starts, s = chain(s, samples)
-                hits += hit_count
-                samples -= starts
-                if not samples:
-                    break
-            s, draws, m, r = resume(s, draws, m, r)
-            if draws < k + ell:
-                break  # the block ran out; the tuple goes on in the next
-            hits += r == 1
-            samples -= 1
-            draws, m, r = 0, 1, 1
-    return hits
-
-
 def count_sampled(params: CensusParams, samples: int, seed: int) -> CensusResult:
     """Monte Carlo census estimate from uniform ordered tuples.
 
     The tuples are the ones random.Random(seed).choice draws (see
-    _sampled_hits), so a seed gives the same estimate as a per-sample loop.
+    monte_carlo._sampled_hits, imported only here), so a seed gives the same
+    estimate as a per-sample loop.
     The reported std_error is the sample standard error of the scaled
     indicator mean.  samples * (k + l) draws are refused past SAMPLE_DRAW_LIMIT.
     """
@@ -725,6 +623,8 @@ def count_sampled(params: CensusParams, samples: int, seed: int) -> CensusResult
     p_primes, q_primes = st.product_primes, st.modulus_primes
 
     def count():
+        from .monte_carlo import _sampled_hits
+
         hits = _sampled_hits(p_primes, q_primes, params.k, params.ell, samples, seed)
         space = len(q_primes) ** params.ell * len(p_primes) ** params.k
         p_hat = hits / samples

@@ -17,6 +17,7 @@ import pytest
 import sunitlab.character_lab as cl
 import sunitlab.cli_report as cli
 import sunitlab.constructor as constructor
+import sunitlab.monte_carlo as mc
 import sunitlab.prime_tools as pt
 import sunitlab.smooth_verifier as sv
 import sunitlab.tuple_census as tc
@@ -71,7 +72,7 @@ CASES = [
      (tc, "itertools")),
     # 40 samples x (k + ell) = 3 draws each
     (tc, "SAMPLE_DRAW_LIMIT", 100, lambda: tc.count_sampled(CensusParams(60, 2, 1), 40, seed=1), 120,
-     (tc, "random")),
+     (mc, "random")),
     # C(7 + 2, 3) multisets of three product primes
     (tc, "REPRESENTATION_LIMIT", 10, lambda: tc.representation_counts(3, 60), 84,
      (tc, "_modulus_multisets")),
@@ -114,7 +115,7 @@ CASES = [
     # the error bound 1^1 * (4 lambda P)^1 * 60^1 has up to 1 + (20 + 5) + 6 bits
     (tc, "EXACT_BITS_LIMIT", 31,
      lambda: tc.count_sampled(CensusParams(60, 2, 1), 40, seed=1), 32,
-     (tc, "_sampled_hits")),
+     (mc, "_sampled_hits")),
     (pt, "DEFAULT_SIEVE_LIMIT", 500, lambda: pt.sieve_interval(10, 2000), 2000,
      (pt, "_simple_sieve")),
     # Psi(1001, {2, 3}) as it grows: 1 and 9 powers of 2, then 9 of those times 3

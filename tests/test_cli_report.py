@@ -688,8 +688,17 @@ _PROBE = (
          {"sunitlab.tuple_census", "sunitlab.character_lab", "sunitlab.constructor"}),
         (["diagnose", "tails", "--y", "100", "--k", "4", "--ell", "2"], {"sunitlab.character_lab"},
          {"sunitlab.constructor", "sunitlab.smooth_verifier"}),
+        # the Monte Carlo module, and numpy.random, load only when a census samples
+        (["census", "--y", "1000", "--k", "2", "--ell", "1"], {"sunitlab.tuple_census"},
+         {"sunitlab.monte_carlo", "numpy.random"}),
+        (["diagnose", "qt", "--y", "1e4", "--t", "1"], {"sunitlab.character_lab"},
+         {"sunitlab.monte_carlo", "numpy.random"}),
+        (CENSUS_30 + ["--method", "sampled", "--samples", "100", "--seed", "1"],
+         {"sunitlab.tuple_census", "sunitlab.monte_carlo"},
+         {"sunitlab.character_lab", "sunitlab.constructor", "sunitlab.smooth_verifier", "numpy.random"}),
     ],
-    ids=["version", "census-exact", "verify", "diagnose-tails"],
+    ids=["version", "census-exact", "verify", "diagnose-tails", "census-exact-no-sampling", "diagnose-qt",
+         "census-sampled"],
 )
 def test_a_command_imports_only_its_modules(argv, loaded, not_loaded):
     proc = _run_python(["-c", _PROBE, *argv], capture_output=True)

@@ -111,6 +111,18 @@ def test_split_lambda_matches_sequential_sum(y):
     assert st.recip_sum.denominator == math.prod(st.modulus_primes)
 
 
+def test_reciprocal_sum_is_built_in_lowest_terms():
+    # built from its parts without a gcd, lambda must still be a reduced
+    # Fraction: equal to the summed one part for part, and usable as a value
+    for y in range(4, 400, 3):
+        lam = interval_stats(y).recip_sum
+        want = oracle_recip_sum(y)
+        assert (lam.numerator, lam.denominator) == (want.numerator, want.denominator)
+        assert math.gcd(lam.numerator, lam.denominator) == 1 and lam.denominator > 0
+        assert type(lam) is Fraction and hash(lam) == hash(want)
+        assert lam * 2 - lam == want and Fraction(str(lam)) == want
+
+
 def test_segment_crossing():
     # straddles the internal segment boundary at 2^21
     lo, hi = (1 << 21) - 60, (1 << 21) + 260

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sunitlab.monte_carlo as mc
 import sunitlab.tuple_census as tc
 from sunitlab.constructor import solve_congruence_pairs
 from sunitlab.errors import CapacityError, ValidationError
@@ -166,42 +167,111 @@ def test_sampled_hits_match_the_per_sample_loop(k, ell, y):
     lists = (stats.product_primes, stats.modulus_primes, k, ell)
     for seed in SEEDS:
         for samples in (1, 7):
-            assert tc._sampled_hits(*lists, samples, seed) == oracle_sampled_hits(*lists, samples, seed)
+            assert mc._sampled_hits(*lists, samples, seed) == oracle_sampled_hits(*lists, samples, seed)
     # one seed per case over many blocks of words
     seed = SEEDS[(k + ell + y) % len(SEEDS)]
-    assert tc._sampled_hits(*lists, 30000, seed) == oracle_sampled_hits(*lists, 30000, seed)
+    assert mc._sampled_hits(*lists, 30000, seed) == oracle_sampled_hits(*lists, 30000, seed)
 
 
-@pytest.mark.parametrize("block", [4, 64])
-@pytest.mark.parametrize("k,ell", [(2, 1), (4, 2), (3, 3)])
+@pytest.mark.parametrize("block", [4, 64, 12, 100])
+@pytest.mark.parametrize("k,ell", [(2, 1), (4, 2), (3, 3), (1, 1), (12, 1)])
 def test_sampled_hits_carry_tuples_across_blocks(k, ell, block, monkeypatch):
-    # with 4 words a block, tuples at y = 30 span several blocks
-    monkeypatch.setattr(tc, "_DRAW_BLOCK", block)
+    # with 4 words a block, tuples at y = 30 span several blocks; 4 and 12
+    # words are under one 8-word chunk, or not a whole number of them
+    monkeypatch.setattr(mc, "_DRAW_BLOCK", block)
     stats = interval_stats(30)
     lists = (stats.product_primes, stats.modulus_primes, k, ell)
     for seed in SEEDS:
-        assert tc._sampled_hits(*lists, 500, seed) == oracle_sampled_hits(*lists, 500, seed)
+        assert mc._sampled_hits(*lists, 500, seed) == oracle_sampled_hits(*lists, 500, seed)
 
 
 @pytest.mark.parametrize("k,ell", [(56, 8), (57, 8), (200, 1), (150, 150)])
 def test_sampled_hits_walk_long_tuples_one_at_a_time(k, ell):
-    # k + ell = 64 = _CHAIN_DRAWS is the longest tuple chained; longer ones are walked
+    # past _CHAIN_DRAWS = 40 draws a tuple is walked, not parsed by the draw machine
     stats = interval_stats(30)
     lists = (stats.product_primes, stats.modulus_primes, k, ell)
     for seed in SEEDS:
-        assert tc._sampled_hits(*lists, 200, seed) == oracle_sampled_hits(*lists, 200, seed)
+        assert mc._sampled_hits(*lists, 200, seed) == oracle_sampled_hits(*lists, 200, seed)
 
 
 def test_sampled_hits_past_int64():
     # y = 1000, ell = 6: 499^6 * 997 passes 2^63, so products are Python ints
     stats = interval_stats(1000)
     lists = (stats.product_primes, stats.modulus_primes, 6, 6)
-    assert tc._sampled_hits(*lists, 2000, 3) == oracle_sampled_hits(*lists, 2000, 3)
+    assert mc._sampled_hits(*lists, 2000, 3) == oracle_sampled_hits(*lists, 2000, 3)
     # m = 2^64 always; r is +-1 mod m, so about half of all samples hit
     lists = ((2**64 - 1, 2**64 + 1, 2**65 + 1, 3 * 2**64 + 1), (2,), 3, 64)
-    hits = tc._sampled_hits(*lists, 3000, 1)
+    hits = mc._sampled_hits(*lists, 3000, 1)
     assert 1000 < hits < 2000
     assert hits == oracle_sampled_hits(*lists, 3000, 1)
+
+
+@pytest.mark.parametrize("k,ell", [(1, 1), (2, 1), (3, 3), (31, 1)])
+def test_draw_tables_run_the_machine_word_by_word(k, ell):
+    after, taken = mc._draw_tables(k, ell)
+    assert after.dtype == taken.dtype == np.uint8
+    assert after.shape == taken.shape == (256, k + ell)
+    for pattern in range(256):
+        for start in range(k + ell):
+            state, mask = start, 0
+            for j in range(4):
+                picks_q, picks_p = pattern >> 7 - j & 1, pattern >> 3 - j & 1
+                if (picks_q if state < ell else picks_p):
+                    mask |= 1 << 3 - j
+                    state = (state + 1) % (k + ell)
+            assert (after[pattern, start], taken[pattern, start]) == (state, mask)
+
+
+def test_sampled_hits_end_mid_chunk():
+    # the words the per-sample loop reads, from the Mersenne Twister's index
+    # (under 624, so it has not wrapped); the last tuple of most counts ends
+    # inside an 8-word chunk, whose later words must not count
+    stats = interval_stats(30)
+    lists = (stats.product_primes, stats.modulus_primes, 2, 1)
+    ends = set()
+    for samples in range(1, 41):
+        rng = random.Random(5)
+        for _ in range(samples):
+            rng.choice(stats.modulus_primes)
+            rng.choice(stats.product_primes)
+            rng.choice(stats.product_primes)
+        ends.add(rng.getstate()[1][-1] % 8)
+        assert mc._sampled_hits(*lists, samples, 5) == oracle_sampled_hits(*lists, samples, 5)
+    assert len(ends) == 8
+
+
+@pytest.mark.parametrize("k,ell", [(20, 4), (30, 10)])
+def test_sampled_hits_carry_one_tuple_across_many_blocks(k, ell, monkeypatch):
+    # at y = 30 half of all words are rejected, so a tuple of 24 or 40 draws
+    # takes about 48 or 80 words: 12 or 20 blocks of 4
+    monkeypatch.setattr(mc, "_DRAW_BLOCK", 4)
+    stats = interval_stats(30)
+    lists = (stats.product_primes, stats.modulus_primes, k, ell)
+    for seed in SEEDS:
+        assert mc._sampled_hits(*lists, 40, seed) == oracle_sampled_hits(*lists, 40, seed)
+
+
+@pytest.mark.parametrize("extra,parsed", [(0, True), (1, False)])
+def test_sampled_hits_at_the_longest_parsed_tuple(extra, parsed, monkeypatch):
+    built, tables = [], mc._draw_tables
+    monkeypatch.setattr(mc, "_draw_tables", lambda k, ell: built.append(k + ell) or tables(k, ell))
+    for y in (30, 100):
+        stats = interval_stats(y)
+        lists = (stats.product_primes, stats.modulus_primes, mc._CHAIN_DRAWS - 8 + extra, 8)
+        for seed in SEEDS:
+            assert mc._sampled_hits(*lists, 200, seed) == oracle_sampled_hits(*lists, 200, seed)
+    assert built == ([mc._CHAIN_DRAWS] * 2 * len(SEEDS) if parsed else [])
+
+
+@pytest.mark.parametrize("block", [12, 100, mc._DRAW_BLOCK])
+@pytest.mark.parametrize("k,ell", [(6, 6), (8, 7)])
+def test_sampled_hits_parse_python_int_residues(k, ell, block, monkeypatch):
+    # y = 1000: 499^6 * 997 passes 2^63, so the parsed residues are objects
+    monkeypatch.setattr(mc, "_DRAW_BLOCK", block)
+    stats = interval_stats(1000)
+    lists = (stats.product_primes, stats.modulus_primes, k, ell)
+    for seed in SEEDS[:3]:
+        assert mc._sampled_hits(*lists, 300, seed) == oracle_sampled_hits(*lists, 300, seed)
 
 
 def test_sampled_validation():
