@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,6 +35,7 @@ from .prime_tools import (
     PrimeStats,
     _divisors,
     _mobius,
+    _packed,
     _phi,
     _phi_of_multiset,
     _primitive_root,
@@ -46,6 +48,7 @@ from .tuple_census import (
     _census_result,
     _check_multisets,
     _modulus_multisets,
+    _multiset_rows,
     congruence_solutions,
     main_term,
     representation_counts,
@@ -349,11 +352,12 @@ def nonprincipal_contribution(params: CensusParams) -> NonprincipalReport:
 
 @dataclass(frozen=True)
 class ModulusClass:
-    """All products of exactly t modulus-range primes, with multiplicity."""
+    """All products of exactly t modulus-range primes, with multiplicity,
+    ascending: packed int64 while max(q)^t < 2^63, else Python ints."""
 
     t: int
     y: float
-    moduli: tuple[int, ...]
+    moduli: array | tuple[int, ...]
     size: int
     size_reference: float
     within_reference: bool
@@ -369,12 +373,16 @@ def enumerate_Qt(t: int, y: float) -> ModulusClass:
     q_primes = st.modulus_primes
     # t prime factors per modulus: a huge t makes few moduli but long products
     size = _check_multisets(QT_LIMIT, f"prime factors over Q_{t}", (len(q_primes), t), per=t)
-    moduli = sorted(m for m, _combo, _w in _modulus_multisets(q_primes, t))
+    rows = _multiset_rows(len(q_primes), t)
+    if max(q_primes, default=0) ** t < 2**63:
+        moduli = _packed(np.sort(np.prod(np.asarray(q_primes, dtype=np.int64)[rows], axis=1)))
+    else:
+        moduli = tuple(sorted(np.prod(np.asarray(q_primes, dtype=object)[rows], axis=1).tolist()))
     reference = st.prime_count**t / math.factorial(t)
     return ModulusClass(
         t=t,
         y=y,
-        moduli=tuple(moduli),
+        moduli=moduli,
         size=size,
         size_reference=reference,
         within_reference=size <= reference,

@@ -13,6 +13,7 @@ c = product.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -163,8 +164,8 @@ class CongruencePairs:
     Iteration builds a CongruencePair per row.
     """
 
-    p_primes: tuple[int, ...]
-    q_primes: tuple[int, ...]
+    p_primes: Sequence[int]
+    q_primes: Sequence[int]
     r_rows: np.ndarray
     m_rows: np.ndarray
     products: np.ndarray

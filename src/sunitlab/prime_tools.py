@@ -6,12 +6,17 @@ factorization, and phi, Moebius, divisors and primitive roots on top of it.
 All intervals here are half-open (lo, hi]: the lower endpoint is excluded and
 the upper endpoint included.  This convention is fixed once, in this module,
 and reused by every consumer.
+
+A list of primes is a packed int64 ``array('q')``, 8 bytes a prime (a tuple
+takes about 36): its elements read back as Python ints, so arithmetic on them
+stays exact, and np.asarray(primes, dtype=np.int64) is a view, not a copy.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,11 +46,11 @@ def sieve_limit() -> int:
 
 @dataclass(frozen=True)
 class PrimeInterval:
-    """The complete ascending list of primes in (lo, hi]."""
+    """The complete ascending list of primes in (lo, hi], packed int64."""
 
     lo: float
     hi: float
-    primes: tuple[int, ...]
+    primes: array
 
     def __len__(self) -> int:
         return len(self.primes)
@@ -87,11 +92,15 @@ class PrimeStats:
     of primes in (y/2, y] (the product range).  The ``*_asymptotic`` fields
     hold the reference values log(2)/log(y) and y/(2 log(y)) for diagnostics
     only.
+
+    The two lists are packed int64 and, unlike tuples, mutable; interval_stats
+    caches them, so no caller may write into them (the engines' operations on
+    np.asarray(primes) all make new arrays).
     """
 
     y: float
-    modulus_primes: tuple[int, ...]
-    product_primes: tuple[int, ...]
+    modulus_primes: array
+    product_primes: array
     prime_count: int
     recip_sum_asymptotic: float
     prime_count_asymptotic: float
@@ -99,6 +108,13 @@ class PrimeStats:
     @cached_property
     def recip_sum(self) -> Fraction:
         return PrimeInterval(self.y / 4, self.y / 2, self.modulus_primes).reciprocal_sum()
+
+
+def _packed(values: np.ndarray) -> array:
+    """An int64 numpy array's values as a packed array('q'), in one copy."""
+    out = array("q")
+    out.frombytes(np.ascontiguousarray(values, dtype=np.int64).view(np.uint8))
+    return out
 
 
 def _simple_sieve(limit: int) -> np.ndarray:
@@ -125,11 +141,11 @@ def sieve_interval(lo: float, hi: float) -> PrimeInterval:
     first = math.floor(lo) + 1  # smallest integer strictly above lo
     last = math.floor(hi)  # largest integer at most hi
     if last < 2 or last < first:
-        return PrimeInterval(lo, hi, ())
+        return PrimeInterval(lo, hi, array("q"))
 
     first = max(first, 2)
     base = _simple_sieve(math.isqrt(last))
-    primes: list[int] = []
+    primes = array("q")
     for seg_lo in range(first, last + 1, _SEGMENT):
         seg_hi = min(seg_lo + _SEGMENT - 1, last)
         mask = np.ones(seg_hi - seg_lo + 1, dtype=bool)
@@ -141,15 +157,17 @@ def sieve_interval(lo: float, hi: float) -> PrimeInterval:
             mask[start - seg_lo :: p] = False
         if seg_lo <= 1:
             mask[: 2 - seg_lo] = False
-        primes.extend((np.flatnonzero(mask) + seg_lo).tolist())
-    return PrimeInterval(lo, hi, tuple(primes))
+        primes += _packed(np.flatnonzero(mask) + seg_lo)
+    return PrimeInterval(lo, hi, primes)
 
 
 def interval_stats(y: float) -> PrimeStats:
     """Compute the modulus-range reciprocal sum and the product-range count at y.
 
-    Built once per y: the last y is cached (near the sieve limit its primes
-    take about 150 MB), and the sieve bound is checked on every call.
+    Built once per y: the last y is cached, and the sieve bound is checked on
+    every call.  At the sieve limit, y = 10^8, the two lists hold 4,195,528
+    primes in 35.7 MB.  Callers read the cached lists and never write into
+    them (see PrimeStats).
     """
     if not y >= 2:  # also refuses nan
         raise ValidationError(f"need y >= 2, got {y}")

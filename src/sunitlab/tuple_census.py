@@ -18,6 +18,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -43,8 +44,8 @@ _FOLD_CHUNK = 1 << 20
 # 1.4 s at k = 4
 _BLOCK_ELEMENTS = 1 << 16
 # multisets weighed per slice by _modulus_multisets, whose callers work per
-# multiset in Python: 2^15 raised the peak RSS of `diagnose qt --y 2e6 --t 1`
-# from 36.2 to 36.6-36.8 MB, and 2^12 keeps it at 36.2 MB
+# multiset in Python: when Q_1 was built through it, 2^15 raised the peak RSS
+# of `diagnose qt --y 2e6 --t 1` from 36.2 to 36.6-36.8 MB, and 2^12 kept it at 36.2 MB
 _WEIGH_SLICE = 1 << 12
 
 
@@ -157,16 +158,16 @@ def _ordered_count(r_rows: np.ndarray, m_rows: np.ndarray, dtype) -> int:
     return sum((_row_weights(r_rows, dtype) * _row_weights(m_rows, dtype)).tolist())
 
 
-def _modulus_multisets(primes: tuple[int, ...], t: int):
+def _modulus_multisets(primes: Sequence[int], t: int):
     """Yield (product, multiset, ordered-tuple weight) per multiset of t >= 1
     primes, in combinations_with_replacement order, a slice of index rows at
     a time."""
     for rows in _row_slices(len(primes), t, _WEIGH_SLICE):
         entries = map(primes.__getitem__, rows.ravel().tolist())
         # zip draws from its arguments left to right, so each combo is the t
-        # entries of one row; a list per row raised the peak RSS of
-        # `diagnose qt --y 2e6 --t 1` by about 0.4 MB, and at t = 1 a product
-        # is the prime itself: math.prod's copy of each raised it by 0.8 MB
+        # entries of one row; a list per row raised the peak RSS of Q_1 at
+        # y = 2*10^6 by about 0.4 MB, and at t = 1 a product is the prime
+        # itself: math.prod's copy of each raised it by 0.8 MB
         for combo, weight in zip(zip(*[entries] * t), _row_weights(rows).tolist()):
             yield combo[0] if t == 1 else math.prod(combo), combo, weight
 
@@ -525,10 +526,11 @@ def _matches_by_quotient(p_primes, q_primes, k: int, ell: int):
     quotients = _quotients(p_primes, q_primes, k)
     r_parts, m_parts = [np.zeros((0, k), dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for r_rows in _row_slices(len(p), k, _FOLD_CHUNK):
-        r = np.prod(p[r_rows], axis=1)
+        r1 = np.prod(p[r_rows], axis=1)
+        r1 -= 1  # r - 1, once per slice
         for u in quotients:
-            sel = np.flatnonzero((r - 1) % u == 0)
-            v = (r[sel] - 1) // u
+            sel = np.flatnonzero(r1 % u == 0)
+            v = r1[sel] // u
             at = np.minimum(np.searchsorted(moduli, v), len(moduli) - 1)
             hit = moduli[at] == v
             r_parts.append(r_rows[sel[hit]])
@@ -537,7 +539,7 @@ def _matches_by_quotient(p_primes, q_primes, k: int, ell: int):
 
 
 def congruence_solutions(
-    p_primes: tuple[int, ...], q_primes: tuple[int, ...], k: int, ell: int, listing: bool = False
+    p_primes: Sequence[int], q_primes: Sequence[int], k: int, ell: int, listing: bool = False
 ):
     """Every k-multiset r of p_primes and ell-multiset m of q_primes with
     r == 1 (mod m): counted as ordered tuples, sum w(r) w(m), or listed when

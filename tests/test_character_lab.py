@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -252,10 +253,10 @@ def test_nonprincipal_decomposition_consistency(y, k, ell):
 
 def test_enumerate_Qt_structure():
     c1 = enumerate_Qt(1, 30)
-    assert c1.moduli == (11, 13)
+    assert tuple(c1.moduli) == (11, 13)
     assert c1.size == 2
     c2 = enumerate_Qt(2, 30)
-    assert c2.moduli == (121, 143, 169)
+    assert tuple(c2.moduli) == (121, 143, 169)
     assert c2.size == 3
     assert c2.size_reference == pytest.approx(4**2 / 2)
     assert c2.within_reference
@@ -264,9 +265,18 @@ def test_enumerate_Qt_structure():
         assert all(m > (30 / 4) ** t for m in cls.moduli)
 
 
+@pytest.mark.parametrize("y,t", [(1000, 1), (1000, 2), (100, 3), (12, 5), (30, 40), (3, 2)])
+def test_enumerate_Qt_matches_the_multiset_products(y, t):
+    # (30, 40) passes int64 (13^40), so its moduli are Python ints; (3, 2) is empty
+    q_primes = interval_stats(y).modulus_primes
+    moduli = enumerate_Qt(t, y).moduli
+    assert list(moduli) == sorted(math.prod(c) for c in combinations_with_replacement(q_primes, t))
+    assert all(type(m) is int for m in moduli)
+
+
 def test_enumerate_Qt_empty_modulus_interval():
     # y = 3: no prime in (y/4, y/2], so no modulus of any length
-    assert [enumerate_Qt(t, 3).moduli for t in (1, 2, 3)] == [(), (), ()]
+    assert [tuple(enumerate_Qt(t, 3).moduli) for t in (1, 2, 3)] == [(), (), ()]
 
 
 def test_enumerate_Qt_capacity_and_validation(monkeypatch):

@@ -23,8 +23,9 @@ from sunitlab.constructor import (
     solve_congruence_pairs,
 )
 from sunitlab.errors import ValidationError, VerificationError
+from sunitlab.character_lab import census_via_characters
 from sunitlab.prime_tools import interval_stats
-from sunitlab.tuple_census import CensusParams, count_exact
+from sunitlab.tuple_census import CensusParams, _plan, congruence_solutions, count_exact, count_sampled
 
 from oracles import oracle_congruence_pairs, oracle_primes_in
 
@@ -343,3 +344,34 @@ def test_count_solutions_filters_by_quotient():
 
     none = count_solutions_for_u0(pairs, assemble_set(30, 49))
     assert none.solutions == () and none.multiplicity == 0
+
+
+def _solutions(k, ell, listing, plan):
+    def run(st):
+        assert _plan(st.product_primes, st.modulus_primes, k, ell, listing) == plan
+        congruence_solutions(st.product_primes, st.modulus_primes, k, ell, listing=listing)
+    return run
+
+
+@pytest.mark.parametrize(
+    "y,run",
+    [
+        (1000, _solutions(2, 1, False, "modulus")),
+        (1000, _solutions(2, 1, True, "modulus")),
+        (30, _solutions(40, 1, False, "fold")),
+        (1000, _solutions(2, 2, False, "quotient")),
+        (1000, _solutions(2, 2, True, "quotient")),
+        (1000, lambda st: count_sampled(CensusParams(1000, 2, 1), 2000, seed=1)),
+        (1000, lambda st: census_via_characters(CensusParams(1000, 2, 1))),
+        (1000, lambda st: run_construction(1000, 2, 1)),
+    ],
+    ids=["modulus-count", "modulus-list", "fold", "quotient-count", "quotient-list",
+         "sampled", "characters", "construction"],
+)
+def test_engines_leave_the_cached_prime_lists_unchanged(y, run):
+    # interval_stats caches its packed (mutable) lists, so no engine may write into them
+    st = interval_stats(y)
+    before = tuple(st.product_primes), tuple(st.modulus_primes)
+    run(st)
+    assert interval_stats(y) is st
+    assert (tuple(st.product_primes), tuple(st.modulus_primes)) == before

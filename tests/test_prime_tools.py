@@ -1,6 +1,8 @@
 import json
 import math
+from array import array
 
+import numpy as np
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
@@ -42,16 +44,16 @@ def test_sieve_matches_trial_division(lo, width, jitter):
 
 def test_half_open_boundaries():
     # integral lower endpoint excluded even when prime
-    assert sieve_interval(7, 14).primes == (11, 13)
+    assert tuple(sieve_interval(7, 14).primes) == (11, 13)
     # integral upper endpoint included when prime
-    assert sieve_interval(6.9, 7).primes == (7,)
-    assert sieve_interval(2.5, 5).primes == (3, 5)
+    assert tuple(sieve_interval(6.9, 7).primes) == (7,)
+    assert tuple(sieve_interval(2.5, 5).primes) == (3, 5)
     # boundary where y/2 is itself prime: 7 must not count as a product prime
     st7 = interval_stats(14)
     assert 7 not in st7.product_primes
     assert 7 in st7.modulus_primes  # (3.5, 7] keeps it
     # degenerate interval
-    assert sieve_interval(13, 13).primes == ()
+    assert tuple(sieve_interval(13, 13).primes) == ()
 
 
 @pytest.mark.parametrize("y", [10, 14, 20, 30, 30.7, 60, 100, 211])
@@ -81,9 +83,21 @@ def test_interval_stats_validation():
         interval_stats(1.5)
 
 
+def test_prime_lists_are_packed_int64_with_int_elements():
+    st = interval_stats(1000)
+    for primes in (sieve_interval(250, 500).primes, sieve_interval(13, 13).primes,
+                   st.modulus_primes, st.product_primes):
+        assert isinstance(primes, array) and primes.typecode == "q" and primes.itemsize == 8
+        assert all(type(p) is int for p in primes)
+    assert list(st.modulus_primes) == oracle_primes_in(250, 500)
+    # the engines' np.asarray entry points are views of the lists, not copies
+    for primes in (st.modulus_primes, st.product_primes):
+        assert np.shares_memory(np.asarray(primes, dtype=np.int64), primes)
+
+
 def test_reciprocal_sum_method():
     iv = sieve_interval(7.5, 15)
-    assert iv.primes == (11, 13)
+    assert tuple(iv.primes) == (11, 13)
     assert iv.reciprocal_sum() == Fraction(1, 11) + Fraction(1, 13)
     assert sieve_interval(13, 13).reciprocal_sum() == 0
 
