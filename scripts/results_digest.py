@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Print the sha256 of each command's parsed `results` block, one `sha256  name` line.
 
-The commands are the benchmark's jobs (bench/workloads.py, with --seed
-substituted) and any extra `sunitlab` command line given with --cmd.  Each
+The commands are the benchmark's jobs (bench/workloads.py, at seed 1) and
+any extra `sunitlab` command line given with --cmd (--no-jobs leaves only
+these).  Each
 runs as `python -m sunitlab` in a fresh process, from a scratch directory,
 with the `src/` of --src on its path.  The digest is taken over the results
 block dumped with sorted keys, as the report-determinism criterion compares
@@ -49,20 +50,12 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", type=Path, default=ROOT, help="checkout to run (default: this one)")
     ap.add_argument("--compare", type=Path, help="second checkout; exit 1 on any differing digest")
-    ap.add_argument("--seed", type=int, default=1, help="seed substituted into the benchmark jobs")
-    ap.add_argument("--jobs", default="all",
-                    help="comma list of benchmark job names, 'all' (default) or '' for none")
+    ap.add_argument("--no-jobs", action="store_true", help="skip the benchmark jobs; digest only --cmd")
     ap.add_argument("--cmd", action="append", default=[], help="extra sunitlab command line (repeatable)")
     args = ap.parse_args()
 
-    jobs = [job for workload in WORKLOADS.values() for job in workload]
-    if args.jobs != "all":
-        wanted = set(filter(None, args.jobs.split(",")))
-        unknown = wanted - {job.name for job in jobs}
-        if unknown:
-            ap.error(f"unknown benchmark jobs: {sorted(unknown)}")
-        jobs = [job for job in jobs if job.name in wanted]
-    commands = [(job.name, job_argv(job, args.seed)) for job in jobs]
+    jobs = [] if args.no_jobs else [job for workload in WORKLOADS.values() for job in workload]
+    commands = [(job.name, job_argv(job, 1)) for job in jobs]
     commands += [(cmd, shlex.split(cmd)) for cmd in args.cmd]
 
     differ = 0

@@ -44,8 +44,7 @@ _FOLD_CHUNK = 1 << 20
 # 1.4 s at k = 4
 _BLOCK_ELEMENTS = 1 << 16
 # multisets weighed per slice by _modulus_multisets, whose callers work per
-# multiset in Python: when Q_1 was built through it, 2^15 raised the peak RSS
-# of `diagnose qt --y 2e6 --t 1` from 36.2 to 36.6-36.8 MB, and 2^12 kept it at 36.2 MB
+# multiset in Python: it bounds the index rows and weights held at once
 _WEIGH_SLICE = 1 << 12
 
 
@@ -165,9 +164,8 @@ def _modulus_multisets(primes: Sequence[int], t: int):
     for rows in _row_slices(len(primes), t, _WEIGH_SLICE):
         entries = map(primes.__getitem__, rows.ravel().tolist())
         # zip draws from its arguments left to right, so each combo is the t
-        # entries of one row; a list per row raised the peak RSS of Q_1 at
-        # y = 2*10^6 by about 0.4 MB, and at t = 1 a product is the prime
-        # itself: math.prod's copy of each raised it by 0.8 MB
+        # entries of one row without a list per row; at t = 1 a product is
+        # the prime itself, with no math.prod copy
         for combo, weight in zip(zip(*[entries] * t), _row_weights(rows).tolist()):
             yield combo[0] if t == 1 else math.prod(combo), combo, weight
 

@@ -78,7 +78,7 @@ CASES = [
      (tc, "_modulus_multisets")),
     # Q_2 at y = 60 holds C(5, 2) = 10 moduli of 2 prime factors each
     (cl, "QT_LIMIT", 10, lambda: cl.enumerate_Qt(2, 60), 20,
-     (cl, "_modulus_multisets")),
+     (cl, "_multiset_rows")),
     (cl, "CHARACTER_MODULUS_LIMIT", 100, lambda: cl.character_table(143), 143,
      (cl, "_cached_table")),
     # P^k * Q^ell = 10^2 * 6 ordered tuples at y = 100

@@ -45,7 +45,7 @@ def test_census_trend_runs_by_blocks_past_k2():
 
 def test_results_digest_prints_and_compares(tmp_path):
     cmd = "verify --s-primes 2,3,5 --limit 500"
-    proc = run_script("results_digest.py", "--jobs", "", "--cmd", cmd, "--compare", str(ROOT))
+    proc = run_script("results_digest.py", "--no-jobs", "--cmd", cmd, "--compare", str(ROOT))
     assert proc.returncode == 0, proc.stderr
     sha, name = proc.stdout.rstrip("\n").split("  ")
     assert len(sha) == 64 and int(sha, 16) >= 0 and name == cmd
@@ -55,6 +55,6 @@ def test_results_digest_prints_and_compares(tmp_path):
     pkg.mkdir(parents=True)
     (pkg / "__init__.py").write_text("")
     (pkg / "__main__.py").write_text('print(\'{"results": {}}\')\n')
-    proc = run_script("results_digest.py", "--jobs", "", "--cmd", cmd, "--compare", str(tmp_path))
+    proc = run_script("results_digest.py", "--no-jobs", "--cmd", cmd, "--compare", str(tmp_path))
     assert proc.returncode == 1
     assert proc.stdout.startswith(sha) and "DIFFERS" in proc.stdout
