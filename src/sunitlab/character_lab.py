@@ -31,24 +31,13 @@ import numpy as np
 from .errors import (
     CapacityError, ToleranceError, ValidationError, check_capacity, check_power_capacity, finite_float,
 )
-from .prime_tools import (
-    PrimeStats,
-    _divisors,
-    _mobius,
-    _packed,
-    _phi,
-    _phi_of_multiset,
-    _primitive_root,
-    factorize,
-    interval_stats,
-)
+from .prime_tools import PrimeStats, _packed, _primitive_root, factorize, interval_stats
 from .tuple_census import (
     CensusParams,
     RepresentationTable,
     _census_result,
     _check_multisets,
-    _modulus_multisets,
-    _multiset_rows,
+    _multisets,
     congruence_solutions,
     main_term,
     representation_counts,
@@ -218,7 +207,8 @@ def census_via_characters(params: CensusParams):
 
     def count():
         total = 0j
-        for m, _combo, weight in _modulus_multisets(st.modulus_primes, ell):
+        moduli, weights = next(_multisets(st.modulus_primes, ell))[1:]
+        for m, weight in zip(moduli.tolist(), weights.tolist()):
             table = character_table(m)
             total += weight * complex(np.sum(_prime_sums(table, st) ** k)) / table.totient
         rounded = round(total.real)
@@ -236,14 +226,20 @@ def principal_contribution(params: CensusParams) -> Fraction:
     """Exact rational principal-character part: sum over tuples of P^k/phi(m).
 
     Walks Q_ell, so its ell prime factors per modulus count against QT_LIMIT.
+    phi(m) is read off each sorted index row: q - 1 at a prime's first entry,
+    q at each repeat.  The slices of about |Q| multisets (one first index
+    from ell = 2 on) hold about as much as the prime list itself.
     """
     st = interval_stats(params.y)
     q_primes, ell = st.modulus_primes, params.ell
     _check_multisets(QT_LIMIT, f"prime factors over Q_{ell}", (len(q_primes), ell), per=ell)
     pk = Fraction(st.prime_count) ** params.k
     total = Fraction(0)
-    for _m, combo, weight in _modulus_multisets(q_primes, ell):
-        total += weight * pk / _phi_of_multiset(combo)
+    for rows, moduli, weights in _multisets(q_primes, ell, len(q_primes)):
+        first = np.diff(rows, axis=1, prepend=-1) != 0
+        phis = np.prod(np.asarray(q_primes, dtype=moduli.dtype)[rows] - first, axis=1)
+        for phi, weight in zip(phis.tolist(), weights.tolist()):
+            total += weight * pk / phi
     return total
 
 
@@ -264,12 +260,15 @@ class PhiSlackReport:
     within_hard: bool
 
 
-def phi_slack(params: CensusParams) -> PhiSlackReport:
+def phi_slack(params: CensusParams, principal: Fraction | None = None) -> PhiSlackReport:
+    """The slack of main_term against principal_contribution(params), which a
+    caller that already has it passes as ``principal``."""
     st = interval_stats(params.y)
     if not st.modulus_primes or st.prime_count == 0:
         zero = Fraction(0)
         return PhiSlackReport(zero, zero, True, zero, True)
-    principal = principal_contribution(params)
+    if principal is None:
+        principal = principal_contribution(params)
     mt = main_term(params)
     delta = mt / principal - 1
     c2 = Fraction(2 * params.ell) / Fraction(params.y)
@@ -316,7 +315,8 @@ def nonprincipal_contribution(params: CensusParams) -> NonprincipalReport:
     value = Fraction(count) - principal
 
     direct = 0.0
-    for m, _combo, weight in _modulus_multisets(st.modulus_primes, params.ell):
+    moduli, weights = next(_multisets(st.modulus_primes, params.ell))[1:]
+    for m, weight in zip(moduli.tolist(), weights.tolist()):
         nonprincipal = _prime_sums(character_table(m), st)[1:]  # chi_0 first
         with np.errstate(over="ignore"):
             direct += weight * 2 / m * float(np.sum(np.abs(nonprincipal) ** params.k))
@@ -373,11 +373,9 @@ def enumerate_Qt(t: int, y: float) -> ModulusClass:
     q_primes = st.modulus_primes
     # t prime factors per modulus: a huge t makes few moduli but long products
     size = _check_multisets(QT_LIMIT, f"prime factors over Q_{t}", (len(q_primes), t), per=t)
-    rows = _multiset_rows(len(q_primes), t)
-    if max(q_primes, default=0) ** t < 2**63:
-        moduli = _packed(np.sort(np.prod(np.asarray(q_primes, dtype=np.int64)[rows], axis=1)))
-    else:
-        moduli = tuple(sorted(np.prod(np.asarray(q_primes, dtype=object)[rows], axis=1).tolist()))
+    products = next(_multisets(q_primes, t))[1]  # the rows and weights are freed here
+    products.sort()  # in place, then packed: at most two copies of the products
+    moduli = _packed(products) if products.dtype == np.int64 else tuple(products.tolist())
     reference = st.prime_count**t / math.factorial(t)
     return ModulusClass(
         t=t,
@@ -526,19 +524,23 @@ def moment_primitive_sum_exact(q: int, table: RepresentationTable) -> int:
     Uses the orthogonality identity per divisor-modulus and Moebius inversion
     over conductors; requires every n in the table coprime to q, which holds
     here because product-range primes cannot divide modulus-range products.
+    q is factorized once: the divisors c with mu(q/c) != 0 keep p^e or
+    p^(e-1) of each p^e || q, and (c, mu(q/c), phi(c)) is built up prime by prime.
     """
-    for p in factorize(q):
+    factors = factorize(q)
+    for p in factors:
         if any(n % p == 0 for n in table.counts):
             raise ValidationError(
                 f"representation support shares prime {p} with modulus {q}"
             )
-    total = 0
-    for c in _divisors(q):
-        mu = _mobius(q // c)
-        if mu == 0:
-            continue
-        total += mu * _phi(c) * _residue_pair_sum(table, c)
-    return total
+    terms = [(1, 1, 1)]
+    for p, e in factors.items():
+        terms = [
+            (c * p**j, mu * (-1) ** (e - j), phi * (p**j - p**j // p))
+            for c, mu, phi in terms
+            for j in (e, e - 1)
+        ]
+    return sum(mu * phi * _residue_pair_sum(table, c) for c, mu, phi in terms)
 
 
 def moment_check(t: int, y: float, which: str) -> MomentReport:

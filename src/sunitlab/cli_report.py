@@ -377,7 +377,7 @@ def _diag_decomposition(args, warnings):
     return {
         "method": "character-decomposition",
         "principal": encode(report.principal),
-        "phi_slack": encode(phi_slack(params)),
+        "phi_slack": encode(phi_slack(params, report.principal)),
         "nonprincipal": encode(report),
     }
 

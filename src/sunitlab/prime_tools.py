@@ -1,7 +1,7 @@
 """Prime enumeration over half-open intervals and the derived interval statistics.
 
 Also the integer arithmetic the other modules build on: primality,
-factorization, and phi, Moebius, divisors and primitive roots on top of it.
+factorization, and primitive roots on top of it.
 
 All intervals here are half-open (lo, hi]: the lower endpoint is excluded and
 the upper endpoint included.  This convention is fixed once, in this module,
@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import os
 from array import array
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -315,37 +314,6 @@ def factorize(n: int) -> dict[int, int]:
             g = _pollard_brent(m)
             stack.extend((g, m // g))
     return dict(sorted(factors.items()))
-
-
-def _divisors(n: int) -> list[int]:
-    divs = [1]
-    for p, e in factorize(n).items():
-        divs = [d * p**j for d in divs for j in range(e + 1)]
-    return sorted(divs)
-
-
-def _mobius(n: int) -> int:
-    mu = 1
-    for _p, e in factorize(n).items():
-        if e > 1:
-            return 0
-        mu = -mu
-    return mu
-
-
-def _phi(n: int) -> int:
-    phi = 1
-    for p, e in factorize(n).items():
-        phi *= p ** (e - 1) * (p - 1)
-    return phi
-
-
-def _phi_of_multiset(combo: tuple[int, ...]) -> int:
-    """Euler phi of the product of a prime multiset, exactly."""
-    phi = 1
-    for q, e in Counter(combo).items():
-        phi *= q ** (e - 1) * (q - 1)
-    return phi
 
 
 def _primitive_root(p: int) -> int:

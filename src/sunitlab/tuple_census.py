@@ -43,9 +43,6 @@ _FOLD_CHUNK = 1 << 20
 # 2^17 0.39 s; at y = 1000, ell = 2 all three took 0.04 s at k = 3 and 1.2 to
 # 1.4 s at k = 4
 _BLOCK_ELEMENTS = 1 << 16
-# multisets weighed per slice by _modulus_multisets, whose callers work per
-# multiset in Python: it bounds the index rows and weights held at once
-_WEIGH_SLICE = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -144,30 +141,18 @@ def _row_weights(rows: np.ndarray, dtype=None) -> np.ndarray:
     dtype = dtype or (np.int64 if math.factorial(rows.shape[1]) < 2**63 else object)
     # w built up column by column as w * (j + 1) / run, with run the
     # repeats of the last index; dividing by run / gcd first stays exact
-    weights, run = np.ones(len(rows), dtype=dtype), np.ones(len(rows), dtype=np.int64)
+    weights, run = np.ones(len(rows), dtype=dtype), 1
     for j in range(1, rows.shape[1]):
         run = np.where(rows[:, j] == rows[:, j - 1], run + 1, 1)
         g = np.gcd(run, j + 1)
-        weights = weights // (run // g) * ((j + 1) // g)
+        weights //= run // g
+        weights *= (j + 1) // g
     return weights
 
 
 def _ordered_count(r_rows: np.ndarray, m_rows: np.ndarray, dtype) -> int:
     """Ordered tuples behind (r, m) index rows: sum w(r) w(m), each term exact in ``dtype``."""
     return sum((_row_weights(r_rows, dtype) * _row_weights(m_rows, dtype)).tolist())
-
-
-def _modulus_multisets(primes: Sequence[int], t: int):
-    """Yield (product, multiset, ordered-tuple weight) per multiset of t >= 1
-    primes, in combinations_with_replacement order, a slice of index rows at
-    a time."""
-    for rows in _row_slices(len(primes), t, _WEIGH_SLICE):
-        entries = map(primes.__getitem__, rows.ravel().tolist())
-        # zip draws from its arguments left to right, so each combo is the t
-        # entries of one row without a list per row; at t = 1 a product is
-        # the prime itself, with no math.prod copy
-        for combo, weight in zip(zip(*[entries] * t), _row_weights(rows).tolist()):
-            yield combo[0] if t == 1 else math.prod(combo), combo, weight
 
 
 def _check_multisets(cap: int, what: str, *classes: tuple[int, int], per: int = 1) -> int:
@@ -328,22 +313,20 @@ def _count_by_blocks(p_primes, q_primes, k: int, ell: int, listing: bool = False
     are exact while |P|^k < 2^63.
     """
     p = np.asarray(p_primes, dtype=np.int64)
-    q = np.asarray(q_primes, dtype=np.int64)
     n, t = len(p), k - 1
-    m_rows = _multiset_rows(len(q), ell)
+    m_rows, all_moduli, m_weights = next(_multisets(q_primes, ell))
     r_parts, m_parts = [np.zeros((0, k), dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     lo, span = int(p.min()), int(p.max()) - int(p.min())
     # 1 at each p (1 + its index in a listing), ending in a zero where np.take's
     # clip sends every index past max P; int32 halves the table the gathers hit at random
     table = np.zeros(span + 2, dtype=np.int32)
     table[p - lo] = np.arange(1, n + 1) if listing else 1
-    all_moduli = np.prod(q[m_rows], axis=1, keepdims=True)
     # residues in the narrowest exact width: uint32 when it holds P, a product
     # of two residues plus the shift below (m^2 + m) and the last partner
     # offset (m * gathers); at the CLI's intervals, every modulus below 2^16
     top, gathers = int(all_moduli.max()), span // int(all_moduli.min()) + 1
     dtype = np.uint32 if max(int(p.max()), top * top + top, top * gathers) < 2**32 else np.int64
-    p, all_moduli = p.astype(dtype), all_moduli.astype(dtype)
+    p, all_moduli = p.astype(dtype), all_moduli[:, None].astype(dtype)
     counts = np.zeros(len(m_rows), dtype=np.int64)
     size = max(1, _BLOCK_ELEMENTS // n)
     for g in range(0, len(m_rows), size):
@@ -378,7 +361,7 @@ def _count_by_blocks(p_primes, q_primes, k: int, ell: int, listing: bool = False
                     m_parts.append(g + b + row[keep])
     if listing:
         return np.concatenate(r_parts), m_rows[np.concatenate(m_parts)]
-    return sum(w * c for w, c in zip(_row_weights(m_rows).tolist(), counts.tolist()))
+    return sum(w * c for w, c in zip(m_weights.tolist(), counts.tolist()))
 
 
 def _count_products_congruent_one(p: np.ndarray, k: int, m: int) -> int:
@@ -440,7 +423,7 @@ def _multiset_rows(n: int, t: int, lo: int = 0, hi: int | None = None) -> np.nda
         parents.append(np.repeat(np.arange(len(last)), reps))
         cols.append(np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps - last, reps))
     rows = np.empty((len(cols[-1]), t), dtype=np.int64)
-    at = np.arange(len(rows))
+    at = slice(None)  # the last column is read as it is, not through a copy
     for j in range(t - 1, -1, -1):
         rows[:, j] = cols[j][at]
         if j:
@@ -454,6 +437,24 @@ def _row_slices(n: int, t: int, size: int):
     step = max(1, size // math.comb(max(n, 1) + t - 2, t - 1))
     for lo in range(0, n, step):
         yield _multiset_rows(n, t, lo, min(lo + step, n))
+
+
+def _multisets(primes: Sequence[int], t: int, size: int | None = None):
+    """The t-multisets (t >= 1) of primes as three columns, in
+    combinations_with_replacement order: the index rows into primes (int64),
+    their products, int64 while max(primes)^t < 2^63 and else Python ints
+    (object), and their ordered-tuple weights (_row_weights); a repeated
+    prime is a second entry.  The one builder of a multiset class.  Yields
+    one slice (empty when primes is), or with ``size`` slices by first index
+    of about size multisets (_row_slices).
+    """
+    dtype = np.int64 if int(max(primes, default=0)) ** t < 2**63 else object
+    values = np.asarray(primes, dtype=dtype)
+    for rows in _row_slices(len(primes), t, size) if size else (_multiset_rows(len(primes), t),):
+        products = values[rows[:, 0]]
+        for j in range(1, t):
+            products *= values[rows[:, j]]
+        yield rows, products, _row_weights(rows)  # no local: a caller that drops them frees them
 
 
 def _quotients(p_primes, q_primes, k: int) -> range:
@@ -515,16 +516,13 @@ def _matches_by_quotient(p_primes, q_primes, k: int, ell: int):
     u, (r - 1)/u over the r == 1 (mod u) is looked up among the sorted moduli,
     which are distinct (Q holds distinct primes), so one match at most.
     """
-    p = np.asarray(p_primes, dtype=np.int64)
-    q = np.asarray(q_primes, dtype=np.int64)
-    m_rows = _multiset_rows(len(q), ell)
-    moduli = np.prod(q[m_rows], axis=1)
+    m_rows, moduli = next(_multisets(q_primes, ell))[:2]
     order = np.argsort(moduli)
     moduli = moduli[order]
     quotients = _quotients(p_primes, q_primes, k)
     r_parts, m_parts = [np.zeros((0, k), dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for r_rows in _row_slices(len(p), k, _FOLD_CHUNK):
-        r1 = np.prod(p[r_rows], axis=1)
+    for r_rows, r1, weights in _multisets(p_primes, k, _FOLD_CHUNK):
+        del weights  # unread: freed before the passes over the quotients
         r1 -= 1  # r - 1, once per slice
         for u in quotients:
             sel = np.flatnonzero(r1 % u == 0)
@@ -567,9 +565,10 @@ def congruence_solutions(
     plan = _plan(p_primes, q_primes, k, ell, listing)
     if plan == "fold":
         p = np.asarray(p_primes, dtype=np.int64)
+        moduli, weights = next(_multisets(q_primes, ell))[1:]
         return sum(
             weight * _count_products_congruent_one(p, k, m)
-            for m, _combo, weight in _modulus_multisets(q_primes, ell)
+            for m, weight in zip(moduli.tolist(), weights.tolist())
         )
     if plan == "modulus" and not listing:
         return _count_by_blocks(p_primes, q_primes, k, ell)
@@ -660,5 +659,7 @@ def representation_counts(t: int, y: float) -> RepresentationTable:
     """
     p_primes = interval_stats(y).product_primes
     _check_multisets(REPRESENTATION_LIMIT, f"multisets of {t} product primes", (len(p_primes), t))
-    counts = {n: w for n, _combo, w in _modulus_multisets(p_primes, t)}
+    counts = {}
+    for _rows, products, weights in _multisets(p_primes, t, _BLOCK_ELEMENTS):
+        counts.update(zip(products.tolist(), weights.tolist()))
     return RepresentationTable(t=t, y=y, counts=counts)

@@ -16,7 +16,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
-from math import floor, isqrt, lcm, prod
+from math import factorial, floor, isqrt, lcm, prod
 
 import numpy as np
 
@@ -110,6 +110,19 @@ def oracle_congruence_pairs(p_primes, moduli, k: int) -> list[tuple]:
                 pairs.append((r, m, (r - 1) // m, r_combo, m_combo))
     pairs.sort(key=lambda pr: (pr[1], pr[0]))
     return pairs
+
+
+def oracle_multisets(primes, t: int):
+    """(product, multiset, ordered-tuple weight) per t-multiset of the list's
+    entries, in combinations_with_replacement order; a repeated prime is a
+    second entry.  The weight is the multinomial t! / prod(e!) over the
+    multiplicities e of the entries."""
+    for ix in combinations_with_replacement(range(len(primes)), t):
+        combo = tuple(primes[i] for i in ix)
+        weight = factorial(t)
+        for e in Counter(ix).values():
+            weight //= factorial(e)
+        yield prod(combo), combo, weight
 
 
 def oracle_recip_sum(y: float) -> Fraction:
@@ -222,13 +235,13 @@ def oracle_stormer_pairs(primes) -> list[tuple[int, int]]:
 
 
 def oracle_phi(n: int) -> int:
-    return sum(1 for a in range(1, n + 1) if _gcd(a, n) == 1)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+    """The units mod n counted one by one: the a in [1, n] that no prime
+    factor of n divides, by crossing out the multiples of each."""
+    unit = np.ones(n + 1, dtype=bool)
+    unit[0] = False
+    for p in oracle_factorize(n):
+        unit[::p] = False
+    return int(np.count_nonzero(unit))
 
 
 def oracle_root_exponents(table, ns):

@@ -75,10 +75,13 @@ CASES = [
      (mc, "random")),
     # C(7 + 2, 3) multisets of three product primes
     (tc, "REPRESENTATION_LIMIT", 10, lambda: tc.representation_counts(3, 60), 84,
-     (tc, "_modulus_multisets")),
+     (tc, "_multisets")),
     # Q_2 at y = 60 holds C(5, 2) = 10 moduli of 2 prime factors each
     (cl, "QT_LIMIT", 10, lambda: cl.enumerate_Qt(2, 60), 20,
-     (cl, "_multiset_rows")),
+     (cl, "_multisets")),
+    # the principal part walks the same Q_2
+    (cl, "QT_LIMIT", 10, lambda: cl.principal_contribution(CensusParams(60, 2, 2)), 20,
+     (cl, "_multisets")),
     (cl, "CHARACTER_MODULUS_LIMIT", 100, lambda: cl.character_table(143), 143,
      (cl, "_cached_table")),
     # P^k * Q^ell = 10^2 * 6 ordered tuples at y = 100
@@ -128,7 +131,7 @@ CASES = [
     "module,limit,value,run,estimate,engine",
     CASES,
     ids=[
-        "modulus", "fold-k2", "fold-k3", "fold-past-int64", "direct", "sampled", "representation", "qt",
+        "modulus", "fold-k2", "fold-k3", "fold-past-int64", "direct", "sampled", "representation", "qt", "qt-principal",
         "character-modulus", "character-count", "character-work-census", "character-work-family",
         "large-sieve-trials-work", "large-sieve-trials", "quotient", "k1-past-int64", "pair", "pair-quotient",
         "exact-bits", "sieve", "smooth-count",

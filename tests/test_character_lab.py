@@ -23,10 +23,9 @@ from sunitlab.character_lab import (
 )
 from sunitlab.errors import CapacityError, ValidationError
 import sunitlab.character_lab as cl
-from sunitlab.prime_tools import _phi_of_multiset, factorize, interval_stats
+from sunitlab.prime_tools import factorize, interval_stats
 from sunitlab.tuple_census import (
     CensusParams,
-    _modulus_multisets,
     count_exact,
     representation_counts,
 )
@@ -34,6 +33,7 @@ from sunitlab.tuple_census import (
 from oracles import (
     oracle_character_values,
     oracle_conductors,
+    oracle_multisets,
     oracle_phi,
     oracle_prime_sums,
 )
@@ -210,8 +210,20 @@ def test_principal_contribution_golden():
     assert principal_contribution(CensusParams(30, 2, 1)) == Fraction(44, 15)
 
 
+@pytest.mark.parametrize("y,k,ell", [(30, 2, 1), (60, 2, 2), (100, 3, 3), (150, 4, 2)])
+def test_principal_contribution_is_the_oracle_phi_sum(y, k, ell):
+    # phi read off the index rows, against units counted one by one; from
+    # ell = 2 on a modulus can repeat a prime
+    st = interval_stats(y)
+    pk = Fraction(st.prime_count) ** k
+    multisets = oracle_multisets(st.modulus_primes, ell)
+    want = sum((w * pk / oracle_phi(m) for m, _c, w in multisets), Fraction(0))
+    assert principal_contribution(CensusParams(y, k, ell)) == want
+
+
 def test_phi_slack_golden_y30():
     rep = phi_slack(CensusParams(30, 2, 1))
+    assert phi_slack(CensusParams(30, 2, 1), Fraction(44, 15)) == rep  # the principal part passed in
     assert rep.delta == Fraction(1440, 1573) - 1
     assert rep.delta <= 0
     assert rep.constant2_bound == Fraction(1, 15)
@@ -413,10 +425,7 @@ def test_tail_shape_empty_range():
 def test_character_work_estimate_is_the_phi_sum(y, monkeypatch):
     st = interval_stats(y)
     for t in (1, 2, 3):
-        phi_sum = sum(
-            _phi_of_multiset(combo)
-            for _m, combo, _w in _modulus_multisets(st.modulus_primes, t)
-        )
+        phi_sum = sum(oracle_phi(m) for m, _c, _w in oracle_multisets(st.modulus_primes, t))
         monkeypatch.setattr(cl, "CHARACTER_WORK_LIMIT", phi_sum)
         cl._check_character_work(st, [t])  # exactly at the cap: allowed
         monkeypatch.setattr(cl, "CHARACTER_WORK_LIMIT", phi_sum - 1)

@@ -18,7 +18,6 @@ from sunitlab.prime_tools import interval_stats
 from sunitlab.tuple_census import (
     CensusParams,
     _count_products_congruent_one,
-    _modulus_multisets,
     congruence_solutions,
     count_direct,
     count_exact,
@@ -28,7 +27,13 @@ from sunitlab.tuple_census import (
     representation_counts,
 )
 
-from oracles import oracle_census, oracle_congruence_pairs, oracle_rep_counts, oracle_sampled_hits
+from oracles import (
+    oracle_census,
+    oracle_congruence_pairs,
+    oracle_multisets,
+    oracle_rep_counts,
+    oracle_sampled_hits,
+)
 from test_capacity import Tripwire
 
 
@@ -344,7 +349,7 @@ def _reference_fold(p_primes, k, m):
 def test_numpy_fold_matches_reference_fold(y, k, ell):
     st = interval_stats(y)
     p = np.asarray(st.product_primes, dtype=np.int64)
-    multisets = list(_modulus_multisets(st.modulus_primes, ell))
+    multisets = list(oracle_multisets(st.modulus_primes, ell))
     # all multisets up to 40, else 40 spread evenly: the reference is slow at y = 300
     for m, combo, _w in multisets[:: -(-len(multisets) // 40)]:
         got = _count_products_congruent_one(p, k, m)
@@ -359,7 +364,7 @@ def test_fold_in_slices_matches_reference(monkeypatch):
     st = interval_stats(60)
     want = sum(
         w * _reference_fold(st.product_primes, 4, m)
-        for m, _c, w in _modulus_multisets(st.modulus_primes, 2)
+        for m, _c, w in oracle_multisets(st.modulus_primes, 2)
     )
     assert congruence_solutions(st.product_primes, st.modulus_primes, 4, 2) == want
 
@@ -470,7 +475,7 @@ def test_k2_blocks_match_reference_fold(y, ell, block, monkeypatch):
     st = interval_stats(y)
     want = sum(
         w * _reference_fold(st.product_primes, 2, m)
-        for m, _c, w in _modulus_multisets(st.modulus_primes, ell)
+        for m, _c, w in oracle_multisets(st.modulus_primes, ell)
     )
     assert tc._count_by_blocks(st.product_primes, st.modulus_primes, 2, ell) == want
 
@@ -517,7 +522,7 @@ def test_blocks_count_and_list_either_side_of_the_uint32_switch(y, k, ell, width
     st = interval_stats(y)
     p_primes, q_primes = st.product_primes, st.modulus_primes[-3:]  # the largest moduli set the width
     widths = _spy_widths(monkeypatch)
-    want = sum(w * _reference_fold(p_primes, k, m) for m, _c, w in _modulus_multisets(q_primes, ell))
+    want = sum(w * _reference_fold(p_primes, k, m) for m, _c, w in oracle_multisets(q_primes, ell))
     assert tc._count_by_blocks(p_primes, q_primes, k, ell) == want
     _run_plan(monkeypatch, "modulus")
     r_rows, m_rows, *columns = tc.congruence_solutions(p_primes, q_primes, k, ell, listing=True)
@@ -561,7 +566,7 @@ def test_blocks_match_reference_fold_past_k2(y, k, ell, monkeypatch):
     q_primes = st.modulus_primes[:: -(-len(st.modulus_primes) // (1 if k + ell >= 8 else 3))]
     want = sum(
         w * _reference_fold(st.product_primes, k, m)
-        for m, _c, w in _modulus_multisets(q_primes, ell)
+        for m, _c, w in oracle_multisets(q_primes, ell)
     )
     # 2^15: one slice of multisets; 20 and 1: slices by first index, with
     # blocks of a few moduli or of one
@@ -577,7 +582,7 @@ def test_blocks_slice_the_multisets_by_first_index(monkeypatch):
     st = interval_stats(60)
     want = sum(
         w * _reference_fold(st.product_primes, 3, m)
-        for m, _c, w in _modulus_multisets(st.modulus_primes, 2)
+        for m, _c, w in oracle_multisets(st.modulus_primes, 2)
     )
     slices = []
     rows = tc._multiset_rows
@@ -593,21 +598,30 @@ def test_blocks_slice_the_multisets_by_first_index(monkeypatch):
     assert slices == [(0, 2), (2, 4), (4, 6), (6, 7)] * 5
 
 
-@pytest.mark.parametrize("block", [1 << 12, 5, 1])
+@pytest.mark.parametrize("size", [1 << 12, 5, 1, None])
 @pytest.mark.parametrize(
-    "primes,t", [((), 1), ((), 3), ((3,), 4), ((5, 7, 11, 13), 3), ((3, 5, 3), 2), ((1009, 1013, 2**61 - 1), 1)]
+    "primes,t",
+    [((), 1), ((), 3), ((3,), 4), ((5, 7, 11, 13), 3), ((3, 5, 3), 2), ((1009, 1013, 2**61 - 1), 1),
+     ((1009, 1013, 2**61 - 1), 2), ((3, 5, 7), 22), ((3, 5), 40)],
 )
-def test_modulus_multisets_weigh_every_multiset(primes, t, block, monkeypatch):
-    # slices of 5 and 1 rows weigh the multisets a first index or two at a
-    # time; an empty list has no multiset; a repeated prime is a second entry
-    monkeypatch.setattr(tc, "_WEIGH_SLICE", block)
-    got = list(_modulus_multisets(primes, t))
-    indices = list(combinations_with_replacement(range(len(primes)), t))
-    assert [combo for _m, combo, _w in got] == [tuple(primes[i] for i in ix) for ix in indices]
-    assert all(m == math.prod(combo) for m, combo, _w in got)
-    if t == 1:  # the prime itself, not a copy per modulus
-        assert all(m is combo[0] for m, combo, _w in got)
-    assert [w for *_, w in got] == [len(set(itertools.permutations(ix))) for ix in indices]
+def test_modulus_multisets_weigh_every_multiset(primes, t, size):
+    # the builder against the oracle: slices of 5 and 1 multisets take a first
+    # index or two at a time, 2^12 and None one slice; an empty list has no
+    # multiset; a repeated prime is a second entry; (2^61 - 1)^2 and 5^40 pass
+    # int64, so those products are Python ints, and so are the weights past 20!
+    slices = list(tc._multisets(primes, t, size))
+    want = list(oracle_multisets(primes, t))
+    rows = [row for r, _p, _w in slices for row in r.tolist()]
+    assert [tuple(primes[i] for i in row) for row in rows] == [combo for _m, combo, _w in want]
+    assert [m for _r, p, _w in slices for m in p.tolist()] == [m for m, _c, _w in want]
+    assert [w for *_, ws in slices for w in ws.tolist()] == [w for *_, w in want]
+    big = max(primes, default=0) ** t >= 2**63
+    assert all(p.dtype == (object if big else np.int64) for _r, p, _w in slices)
+    assert all(w.dtype == (object if math.factorial(t) >= 2**63 else np.int64) for *_, w in slices)
+    if size is None:
+        assert len(slices) == 1
+    else:  # a slice ends only where a first index does
+        assert all(r[-1, 0] != s[0, 0] for (r, *_), (s, *_) in zip(slices, slices[1:]))
 
 
 @pytest.mark.parametrize(
@@ -727,7 +741,7 @@ def test_quotient_count_matches_reference_fold(y, k):
     st = interval_stats(y)
     want = sum(
         w * _reference_fold(st.product_primes, k, m)
-        for m, _c, w in _modulus_multisets(st.modulus_primes, k)
+        for m, _c, w in oracle_multisets(st.modulus_primes, k)
     )
     r_rows, m_rows = tc._matches_by_quotient(st.product_primes, st.modulus_primes, k, k)
     assert tc._ordered_count(r_rows, m_rows, np.int64) == want
