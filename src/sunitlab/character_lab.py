@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import random
 from array import array
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -37,6 +36,7 @@ from .tuple_census import (
     RepresentationTable,
     _census_result,
     _check_multisets,
+    _merge,
     _multisets,
     congruence_solutions,
     main_term,
@@ -98,9 +98,12 @@ class CharacterTable:
                 # CRT: equal to g mod p^e and to 1 mod the cofactor
                 lifted = (g + pe * ((1 - g) * pow(pe, -1, cofactor) % cofactor)) % modulus
                 orders.append(order)
-                powers = [1]
-                for _ in range(order - 1):
-                    powers.append(powers[-1] * lifted % modulus)
+                # lifted^j for j < order by doubling the run; each product is below m^2 <= 10^12
+                powers, filled, step = np.ones(order, dtype=np.int64), 1, lifted
+                while filled < order:
+                    n = min(filled, order - filled)
+                    powers[filled : filled + n] = powers[:n] * step % modulus
+                    filled, step = filled + n, step * step % modulus
                 units = np.multiply.outer(units, powers).ravel() % modulus
                 exps = np.arange(order)
                 local_mask = exps % p != 0 if local else exps >= 0
@@ -143,9 +146,22 @@ def character_table(m: int) -> CharacterTable:
     return _cached_table(m)
 
 
-def _prime_sums(table: CharacterTable, st: PrimeStats) -> np.ndarray:
-    """S_chi = sum of chi(p) over the product-range primes p, for every chi mod m."""
-    return table.sums(st.product_primes, np.ones(len(st.product_primes)))
+def _walk(st: PrimeStats, t: int, ascending: bool = False):
+    """(m, w(m), table, S_chi for every chi mod m) for each m of Q_t, with
+    S_chi = sum of chi(p) over the product-range primes p: the one transform
+    of each modulus.  In multiset order, or with ``ascending`` by m, the
+    order in which the moments and tails add their sums.  Its t prime
+    factors per modulus count against QT_LIMIT.
+    """
+    _check_multisets(QT_LIMIT, f"prime factors over Q_{t}", (len(st.modulus_primes), t), per=t)
+    moduli, weights = next(_multisets(st.modulus_primes, t))[1:]
+    if ascending:
+        order = np.argsort(moduli)
+        moduli, weights = moduli[order], weights[order]
+    ones = np.ones(len(st.product_primes))
+    for m, weight in zip(moduli.tolist(), weights.tolist()):
+        table = character_table(m)
+        yield m, weight, table, table.sums(st.product_primes, ones)
 
 
 def _primitive_power_sum(table: CharacterTable, sums: np.ndarray, k: int) -> float:
@@ -179,16 +195,6 @@ def _check_character_work(st: PrimeStats, ts) -> None:
     check_capacity(what, total, CHARACTER_WORK_LIMIT)
 
 
-def _class_moments(t: int, y: float, k: int) -> list[tuple[int, float]]:
-    """(q, sum over primitive chi mod q of |S_chi|^k) for every q in Q_t."""
-    st = interval_stats(y)
-    moments = []
-    for q in enumerate_Qt(t, y).moduli:
-        table = character_table(q)
-        moments.append((q, _primitive_power_sum(table, _prime_sums(table, st), k)))
-    return moments
-
-
 def census_via_characters(params: CensusParams):
     """Census recomputed by character orthogonality; must equal count_exact.
 
@@ -207,10 +213,8 @@ def census_via_characters(params: CensusParams):
 
     def count():
         total = 0j
-        moduli, weights = next(_multisets(st.modulus_primes, ell))[1:]
-        for m, weight in zip(moduli.tolist(), weights.tolist()):
-            table = character_table(m)
-            total += weight * complex(np.sum(_prime_sums(table, st) ** k)) / table.totient
+        for _m, weight, table, sums in _walk(st, ell):
+            total += weight * complex(np.sum(sums ** k)) / table.totient
         rounded = round(total.real)
         if abs(total - rounded) >= ROUNDING_TOL:
             raise ToleranceError(
@@ -260,15 +264,12 @@ class PhiSlackReport:
     within_hard: bool
 
 
-def phi_slack(params: CensusParams, principal: Fraction | None = None) -> PhiSlackReport:
-    """The slack of main_term against principal_contribution(params), which a
-    caller that already has it passes as ``principal``."""
+def phi_slack(params: CensusParams, principal: Fraction) -> PhiSlackReport:
+    """The slack of main_term against ``principal``, principal_contribution(params)."""
     st = interval_stats(params.y)
     if not st.modulus_primes or st.prime_count == 0:
         zero = Fraction(0)
         return PhiSlackReport(zero, zero, True, zero, True)
-    if principal is None:
-        principal = principal_contribution(params)
     mt = main_term(params)
     delta = mt / principal - 1
     c2 = Fraction(2 * params.ell) / Fraction(params.y)
@@ -308,30 +309,28 @@ class NonprincipalReport:
 
 def nonprincipal_contribution(params: CensusParams) -> NonprincipalReport:
     st = interval_stats(params.y)
-    # the direct bound walks Q_ell, the class bounds Q_1 .. Q_ell
-    _check_character_work(st, [params.ell, *range(1, params.ell + 1)])
-    count = congruence_solutions(st.product_primes, st.modulus_primes, params.k, params.ell)
+    k, ell = params.k, params.ell
+    _check_character_work(st, range(1, ell + 1))
+    count = congruence_solutions(st.product_primes, st.modulus_primes, k, ell)
     principal = principal_contribution(params)
     value = Fraction(count) - principal
 
+    # one walk over each Q_t: Q_ell's, first, also gives the direct bound
     direct = 0.0
-    moduli, weights = next(_multisets(st.modulus_primes, params.ell))[1:]
-    for m, weight in zip(moduli.tolist(), weights.tolist()):
-        nonprincipal = _prime_sums(character_table(m), st)[1:]  # chi_0 first
-        with np.errstate(over="ignore"):
-            direct += weight * 2 / m * float(np.sum(np.abs(nonprincipal) ** params.k))
+    moments: dict[int, list[tuple[int, float]]] = {}
+    for t in (ell, *range(1, ell)):
+        moments[t] = []
+        for m, weight, table, sums in _walk(st, t):
+            if t == ell:  # the direct bound, over every chi but chi_0, which comes first
+                with np.errstate(over="ignore"):
+                    direct += weight * 2 / m * float(np.sum(np.abs(sums[1:]) ** k))
+            moments[t].append((m, _primitive_power_sum(table, sums, k)))
 
     lam = st.recip_sum
-    fact_ell = math.factorial(params.ell)
     class_bounds: dict[int, float | None] = {}
-    for t in range(1, params.ell + 1):
-        weight = float(
-            2
-            * Fraction(fact_ell, math.factorial(params.ell - t))
-            * lam ** (params.ell - t)
-        )
-        moments = _class_moments(t, params.y, params.k)
-        class_bounds[t] = finite_float(lambda: sum((weight / q * s for q, s in moments), 0.0))
+    for t in range(1, ell + 1):
+        weight = float(2 * Fraction(math.factorial(ell), math.factorial(ell - t)) * lam ** (ell - t))
+        class_bounds[t] = finite_float(lambda: sum((weight / q * s for q, s in sorted(moments[t])), 0.0))
     direct_bound = finite_float(lambda: direct)
     class_total = None if None in class_bounds.values() else sum(class_bounds.values())
 
@@ -510,14 +509,6 @@ class MomentReport:
     class_size: int
 
 
-def _residue_pair_sum(table: RepresentationTable, c: int) -> int:
-    """Sum over pairs m == n (mod c) of a(m)*a(n), exactly."""
-    by_residue: Counter[int] = Counter()
-    for n, a in table.counts.items():
-        by_residue[n % c] += a
-    return sum(v * v for v in by_residue.values())
-
-
 def moment_primitive_sum_exact(q: int, table: RepresentationTable) -> int:
     """Integer value of sum over primitive chi mod q of |sum_n a(n) chi(n)|^2.
 
@@ -529,7 +520,7 @@ def moment_primitive_sum_exact(q: int, table: RepresentationTable) -> int:
     """
     factors = factorize(q)
     for p in factors:
-        if any(n % p == 0 for n in table.counts):
+        if np.any(table.products % p == 0):
             raise ValidationError(
                 f"representation support shares prime {p} with modulus {q}"
             )
@@ -540,37 +531,41 @@ def moment_primitive_sum_exact(q: int, table: RepresentationTable) -> int:
             for c, mu, phi in terms
             for j in (e, e - 1)
         ]
-    return sum(mu * phi * _residue_pair_sum(table, c) for c, mu, phi in terms)
+    total = 0
+    for c, mu, phi in terms:
+        # the pairs m == n (mod c): the squared count of each residue class of c
+        tallies = _merge(table.products % c, table.counts)[1].tolist()
+        total += mu * phi * sum(v * v for v in tallies)
+    return total
 
 
-def moment_check(t: int, y: float, which: str) -> MomentReport:
-    """Moment of prime character sums over the t-prime modulus class.
+def moment_check(t: int, y: float) -> tuple[MomentReport, MomentReport]:
+    """The "2t" and "4t" moments of prime character sums over the t-prime
+    modulus class, from one walk over it.
 
-    which="2t": sum over q in Q_t, primitive chi mod q of |S_chi|^(2t),
-    reference y^t * P^(2t).  which="4t": exponent 4t, reference (t*y*P)^(2t),
-    stated without the q/phi(q) weight.
+    "2t": sum over q in Q_t, primitive chi mod q of |S_chi|^(2t), reference
+    y^t * P^(2t).  "4t": exponent 4t, reference (t*y*P)^(2t), stated without
+    the q/phi(q) weight.
     """
-    if which not in ("2t", "4t"):
-        raise ValidationError(f"which must be '2t' or '4t', got {which!r}")
     st = interval_stats(y)
     _check_character_work(st, [t])
-    power = 2 * t if which == "2t" else 4 * t
-    rep = representation_counts(power // 2, y)
-    moments = _class_moments(t, y, power)
-    lhs = sum((s for _q, s in moments), 0.0)
-    lhs_exact = sum(moment_primitive_sum_exact(q, rep) for q, _s in moments)
+    reps = [representation_counts(t, y), representation_counts(2 * t, y)]  # both refused before any table
+    moduli, two_t, four_t = [], [], []
+    for q, _w, table, sums in _walk(st, t, ascending=True):
+        moduli.append(q)
+        two_t.append(_primitive_power_sum(table, sums, 2 * t))
+        four_t.append(_primitive_power_sum(table, sums, 4 * t))
 
     big_p = st.prime_count
-    reference = (
-        float(y) ** t * big_p ** (2 * t)
-        if which == "2t"
-        else float(t * y * big_p) ** (2 * t)
-    )
-    ratio = lhs_exact / reference if reference > 0 else None
-    return MomentReport(
-        t=t, y=y, which=which, lhs=lhs, lhs_exact=lhs_exact,
-        reference=reference, ratio=ratio, class_size=len(moments),
-    )
+    references = (float(y) ** t * big_p ** (2 * t), float(t * y * big_p) ** (2 * t))
+    reports = []
+    for which, rep, column, reference in zip(("2t", "4t"), reps, (two_t, four_t), references):
+        lhs_exact = sum(moment_primitive_sum_exact(q, rep) for q in moduli)
+        reports.append(MomentReport(
+            t=t, y=y, which=which, lhs=sum(column, 0.0), lhs_exact=lhs_exact, reference=reference,
+            ratio=lhs_exact / reference if reference > 0 else None, class_size=len(moduli),
+        ))
+    return tuple(reports)
 
 
 @dataclass(frozen=True)
@@ -617,7 +612,8 @@ def tail_shape(params: CensusParams, which: str) -> TailShapeReport:
 
     terms = {}
     for t in t_values:
-        moment = sum((s for _q, s in _class_moments(t, y, k)), 0.0)
+        walk = _walk(st, t, ascending=True)
+        moment = sum((_primitive_power_sum(table, sums, k) for _q, _w, table, sums in walk), 0.0)
         terms[t] = finite_float(lambda: base**t * lam ** (ell - t) * moment)
     lhs = None if None in terms.values() else sum(terms.values())
     ratio = finite_float(lambda: lhs / reference) if lhs is not None and reference else None

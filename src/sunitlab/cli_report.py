@@ -322,9 +322,8 @@ def _diag_moments(args, warnings):
 
     t = args.t if args.t is not None else 1
     return {
-        which: encode(moment_check(t, args.y, which))
-        | {"method": "character-enumeration+representation-identity"}
-        for which in ("2t", "4t")
+        report.which: encode(report) | {"method": "character-enumeration+representation-identity"}
+        for report in moment_check(t, args.y)
     }
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ValidationError, VerificationError, check_capacity
-from .prime_tools import _MR_VALID_BELOW, TRIAL_DIVISION_BOUND, factorize, interval_stats, sieve_interval
+from .prime_tools import _MR_VALID_BELOW, TRIAL_DIVISION_BOUND, factorize, interval_stats
 from .smooth_verifier import SmoothPair, verify_solution
 from .tuple_census import CensusParams, _ordered_count, congruence_solutions, main_term
 
@@ -278,12 +278,12 @@ class AssembledSet:
 
 
 def assemble_set(y: float, u0: int) -> AssembledSet:
-    """S = primes in (y/4, y] together with the distinct prime factors of u0."""
+    """S = primes in (y/4, y], the two ranges of interval_stats(y), with the prime factors of u0."""
     if u0 < 1:
         raise ValidationError(f"need u0 >= 1, got {u0}")
-    interval = sieve_interval(y / 4, y)
+    st = interval_stats(y)
     u0_factors = factorize(u0)
-    primes = tuple(sorted(set(interval.primes) | set(u0_factors)))
+    primes = tuple(sorted({*st.modulus_primes, *st.product_primes, *u0_factors}))
     loglog = math.log(math.log(u0)) if u0 >= 3 else 0.0
     return AssembledSet(
         y=y,

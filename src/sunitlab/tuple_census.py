@@ -635,19 +635,18 @@ def count_sampled(params: CensusParams, samples: int, seed: int) -> CensusResult
 
 @dataclass(frozen=True)
 class RepresentationTable:
-    """Counts a_t(n) of ordered t-tuples of product-range primes with product n."""
+    """Counts a_t(n) of ordered t-tuples of product-range primes with product n,
+    as two columns in multiset order: the products n, as _multisets builds
+    them, and the counts a_t(n), int64 while P^t < 2^63 (which bounds any sum
+    of them) and else Python ints (object).
+    """
 
     t: int
     y: float
-    counts: dict[int, int] = field(repr=False)
-    total: int = 0
-    max_count: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "total", sum(self.counts.values()))
-        object.__setattr__(
-            self, "max_count", max(self.counts.values(), default=0)
-        )
+    products: np.ndarray = field(repr=False, compare=False)
+    counts: np.ndarray = field(repr=False, compare=False)
+    total: int
+    max_count: int
 
 
 def representation_counts(t: int, y: float) -> RepresentationTable:
@@ -659,7 +658,7 @@ def representation_counts(t: int, y: float) -> RepresentationTable:
     """
     p_primes = interval_stats(y).product_primes
     _check_multisets(REPRESENTATION_LIMIT, f"multisets of {t} product primes", (len(p_primes), t))
-    counts = {}
-    for _rows, products, weights in _multisets(p_primes, t, _BLOCK_ELEMENTS):
-        counts.update(zip(products.tolist(), weights.tolist()))
-    return RepresentationTable(t=t, y=y, counts=counts)
+    dtype = np.int64 if len(p_primes) ** t < 2**63 else object
+    parts = [(n, a.astype(dtype, copy=False)) for _rows, n, a in _multisets(p_primes, t, _BLOCK_ELEMENTS)]
+    products, counts = (np.concatenate(column) for column in zip(*parts))
+    return RepresentationTable(t, y, products, counts, int(counts.sum()), int(counts.max()))

@@ -183,8 +183,7 @@ def test_criterion_05_mean_square_inequalities():
 
 
 def test_criterion_06_moment_golden_values():
-    two_t = moment_check(1, 20, "2t")
-    four_t = moment_check(1, 20, "4t")
+    two_t, four_t = moment_check(1, 20)
     ok = (
         two_t.lhs_exact == 8
         and four_t.lhs_exact == 20

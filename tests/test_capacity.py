@@ -173,7 +173,7 @@ def test_character_table_limit_holds_for_a_cached_table(monkeypatch):
 @pytest.mark.parametrize(
     "run",
     [
-        lambda: cl.moment_check(100_000, 30, "2t"),
+        lambda: cl.moment_check(100_000, 30),
         lambda: cl.tail_shape(CensusParams(30, 400, 200), "low"),
         # its reference, 200^200 * (4 lambda P)^200 * 30^200, is past any double
         lambda: cl.tail_shape(CensusParams(30, 400, 200), "high"),

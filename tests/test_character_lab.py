@@ -36,6 +36,7 @@ from oracles import (
     oracle_multisets,
     oracle_phi,
     oracle_prime_sums,
+    oracle_root_exponents,
 )
 
 
@@ -222,8 +223,9 @@ def test_principal_contribution_is_the_oracle_phi_sum(y, k, ell):
 
 
 def test_phi_slack_golden_y30():
-    rep = phi_slack(CensusParams(30, 2, 1))
-    assert phi_slack(CensusParams(30, 2, 1), Fraction(44, 15)) == rep  # the principal part passed in
+    params = CensusParams(30, 2, 1)
+    assert principal_contribution(params) == Fraction(44, 15)
+    rep = phi_slack(params, principal_contribution(params))
     assert rep.delta == Fraction(1440, 1573) - 1
     assert rep.delta <= 0
     assert rep.constant2_bound == Fraction(1, 15)
@@ -236,7 +238,8 @@ def test_phi_slack_golden_y30():
 @pytest.mark.parametrize("y", [20, 30, 40, 60, 100])
 @pytest.mark.parametrize("k,ell", [(1, 1), (2, 1), (2, 2), (3, 1)])
 def test_phi_slack_hard_bound_always_holds(y, k, ell):
-    rep = phi_slack(CensusParams(y, k, ell))
+    params = CensusParams(y, k, ell)
+    rep = phi_slack(params, principal_contribution(params))
     assert rep.delta <= 0
     assert rep.within_hard
 
@@ -344,22 +347,22 @@ def test_random_instances_deterministic():
 
 
 def test_moment_goldens_y20():
-    m2 = moment_check(1, 20, "2t")
+    m2, m4 = moment_check(1, 20)
+    assert (m2.which, m4.which) == ("2t", "4t")
     assert m2.lhs_exact == 8
     assert m2.reference == pytest.approx(20 * 4**2)
-    m4 = moment_check(1, 20, "4t")
     assert m4.lhs_exact == 20
     assert m4.reference == pytest.approx((1 * 20 * 4) ** 2)
 
 
 def test_moment_golden_y30_t2():
-    assert moment_check(2, 30, "2t").lhs_exact == 9624
+    assert moment_check(2, 30)[0].lhs_exact == 9624
 
 
 @pytest.mark.parametrize("t,y", [(1, 30), (2, 30), (1, 60), (2, 40)])
 @pytest.mark.parametrize("which", ["2t", "4t"])
 def test_moment_two_ways_agree(t, y, which):
-    rep = moment_check(t, y, which)
+    rep = {r.which: r for r in moment_check(t, y)}[which]
     # float character enumeration vs exact integer identity
     assert abs(rep.lhs - rep.lhs_exact) <= 1e-6 * max(1.0, abs(rep.lhs_exact))
 
@@ -370,17 +373,71 @@ def test_moment_exact_brute_force_cross_check():
     rep = representation_counts(1, y)
     for q in (11, 13, 143):
         table = character_table(q)
-        values = oracle_character_values(table, list(rep.counts))
+        values = oracle_character_values(table, rep.products.tolist())
         brute = sum(
-            abs(sum(a * v for v, a in zip(chi, rep.counts.values()))) ** 2
+            abs(sum(a * v for v, a in zip(chi, rep.counts.tolist()))) ** 2
             for chi in values[oracle_conductors(table) == q]
         )
         assert abs(brute - moment_primitive_sum_exact(q, rep)) < 1e-6
 
 
+def _exact_primitive_moment(q, products, counts):
+    """sum over primitive chi mod q of |sum a(n) chi(n)|^2 in integers, character
+    by character.  With chi = z^e for z a root of unity of order E, S_chi is a
+    polynomial in z and |S_chi|^2 its cyclic autocorrelation r[d]; the total
+    is rational, so it is its trace over phi(E), and z^d traces to the
+    Ramanujan sum mu(E/g) phi(E)/phi(E/g), g = gcd(d, E)."""
+    table = character_table(q)
+    by_residue = {}
+    for n, a in zip(products, counts):
+        by_residue[n % q] = by_residue.get(n % q, 0) + a
+    exponents, order = oracle_root_exponents(table, list(by_residue))
+    r = [0] * order
+    for row in exponents[oracle_conductors(table) == q]:
+        c = [0] * order
+        for e, a in zip(row.tolist(), by_residue.values()):
+            if e >= 0:
+                c[e] += a
+        for d in range(order):
+            r[d] += sum(c[e] * c[(e + d) % order] for e in range(order))
+    phi = oracle_phi(order)
+    trace = 0
+    for d in range(order):
+        g = math.gcd(d, order)
+        trace += r[d] * _mobius_oracle(order // g) * phi // oracle_phi(order // g)
+    assert trace % phi == 0
+    return trace // phi
+
+
+@pytest.mark.parametrize("q", [11, 13, 143])
+def test_moment_exact_past_int64(q):
+    # P^40 = 4^40 = 2^80 ordered tuples: a class of residues tallied in int64 would wrap
+    rep = representation_counts(40, 30)
+    assert rep.counts.dtype == object and rep.total == 2**80
+    want = _exact_primitive_moment(q, rep.products.tolist(), rep.counts.tolist())
+    assert moment_primitive_sum_exact(q, rep) == want
+
+
+def test_each_modulus_is_transformed_once(monkeypatch):
+    calls = []
+    sums = cl.CharacterTable.sums
+
+    def counted(table, *args):
+        calls.append(table.modulus)
+        return sums(table, *args)
+
+    monkeypatch.setattr(cl.CharacterTable, "sums", counted)
+    for y, k, ell in ((100, 3, 2), (40, 4, 3)):
+        calls.clear()
+        nonprincipal_contribution(CensusParams(y, k, ell))
+        classes = [enumerate_Qt(t, y).size for t in range(1, ell + 1)]
+        assert len(calls) == len(set(calls)) == sum(classes)
+    for t, y in ((1, 100), (2, 60)):
+        calls.clear()
+        assert moment_check(t, y)[0].class_size == len(calls) == len(set(calls)) == enumerate_Qt(t, y).size
+
+
 def test_moment_validation():
-    with pytest.raises(ValidationError):
-        moment_check(1, 30, "6t")
     # shared prime between modulus and support must be refused
     rep = representation_counts(1, 30)  # support {17, 19, 23, 29}
     with pytest.raises(ValidationError):
@@ -437,9 +494,9 @@ def test_character_work_estimate_is_the_phi_sum(y, monkeypatch):
     "run,points",
     [
         (lambda: census_via_characters(CensusParams(100, 2, 1)), 222),
-        # the direct bound and the class bound each walk Q_1
-        (lambda: nonprincipal_contribution(CensusParams(100, 2, 1)), 444),
-        (lambda: moment_check(1, 100, "2t"), 222),
+        # one walk over Q_1 gives both the direct and the class bound
+        (lambda: nonprincipal_contribution(CensusParams(100, 2, 1)), 222),
+        (lambda: moment_check(1, 100), 222),
         (lambda: tail_shape(CensusParams(100, 4, 1), "low"), 222),
     ],
     ids=["census", "nonprincipal", "moment", "tail"],
@@ -453,3 +510,16 @@ def test_character_work_refused_before_any_table(run, points, monkeypatch):
     monkeypatch.setattr(cl, "character_table", no_tables)
     with pytest.raises(CapacityError, match=f"hold {points} points"):
         run()
+
+
+def test_moment_check_refuses_the_4t_table_before_any_character_table(monkeypatch):
+    # y = 100: 10 product primes, so 10 multisets of one and 55 of two
+    import sunitlab.tuple_census as tc
+
+    def no_tables(*args, **kwargs):
+        raise AssertionError("a character table was built before the refusal")
+
+    monkeypatch.setattr(tc, "REPRESENTATION_LIMIT", 20)
+    monkeypatch.setattr(cl, "character_table", no_tables)
+    with pytest.raises(CapacityError, match="multisets of 2 product primes: 55"):
+        moment_check(1, 100)

@@ -222,6 +222,14 @@ def test_assemble_set_tiny_u0():
         assemble_set(30, 0)
 
 
+def test_assemble_set_takes_the_interval_stats_primes():
+    assert assemble_set(1000, 1).primes == tuple(oracle_primes_in(250, 1000))
+    # the primes come from interval_stats, which needs y >= 2
+    for y in (1.5, 0, float("nan")):
+        with pytest.raises(ValidationError, match="need y >= 2"):
+            assemble_set(y, 1)
+
+
 def test_solution_count_benchmarks():
     assert solution_count_benchmarks(1) == (None, None)
     cons, head = solution_count_benchmarks(100)

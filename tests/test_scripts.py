@@ -1,5 +1,7 @@
 """Smoke runs of the experiment scripts in scripts/, each as its own process."""
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -58,3 +60,16 @@ def test_results_digest_prints_and_compares(tmp_path):
     proc = run_script("results_digest.py", "--no-jobs", "--cmd", cmd, "--compare", str(tmp_path))
     assert proc.returncode == 1
     assert proc.stdout.startswith(sha) and "DIFFERS" in proc.stdout
+
+
+def test_results_digest_compares_a_refusal():
+    # a refused command is digested by its exit code and stderr line, the same on both sides
+    cmd = "diagnose moments --y 30 --t 40"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-m", "sunitlab", *cmd.split()],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 3 and '"capacity"' in run.stderr
+    block = json.dumps({"exit": 3, "stderr": run.stderr}, sort_keys=True).encode()
+    proc = run_script("results_digest.py", "--no-jobs", "--cmd", cmd, "--compare", str(ROOT))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{hashlib.sha256(block).hexdigest()}  {cmd}\n"
