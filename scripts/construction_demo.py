@@ -48,7 +48,7 @@ def main() -> int:
 
     print(f"\nquotient histogram: {hist.distinct} distinct over {hist.total} pairs, "
           f"pigeonhole floor {hist.pigeonhole_floor}")
-    for u, n in hist.top(5):
+    for u, n in hist.top[:5]:
         marker = "  <- u0" if u == hist.popular else ""
         print(f"  u = {u:>8}  x{n}{marker}")
 

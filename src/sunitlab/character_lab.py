@@ -31,6 +31,7 @@ from .errors import (
     CapacityError, ToleranceError, ValidationError, check_capacity, check_power_capacity, finite_float,
 )
 from .prime_tools import PrimeStats, _packed, _primitive_root, factorize, interval_stats
+from . import tuple_census
 from .tuple_census import (
     CensusParams,
     RepresentationTable,
@@ -81,8 +82,8 @@ class CharacterTable:
     Characters and units are both indexed by the C-order flat index of their
     exponent (log) vector on the grid of generator orders.  ``dlog[n]`` is
     that index for n in [0, m), or -1 when gcd(n, m) > 1;
-    ``primitive_mask[i]`` says whether character i is primitive.  Build
-    tables through ``character_table``, which caches them.
+    ``primitive_mask[i]`` says whether character i is primitive.  A walk
+    builds each table for one use; ``character_table`` caches them.
     """
 
     def __init__(self, modulus: int):
@@ -150,17 +151,16 @@ def _walk(st: PrimeStats, t: int, ascending: bool = False):
     """(m, w(m), table, S_chi for every chi mod m) for each m of Q_t, with
     S_chi = sum of chi(p) over the product-range primes p: the one transform
     of each modulus.  In multiset order, or with ``ascending`` by m, the
-    order in which the moments and tails add their sums.  Its t prime
-    factors per modulus count against QT_LIMIT.
+    order in which the moments and tails add their sums.  Callers admit Q_t
+    first (_check_character_work).
     """
-    _check_multisets(QT_LIMIT, f"prime factors over Q_{t}", (len(st.modulus_primes), t), per=t)
     moduli, weights = next(_multisets(st.modulus_primes, t))[1:]
     if ascending:
         order = np.argsort(moduli)
         moduli, weights = moduli[order], weights[order]
     ones = np.ones(len(st.product_primes))
     for m, weight in zip(moduli.tolist(), weights.tolist()):
-        table = character_table(m)
+        table = CharacterTable(m)
         yield m, weight, table, table.sums(st.product_primes, ones)
 
 
@@ -171,13 +171,16 @@ def _primitive_power_sum(table: CharacterTable, sums: np.ndarray, k: int) -> flo
 
 
 def _check_character_work(st: PrimeStats, ts) -> None:
-    """Refuse, before any table is built, work over Q_t for t in ts that
-    transforms more than CHARACTER_WORK_LIMIT grid points in all.
+    """The check every character route makes first, before any table: refuse
+    work over Q_t for t in ts that transforms more than CHARACTER_WORK_LIMIT
+    grid points in all, or that meets a modulus past CHARACTER_MODULUS_LIMIT.
 
     A table mod q has phi(q) points, and the sum of phi(q) over Q_t is the
     x^t coefficient of the product over modulus primes p of
     1 + (p-1)x/(1 - px), because phi(p^e) = p^(e-1)(p-1).  Every q in Q_t
     has phi(q) >= 2^(t-1), so no degree past the cap's bit length is expanded.
+    Q_t is enumerated (enumerate_Qt) only when max(q)^t passes the modulus
+    cap, to name the least modulus past it.
     """
     top = max(ts, default=0)
     if st.modulus_primes and top > CHARACTER_WORK_LIMIT.bit_length():
@@ -193,6 +196,10 @@ def _check_character_work(st: PrimeStats, ts) -> None:
     total = sum(coeffs[t] for t in ts)
     what = f"character tables over Q_t, t in {list(ts)}, hold {{}} points (sum of phi(q))"
     check_capacity(what, total, CHARACTER_WORK_LIMIT)
+    for t in ts:
+        if st.modulus_primes and st.modulus_primes[-1] ** t > CHARACTER_MODULUS_LIMIT:
+            least = min(m for m in enumerate_Qt(t, st.y).moduli if m > CHARACTER_MODULUS_LIMIT)
+            check_capacity("character table modulus {}", least, CHARACTER_MODULUS_LIMIT)
 
 
 def census_via_characters(params: CensusParams):
@@ -229,22 +236,21 @@ def census_via_characters(params: CensusParams):
 def principal_contribution(params: CensusParams) -> Fraction:
     """Exact rational principal-character part: sum over tuples of P^k/phi(m).
 
-    Walks Q_ell, so its ell prime factors per modulus count against QT_LIMIT.
-    phi(m) is read off each sorted index row: q - 1 at a prime's first entry,
-    q at each repeat.  The slices of about |Q| multisets (one first index
-    from ell = 2 on) hold about as much as the prime list itself.
+    1/phi is multiplicative, so the sum over ordered ell-tuples of moduli is
+    ell! times the x^ell coefficient of the Euler product over the modulus
+    primes q of 1 + sum_{e >= 1} x^e / (e! phi(q^e)), phi(q^e) = (q-1) q^(e-1).
+    For |Q| >= 2 its |Q| ell(ell+1)/2 terms stay below Q_ell's QT_LIMIT figure.
     """
     st = interval_stats(params.y)
     q_primes, ell = st.modulus_primes, params.ell
     _check_multisets(QT_LIMIT, f"prime factors over Q_{ell}", (len(q_primes), ell), per=ell)
-    pk = Fraction(st.prime_count) ** params.k
-    total = Fraction(0)
-    for rows, moduli, weights in _multisets(q_primes, ell, len(q_primes)):
-        first = np.diff(rows, axis=1, prepend=-1) != 0
-        phis = np.prod(np.asarray(q_primes, dtype=moduli.dtype)[rows] - first, axis=1)
-        for phi, weight in zip(phis.tolist(), weights.tolist()):
-            total += weight * pk / phi
-    return total
+    coeffs = [Fraction(1)] + [Fraction(0)] * ell
+    for q in q_primes:
+        terms = [Fraction(1, math.factorial(e) * (q - 1) * q ** (e - 1)) for e in range(1, ell + 1)]
+        for d in range(ell, 0, -1):  # high degrees first, so each reads the old lower ones
+            for e in range(1, d + 1):
+                coeffs[d] += coeffs[d - e] * terms[e - 1]
+    return math.factorial(ell) * coeffs[ell] * Fraction(st.prime_count) ** params.k
 
 
 @dataclass(frozen=True)
@@ -515,12 +521,14 @@ def moment_primitive_sum_exact(q: int, table: RepresentationTable) -> int:
     Uses the orthogonality identity per divisor-modulus and Moebius inversion
     over conductors; requires every n in the table coprime to q, which holds
     here because product-range primes cannot divide modulus-range products.
-    q is factorized once: the divisors c with mu(q/c) != 0 keep p^e or
-    p^(e-1) of each p^e || q, and (c, mu(q/c), phi(c)) is built up prime by prime.
+    One _merge tallies the table by residue mod q, and each divisor c
+    tallies those.  The divisors c with mu(q/c) != 0 keep p^e or p^(e-1) of
+    each p^e || q, and (c, mu(q/c), phi(c)) is built up prime by prime.
     """
     factors = factorize(q)
+    residues, by_residue = _merge(table.products % q, table.counts)
     for p in factors:
-        if np.any(table.products % p == 0):
+        if np.any(residues % p == 0):
             raise ValidationError(
                 f"representation support shares prime {p} with modulus {q}"
             )
@@ -534,8 +542,8 @@ def moment_primitive_sum_exact(q: int, table: RepresentationTable) -> int:
     total = 0
     for c, mu, phi in terms:
         # the pairs m == n (mod c): the squared count of each residue class of c
-        tallies = _merge(table.products % c, table.counts)[1].tolist()
-        total += mu * phi * sum(v * v for v in tallies)
+        tallies = by_residue if c == q else _merge(residues % c, by_residue)[1]
+        total += mu * phi * sum(v * v for v in tallies.tolist())
     return total
 
 
@@ -545,11 +553,15 @@ def moment_check(t: int, y: float) -> tuple[MomentReport, MomentReport]:
 
     "2t": sum over q in Q_t, primitive chi mod q of |S_chi|^(2t), reference
     y^t * P^(2t).  "4t": exponent 4t, reference (t*y*P)^(2t), stated without
-    the q/phi(q) weight.
+    the q/phi(q) weight.  The exact identities reduce |Q_t| * (N_t + N_2t)
+    products of the two tables, refused past FOLD_OP_LIMIT before either is built.
     """
     st = interval_stats(y)
     _check_character_work(st, [t])
-    reps = [representation_counts(t, y), representation_counts(2 * t, y)]  # both refused before any table
+    sizes = [tuple_census._representation_size(s, y) for s in (t, 2 * t)]
+    what = f"representation products reduced mod each q of Q_{t}"
+    _check_multisets(tuple_census.FOLD_OP_LIMIT, what, (len(st.modulus_primes), t), per=sum(sizes))
+    reps = [representation_counts(s, y) for s in (t, 2 * t)]
     moduli, two_t, four_t = [], [], []
     for q, _w, table, sums in _walk(st, t, ascending=True):
         moduli.append(q)
@@ -591,33 +603,29 @@ class TailShapeReport:
     ratio: float | None
 
 
-def tail_shape(params: CensusParams, which: str) -> TailShapeReport:
-    if which not in ("low", "high"):
-        raise ValidationError(f"which must be 'low' or 'high', got {which!r}")
+def tail_shape(params: CensusParams) -> tuple[TailShapeReport, TailShapeReport]:
+    """The "low" and "high" reports; both ranges are admitted before either walks."""
     st = interval_stats(params.y)
     k, ell, y = params.k, params.ell, params.y
-    t_values = [t for t in range(1, ell + 1) if (t <= k / 4) == (which == "low")]
-    _check_character_work(st, t_values)
-    lam = float(st.recip_sum)
-    big_p = st.prime_count
-
-    if which == "low":
-        base = 4 * ell / y
-        reference = finite_float(lambda: big_p**k * lam**ell / math.log(y))
-    else:
-        base = 4 / y
-        reference = finite_float(
-            lambda: ell ** (k - ell) * (4 * lam * big_p) ** ell * y ** (k / 2)
-        )
-
-    terms = {}
-    for t in t_values:
-        walk = _walk(st, t, ascending=True)
-        moment = sum((_primitive_power_sum(table, sums, k) for _q, _w, table, sums in walk), 0.0)
-        terms[t] = finite_float(lambda: base**t * lam ** (ell - t) * moment)
-    lhs = None if None in terms.values() else sum(terms.values())
-    ratio = finite_float(lambda: lhs / reference) if lhs is not None and reference else None
-    return TailShapeReport(
-        which=which, k=k, ell=ell, y=y, terms=terms,
-        lhs=lhs, reference=reference, ratio=ratio,
-    )
+    low = [t for t in range(1, ell + 1) if t <= k / 4]
+    ranges = {"low": low, "high": list(range(len(low) + 1, ell + 1))}
+    for t_values in ranges.values():
+        _check_character_work(st, t_values)
+    lam, big_p = float(st.recip_sum), st.prime_count
+    shapes = {
+        "low": (4 * ell / y, lambda: big_p**k * lam**ell / math.log(y)),
+        "high": (4 / y, lambda: ell ** (k - ell) * (4 * lam * big_p) ** ell * y ** (k / 2)),
+    }
+    reports = []
+    for which, (base, shape) in shapes.items():
+        terms, reference = {}, finite_float(shape)
+        for t in ranges[which]:
+            walk = _walk(st, t, ascending=True)
+            moment = sum((_primitive_power_sum(table, sums, k) for _q, _w, table, sums in walk), 0.0)
+            terms[t] = finite_float(lambda: base**t * lam ** (ell - t) * moment)
+        lhs = None if None in terms.values() else sum(terms.values())
+        ratio = finite_float(lambda: lhs / reference) if lhs is not None and reference else None
+        reports.append(TailShapeReport(
+            which=which, k=k, ell=ell, y=y, terms=terms, lhs=lhs, reference=reference, ratio=ratio,
+        ))
+    return tuple(reports)

@@ -192,16 +192,7 @@ def run_construct(args):
         return results | {"histogram": None, "construction": None}, []
 
     hist, assembled, outcome = run.histogram, run.assembled, run.result
-    results["histogram"] = {
-        "method": "pigeonhole",
-        "total": encode(hist.total),
-        "distinct": encode(hist.distinct),
-        "pigeonhole_floor": encode(hist.pigeonhole_floor),
-        "popular": encode(hist.popular),
-        "multiplicity": encode(hist.multiplicity),
-        "top": [[encode(u), encode(n)] for u, n in hist.top(10)],
-        "pigeonhole_holds": hist.multiplicity >= hist.pigeonhole_floor,
-    }
+    results["histogram"] = encode(hist) | {"method": "pigeonhole"}
     results["analytic_multiplicity_bound"] = {
         "method": "closed-form",
         "value": lower_bound_estimate(args.y, k, ell),
@@ -340,10 +331,7 @@ def _diag_tails(args, warnings):
         k, ell = plan.k, plan.ell
         warnings.append(f"tail shapes defaulted to planned k={k}, ell={ell}")
     params = CensusParams(args.y, k, ell)
-    return {
-        which: encode(tail_shape(params, which)) | {"method": "tail-shape"}
-        for which in ("low", "high")
-    }
+    return {report.which: encode(report) | {"method": "tail-shape"} for report in tail_shape(params)}
 
 
 def _diag_qt(args, warnings):

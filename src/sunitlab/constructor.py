@@ -207,18 +207,16 @@ def solve_congruence_pairs(y: float, k: int, ell: int) -> CongruencePairs:
 
 @dataclass(frozen=True)
 class ResidueHistogram:
-    """Multiplicity of each quotient value among the congruence pairs."""
+    """The pigeonhole step over the pair quotients, as the report writes it; ``top``
+    holds the ten most common (quotient, multiplicity), then by value."""
 
-    counts: dict[int, int]
     total: int
     distinct: int
     pigeonhole_floor: int
     popular: int
     multiplicity: int
-
-    def top(self, n: int = 10) -> list[tuple[int, int]]:
-        """Most common quotients, multiplicity descending then value ascending."""
-        return sorted(self.counts.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
+    top: tuple[tuple[int, int], ...]
+    pigeonhole_holds: bool
 
 
 def popular_residue(quotients) -> ResidueHistogram:
@@ -229,15 +227,13 @@ def popular_residue(quotients) -> ResidueHistogram:
     """
     if not len(quotients):
         raise ValidationError("no congruence pairs: popular residue undefined")
-    values, counts = (column.tolist() for column in np.unique(quotients, return_counts=True))
-    best = counts.index(max(counts))  # the first, so the smallest, of the most common
+    values, counts = np.unique(quotients, return_counts=True)
+    order = np.argsort(-counts, kind="stable")[:10]  # ties keep the ascending values
+    top = tuple(zip(values[order].tolist(), counts[order].tolist()))
+    (popular, multiplicity), floor = top[0], math.ceil(len(quotients) / len(values))
     return ResidueHistogram(
-        counts=dict(zip(values, counts)),
-        total=len(quotients),
-        distinct=len(values),
-        pigeonhole_floor=math.ceil(len(quotients) / len(values)),
-        popular=values[best],
-        multiplicity=counts[best],
+        total=len(quotients), distinct=len(values), pigeonhole_floor=floor, popular=popular,
+        multiplicity=multiplicity, top=top, pigeonhole_holds=multiplicity >= floor,
     )
 
 

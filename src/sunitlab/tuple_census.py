@@ -649,6 +649,12 @@ class RepresentationTable:
     max_count: int
 
 
+def _representation_size(t: int, y: float) -> int:
+    """The products of a_t's table, C(P+t-1, t); refused past REPRESENTATION_LIMIT."""
+    p_count = len(interval_stats(y).product_primes)
+    return _check_multisets(REPRESENTATION_LIMIT, f"multisets of {t} product primes", (p_count, t))
+
+
 def representation_counts(t: int, y: float) -> RepresentationTable:
     """Tabulate a_t(n) over products of t primes from (y/2, y].
 
@@ -657,7 +663,7 @@ def representation_counts(t: int, y: float) -> RepresentationTable:
     factorization, so no collisions occur.
     """
     p_primes = interval_stats(y).product_primes
-    _check_multisets(REPRESENTATION_LIMIT, f"multisets of {t} product primes", (len(p_primes), t))
+    _representation_size(t, y)
     dtype = np.int64 if len(p_primes) ** t < 2**63 else object
     parts = [(n, a.astype(dtype, copy=False)) for _rows, n, a in _multisets(p_primes, t, _BLOCK_ELEMENTS)]
     products, counts = (np.concatenate(column) for column in zip(*parts))

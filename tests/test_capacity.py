@@ -79,19 +79,23 @@ CASES = [
     # Q_2 at y = 60 holds C(5, 2) = 10 moduli of 2 prime factors each
     (cl, "QT_LIMIT", 10, lambda: cl.enumerate_Qt(2, 60), 20,
      (cl, "_multisets")),
-    # the principal part walks the same Q_2
+    # the principal part's Euler product is charged as the same Q_2
     (cl, "QT_LIMIT", 10, lambda: cl.principal_contribution(CensusParams(60, 2, 2)), 20,
-     (cl, "_multisets")),
+     (cl, "Fraction")),
     (cl, "CHARACTER_MODULUS_LIMIT", 100, lambda: cl.character_table(143), 143,
      (cl, "_cached_table")),
     # P^k * Q^ell = 10^2 * 6 ordered tuples at y = 100
     (cl, "CHARACTER_COUNT_LIMIT", 500,
      lambda: cl.census_via_characters(CensusParams(100, 2, 1)), 600,
-     (cl, "character_table")),
+     (cl, "CharacterTable")),
     # Q_1 at y = 100: sum of phi(q) over the 10 primes in (25, 50]
     (cl, "CHARACTER_WORK_LIMIT", 100,
      lambda: cl.census_via_characters(CensusParams(100, 2, 1)), 222,
-     (cl, "character_table")),
+     (cl, "CharacterTable")),
+    # y = 100: Q_1 holds 6 moduli, and the tables of a_1 and a_2 hold the 10
+    # product primes and their 55 pairs
+    (tc, "FOLD_OP_LIMIT", 389, lambda: cl.moment_check(1, 100), 6 * (10 + 55),
+     (cl, "_merge")),
     (cl, "CHARACTER_WORK_LIMIT", 100,
      lambda: cl.large_sieve_check(
          LargeSieveInstance(length=3, coefficients=(1, 1, 1), modulus_bound=20),
@@ -132,7 +136,7 @@ CASES = [
     CASES,
     ids=[
         "modulus", "fold-k2", "fold-k3", "fold-past-int64", "direct", "sampled", "representation", "qt", "qt-principal",
-        "character-modulus", "character-count", "character-work-census", "character-work-family",
+        "character-modulus", "character-count", "character-work-census", "moments", "character-work-family",
         "large-sieve-trials-work", "large-sieve-trials", "quotient", "k1-past-int64", "pair", "pair-quotient",
         "exact-bits", "sieve", "smooth-count",
     ],
@@ -174,15 +178,16 @@ def test_character_table_limit_holds_for_a_cached_table(monkeypatch):
     "run",
     [
         lambda: cl.moment_check(100_000, 30),
-        lambda: cl.tail_shape(CensusParams(30, 400, 200), "low"),
-        # its reference, 200^200 * (4 lambda P)^200 * 30^200, is past any double
-        lambda: cl.tail_shape(CensusParams(30, 400, 200), "high"),
+        lambda: cl.tail_shape(CensusParams(30, 400, 200)),
+        # the low range, Q_1..Q_7 = 7, ..., 7^7 at y = 20, is admitted; the
+        # high range, t in 8..28, is refused before the low one walks
+        lambda: cl.tail_shape(CensusParams(20, 31, 28)),
     ],
     ids=["moment", "tail", "tail-high"],
 )
 def test_character_work_refused_for_a_huge_t_without_expanding(run, monkeypatch):
     # phi(q) >= 2^(t-1) on Q_t: past the cap's bit length no sum is formed
-    monkeypatch.setattr(cl, "character_table", Tripwire())
+    monkeypatch.setattr(cl, "CharacterTable", Tripwire())
     with pytest.raises(CapacityError, match=r"at least 2\^\d+ points"):
         run()
 

@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -33,6 +33,7 @@ from sunitlab.tuple_census import (
 from oracles import (
     oracle_character_values,
     oracle_conductors,
+    oracle_factorize,
     oracle_multisets,
     oracle_phi,
     oracle_prime_sums,
@@ -219,6 +220,29 @@ def test_principal_contribution_is_the_oracle_phi_sum(y, k, ell):
     pk = Fraction(st.prime_count) ** k
     multisets = oracle_multisets(st.modulus_primes, ell)
     want = sum((w * pk / oracle_phi(m) for m, _c, w in multisets), Fraction(0))
+    assert principal_contribution(CensusParams(y, k, ell)) == want
+
+
+def _phi_by_inclusion_exclusion(m):
+    """The a in [1, m] that no prime factor of m divides, counted by inclusion-exclusion."""
+    primes = list(oracle_factorize(m))
+    return sum(
+        (-1) ** len(ps) * (m // math.prod(ps))
+        for r in range(len(primes) + 1)
+        for ps in combinations(primes, r)
+    )
+
+
+@pytest.mark.parametrize(
+    "y,k,ell", [(30, 2, 1), (300, 3, 2), (200, 6, 3), (60, 9, 5), (1000, 4, 3), (30, 20, 20)],
+)
+def test_principal_contribution_is_the_multiset_sum(y, k, ell):
+    # the Euler product against the sum over Q_ell of w(m) P^k / phi(m),
+    # multiset by multiset; at y = 30, ell = 20 the moduli pass int64
+    st = interval_stats(y)
+    pk = Fraction(st.prime_count) ** k
+    multisets = oracle_multisets(st.modulus_primes, ell)
+    want = sum((Fraction(w) * pk / _phi_by_inclusion_exclusion(m) for m, _c, w in multisets), Fraction(0))
     assert principal_contribution(CensusParams(y, k, ell)) == want
 
 
@@ -446,8 +470,8 @@ def test_moment_validation():
 
 def test_tail_shape_structure_y60():
     params = CensusParams(60, 4, 2)
-    low = tail_shape(params, "low")
-    high = tail_shape(params, "high")
+    low, high = tail_shape(params)
+    assert (low.which, high.which) == ("low", "high")
     assert set(low.terms) == {1}  # t <= k/4 = 1
     assert set(high.terms) == {2}  # k/4 < t <= l
     assert low.lhs == pytest.approx(sum(low.terms.values()))
@@ -471,16 +495,15 @@ def test_tail_shape_structure_y60():
 
 
 def test_tail_shape_empty_range():
-    rep = tail_shape(CensusParams(30, 2, 1), "low")  # t <= 1/2: nothing
+    rep, _high = tail_shape(CensusParams(30, 2, 1))  # t <= 1/2: nothing
     assert rep.terms == {}
     assert rep.lhs == 0.0
-    with pytest.raises(ValidationError):
-        tail_shape(CensusParams(30, 2, 1), "sideways")
 
 
 @pytest.mark.parametrize("y", [30, 100, 300])
 def test_character_work_estimate_is_the_phi_sum(y, monkeypatch):
     st = interval_stats(y)
+    monkeypatch.setattr(cl, "CHARACTER_MODULUS_LIMIT", 150**3)  # Q_3 at y = 300 holds 149^3
     for t in (1, 2, 3):
         phi_sum = sum(oracle_phi(m) for m, _c, _w in oracle_multisets(st.modulus_primes, t))
         monkeypatch.setattr(cl, "CHARACTER_WORK_LIMIT", phi_sum)
@@ -497,7 +520,7 @@ def test_character_work_estimate_is_the_phi_sum(y, monkeypatch):
         # one walk over Q_1 gives both the direct and the class bound
         (lambda: nonprincipal_contribution(CensusParams(100, 2, 1)), 222),
         (lambda: moment_check(1, 100), 222),
-        (lambda: tail_shape(CensusParams(100, 4, 1), "low"), 222),
+        (lambda: tail_shape(CensusParams(100, 4, 1)), 222),
     ],
     ids=["census", "nonprincipal", "moment", "tail"],
 )
@@ -507,7 +530,7 @@ def test_character_work_refused_before_any_table(run, points, monkeypatch):
         raise AssertionError("a character table was built before the refusal")
 
     monkeypatch.setattr(cl, "CHARACTER_WORK_LIMIT", 100)
-    monkeypatch.setattr(cl, "character_table", no_tables)
+    monkeypatch.setattr(cl, "CharacterTable", no_tables)
     with pytest.raises(CapacityError, match=f"hold {points} points"):
         run()
 
@@ -520,6 +543,41 @@ def test_moment_check_refuses_the_4t_table_before_any_character_table(monkeypatc
         raise AssertionError("a character table was built before the refusal")
 
     monkeypatch.setattr(tc, "REPRESENTATION_LIMIT", 20)
-    monkeypatch.setattr(cl, "character_table", no_tables)
+    monkeypatch.setattr(cl, "CharacterTable", no_tables)
     with pytest.raises(CapacityError, match="multisets of 2 product primes: 55"):
         moment_check(1, 100)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: moment_check(5, 40),
+        lambda: tail_shape(CensusParams(40, 20, 5)),
+        lambda: census_via_characters(CensusParams(40, 6, 5)),
+        lambda: nonprincipal_contribution(CensusParams(40, 6, 5)),
+    ],
+    ids=["moments", "tails", "census", "decomposition"],
+)
+def test_character_routes_refuse_before_any_table(run, monkeypatch):
+    # Q_5 at y = 40 is admitted by its 2.2e7 grid points but holds moduli
+    # past 10^6, the least 11 * 17^3 * 19 = 1026817: refused before the
+    # census, the representation tables or any character table
+    def started(*args, **kwargs):
+        raise AssertionError("the work started before the refusal")
+
+    for name in ("CharacterTable", "congruence_solutions", "representation_counts"):
+        monkeypatch.setattr(cl, name, started)
+    with pytest.raises(CapacityError, match=r"character table modulus 1026817, over the cap 1000000"):
+        run()
+
+
+def test_walks_build_their_tables_outside_the_cache():
+    cl._cached_table.cache_clear()
+    census_via_characters(CensusParams(100, 2, 1))
+    nonprincipal_contribution(CensusParams(60, 3, 2))
+    moment_check(1, 60)
+    tail_shape(CensusParams(60, 4, 2))
+    assert cl._cached_table.cache_info().currsize == 0
+    assert character_table(7) is character_table(7)  # the large sieve's repeats still hit
+    info = cl._cached_table.cache_info()
+    assert (info.currsize, info.hits) == (1, 1)

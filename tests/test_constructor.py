@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -159,14 +160,17 @@ def _fake_pairs(quotients):
 @settings(max_examples=80, deadline=None)
 def test_pigeonhole_exact_on_histogram(quotients):
     hist = popular_residue(_fake_pairs(quotients))
+    counts = Counter(quotients)
     assert hist.total == len(quotients)
     assert hist.distinct == len(set(quotients))
     assert hist.pigeonhole_floor == math.ceil(hist.total / hist.distinct)
     assert hist.multiplicity >= hist.pigeonhole_floor
-    assert hist.counts[hist.popular] == hist.multiplicity
+    assert hist.pigeonhole_holds
+    assert counts[hist.popular] == hist.multiplicity
     # smallest quotient among the maximally popular ones
-    best = max(hist.counts.values())
-    assert hist.popular == min(u for u, c in hist.counts.items() if c == best)
+    best = max(counts.values())
+    assert hist.popular == min(u for u, c in counts.items() if c == best)
+    assert list(hist.top) == sorted(counts.items(), key=lambda uc: (-uc[1], uc[0]))[:10]
 
 
 @given(
@@ -188,7 +192,7 @@ def test_popular_residue_empty():
 
 def test_histogram_top_ordering():
     hist = popular_residue(_fake_pairs([4, 4, 9, 9, 2]))
-    assert hist.top(2) == [(4, 2), (9, 2)]
+    assert hist.top == ((4, 2), (9, 2), (2, 1))
     assert hist.popular == 4
 
 
