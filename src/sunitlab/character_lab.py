@@ -37,7 +37,6 @@ from .tuple_census import (
     RepresentationTable,
     _census_result,
     _check_multisets,
-    _merge,
     _multisets,
     congruence_solutions,
     main_term,
@@ -513,6 +512,14 @@ class MomentReport:
     reference: float
     ratio: float | None
     class_size: int
+
+
+def _merge(values: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort (value, count) pairs by value and add up the counts of equal values."""
+    order = np.argsort(values)
+    values, counts = values[order], counts[order]
+    starts = np.flatnonzero(np.diff(values, prepend=-1))
+    return values[starts], np.add.reduceat(counts, starts)
 
 
 def moment_primitive_sum_exact(q: int, table: RepresentationTable) -> int:

@@ -15,7 +15,6 @@ against.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from collections.abc import Sequence
@@ -34,8 +33,8 @@ PAIR_OP_LIMIT = 5_000_000
 REPRESENTATION_LIMIT = 5_000_000
 SAMPLE_DRAW_LIMIT = 300_000_000
 EXACT_BITS_LIMIT = 2**20
-# products materialized per sort-merge, and k-products per quotient pass: work
-# within FOLD_OP_LIMIT could otherwise hold 3*10^8 products (gigabytes) at once
+# k-products per slice of the quotient plan: work within FOLD_OP_LIMIT could
+# otherwise hold 3*10^8 products (gigabytes) at once
 _FOLD_CHUNK = 1 << 20
 # residues per group of moduli, and multiset products per block, in the census
 # by blocks.  Timed on uint32 residues, median of 5 fresh processes (best of 3
@@ -167,21 +166,6 @@ def _check_multisets(cap: int, what: str, *classes: tuple[int, int], per: int = 
     return size
 
 
-def _fold_products(n: int, k: int, largest: int) -> int:
-    """Upper bound on the residue products of _count_products_congruent_one
-    for n primes, k >= 2 factors and a modulus up to ``largest``: n reductions, then
-    fold j takes the at most min(C(v+j-1, j), largest) products of j residues
-    times v = min(n, largest); the C terms below ``largest`` sum to C(v+J, J) - 1.
-    Once counts pass int64 (n^k >= 2^63) each product counts once per 64-bit
-    word of its Python-int count, which is what it costs.
-    """
-    v = min(n, largest)
-    folds = range(1, k - 1)
-    small = bisect.bisect_left(folds, True, key=lambda j: math.comb(v + j - 1, j) >= largest)
-    products = n + v * (math.comb(v + small, small) - 1) + (len(folds) - small) * largest * v
-    return products * ((n**k).bit_length() // 64 + 1)
-
-
 def _exact_bits(params: CensusParams, st: PrimeStats) -> int:
     """Upper bound on the bits of the numerator and of the denominator of each
     exact value a census record carries: lambda, lambda^l * P^k and, at even
@@ -227,14 +211,6 @@ def _census_result(params: CensusParams, method: str, count, empty=(0, None)) ->
     )
 
 
-def _merge(values: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort (value, count) pairs by value and add up the counts of equal values."""
-    order = np.argsort(values)
-    values, counts = values[order], counts[order]
-    starts = np.flatnonzero(np.diff(values, prepend=-1))
-    return values[starts], np.add.reduceat(counts, starts)
-
-
 def _tree_inverses(r: np.ndarray, m: np.ndarray) -> np.ndarray:
     """The inverse of every unit r[j, i] mod m[j, 0], by a product tree per row.
 
@@ -270,19 +246,19 @@ def _tree_inverses(r: np.ndarray, m: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _multiset_slices(n: int, t: int):
+def _multiset_slices(n: int, t: int, dtype):
     """Yield the t-multisets (t >= 1) of n columns in slices by first index of
     about _BLOCK_ELEMENTS multisets, as (columns, weights): each index column,
-    contiguous, and each multiset's int64 weight (exact where a count runs,
-    n^(t+1) < 2^63; a listing reads none).  At t = 1 the multisets are the
-    columns in order, weight 1 each: one slice, (None, None).
+    contiguous, and each multiset's weight in ``dtype`` (a listing reads
+    none).  At t = 1 the multisets are the columns in order, weight 1 each:
+    one slice, (None, None).
     """
     if t == 1:
         yield None, None
         return
     for rows in _row_slices(n, t, _BLOCK_ELEMENTS):
         # np.take gathers 4x faster along a contiguous index
-        yield rows.T.copy(), _row_weights(rows, np.int64)
+        yield rows.T.copy(), _row_weights(rows, dtype)
 
 
 def _gather(a: np.ndarray, columns, c: int) -> np.ndarray:
@@ -310,7 +286,7 @@ def _count_by_blocks(p_primes, q_primes, k: int, ell: int, listing: bool = False
     (max P - min P) // min m + 1 gathers find them all.  A count weighs each
     hit by w, from the index rows; a listing reads the partner's index off
     the table and keeps it when it is at least the multiset's last.  Counts
-    are exact while |P|^k < 2^63.
+    are int64 while |P|^k < 2^63, else Python ints (object).
     """
     p = np.asarray(p_primes, dtype=np.int64)
     n, t = len(p), k - 1
@@ -327,12 +303,12 @@ def _count_by_blocks(p_primes, q_primes, k: int, ell: int, listing: bool = False
     top, gathers = int(all_moduli.max()), span // int(all_moduli.min()) + 1
     dtype = np.uint32 if max(int(p.max()), top * top + top, top * gathers) < 2**32 else np.int64
     p, all_moduli = p.astype(dtype), all_moduli[:, None].astype(dtype)
-    counts = np.zeros(len(m_rows), dtype=np.int64)
+    counts = np.zeros(len(m_rows), dtype=np.int64 if n**k < 2**63 else object)
     size = max(1, _BLOCK_ELEMENTS // n)
     for g in range(0, len(m_rows), size):
         moduli, tally = all_moduli[g : g + size], counts[g : g + size]
         inverses = _tree_inverses(p % moduli, moduli)
-        for columns, weights in _multiset_slices(n, t):
+        for columns, weights in _multiset_slices(n, t, counts.dtype):
             height = max(1, _BLOCK_ELEMENTS // (n if weights is None else len(weights)))
             for b in range(0, len(moduli), height):
                 block, m = slice(b, b + height), moduli[b : b + height]
@@ -368,34 +344,28 @@ def _count_products_congruent_one(p: np.ndarray, k: int, m: int) -> int:
     """Number of ordered k-tuples (k >= 2) of the primes p whose product is
     1 mod m, for m coprime to every p.
 
-    The residues collapse to sorted (value, count) pairs, folded k-2 times by
-    an outer product mod m and a sort-merge (in slices of _FOLD_CHUNK
-    products).  The last factor is read off instead of folded: s completes a
-    tuple exactly when the other k-1 factors multiply to s^-1, and every s^-1
-    comes off one _tree_inverses row.  int64 residue products are exact
-    because m < MODULUS_LIMIT = 2^31; counts are Python ints whenever n^k
-    tuples could pass 2^63.
+    The products of j factors are a histogram over the residues mod m,
+    folded k-2 times: each distinct residue v of one factor, of count c,
+    scatters the support s to s*v mod m, adding c times its count (no
+    collisions: x -> x*v is one-to-one mod m).  The support is the residues
+    of one factor at the first fold, then read off the histogram, so k <= 3
+    never scans the whole array.  The last factor is read off instead of
+    folded: v completes a tuple exactly when the other k-1 factors multiply
+    to v^-1, and every v^-1 comes off one _tree_inverses row.  int64 residue products are exact because
+    m < MODULUS_LIMIT = 2^31; counts are Python ints whenever n^k tuples
+    could pass 2^63.
     """
     values, counts = np.unique(p % m, return_counts=True)
     counts = counts.astype(np.int64 if len(p) ** k < 2**63 else object)
-    dist, dist_counts = values, counts
-    rows = max(1, _FOLD_CHUNK // len(values))
-    for _ in range(k - 2):
-        folded, folded_counts = dist[:0], dist_counts[:0]
-        for i in range(0, len(dist), rows):
-            products = np.multiply.outer(dist[i : i + rows], values) % m
-            weights = np.multiply.outer(dist_counts[i : i + rows], counts)
-            folded, folded_counts = _merge(
-                np.concatenate((folded, products.ravel())),
-                np.concatenate((folded_counts, weights.ravel())),
-            )
-        dist, dist_counts = folded, folded_counts
+    hist = np.zeros(m, dtype=counts.dtype)
+    hist[values] = counts
+    for fold in range(k - 2):
+        support = np.flatnonzero(hist) if fold else values
+        tuples, hist = hist[support], np.zeros(m, dtype=counts.dtype)
+        for v, c in zip(values.tolist(), counts.tolist()):
+            hist[support * v % m] += tuples * c
     inverses = _tree_inverses(values[None, :], np.array([[m]], dtype=np.int64))[0]
-    order = np.argsort(inverses)
-    inverses, counts = inverses[order], counts[order]
-    at = np.minimum(np.searchsorted(dist, inverses), len(dist) - 1)
-    hit = dist[at] == inverses
-    return int(np.sum(counts[hit] * dist_counts[at[hit]]))
+    return int(np.sum(counts * hist[inverses]))
 
 
 def count_exact(params: CensusParams) -> CensusResult:
@@ -473,13 +443,15 @@ def _plan(p_primes, q_primes, k: int, ell: int, listing: bool) -> str:
     multiply-mods and ceil(g/2) passes of partner gathers, for
     g = (max P - min P) // min m + 1, per (k-1)-multiset of P, or the
     max P - min P entries of its partner table when those are more; at every
-    CLI interval g <= 2.  It lists, and counts while |P|^k < 2^63.  The
-    residue fold ("fold", _count_products_congruent_one) takes
-    _fold_products per modulus, which is the same figure at k >= 3 until its
-    products saturate at the largest modulus; it counts when the blocks do
-    not, or estimate more.  By quotient (k = ell, every product and modulus
-    in int64; the one plan at k = 1): one pass over the k-products per
-    quotient u, then a sorted join against the moduli.
+    CLI interval g <= 2.  The residue fold ("fold",
+    _count_products_congruent_one; counts at k >= 3): k - 2 scatters of the
+    |P| residues over each modulus m's histogram, (k - 2)|P| sum m, with sum m
+    the x^ell coefficient of prod_q 1/(1 - qx); it counts when the blocks
+    estimate more.  Once |P|^k >= 2^63 counts are Python ints, and either
+    count figure takes each unit once per 64-bit word of a count.  By
+    quotient (k = ell, every product and modulus in int64; the one plan at
+    k = 1): one pass over the k-products per quotient u, then a sorted join
+    against the moduli.
     """
     n = len(p_primes)
     largest = max(q_primes) ** ell
@@ -491,10 +463,15 @@ def _plan(p_primes, q_primes, k: int, ell: int, listing: bool) -> str:
         multisets = math.comb(n + k - 2, k - 1)
         plan, ops = "modulus", max(moduli * (k - 2 + -(-gathers // 2)) * multisets, span)
         if not listing:
-            fold = moduli * _fold_products(n, k, largest)
-            # at k = 2 the fold's figure leaves out its sort: the blocks always count
-            if n**k >= 2**63 or (k > 2 and fold < ops):
-                plan, ops = "fold", fold
+            words = (n**k).bit_length() // 64 + 1
+            ops *= words
+            if k > 2:  # at k = 2 the fold has no scatter: the blocks always count
+                sums = [1] + [0] * ell  # sums[j]: the sum of the j-prime moduli
+                for q in q_primes:
+                    for j in range(1, ell + 1):
+                        sums[j] += q * sums[j - 1]
+                if (fold := (k - 2) * n * sums[ell] * words) < ops:
+                    plan, ops = "fold", fold
         what = "pair search residues" if listing else "residue fold products"
         work[plan] = (what + f" over the {ell}-prime moduli: {{}}", ops)
     if k == ell and max(max(p_primes) ** k, largest) < 2**63:
@@ -512,7 +489,7 @@ def _matches_by_quotient(p_primes, q_primes, k: int, ell: int):
     """The (r, m) multisets with r == 1 (mod m) as index rows (r_rows into
     p_primes, m_rows into q_primes), found quotient by quotient (k = ell).
 
-    The k-products come in blocks of about _FOLD_CHUNK; per block and quotient
+    The k-products come in slices of about _FOLD_CHUNK; per slice and quotient
     u, (r - 1)/u over the r == 1 (mod u) is looked up among the sorted moduli,
     which are distinct (Q holds distinct primes), so one match at most.
     """
@@ -552,8 +529,8 @@ def congruence_solutions(
     residue fold or by quotient (k = ell, and so every k = 1) and refuses
     over FOLD_OP_LIMIT (counting) or PAIR_OP_LIMIT (listing) before any
     work.  By modulus, _count_by_blocks counts and lists; the fold,
-    _count_products_congruent_one per modulus, serves counts past int64 and
-    of long tuples whose residue products collapse below the modulus.
+    _count_products_congruent_one per modulus, counts long tuples whose
+    residue products fill the residues mod m.
     """
     if len(set(p_primes) | set(q_primes)) < len(p_primes) + len(q_primes):
         raise ValidationError("need two disjoint lists of distinct primes")

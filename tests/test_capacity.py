@@ -26,6 +26,8 @@ from sunitlab.errors import CapacityError
 from sunitlab.prime_tools import interval_stats
 from sunitlab.tuple_census import CensusParams
 
+from oracles import oracle_multisets
+
 
 class Tripwire:
     """Stands in for an engine; any use of it means the work started."""
@@ -61,12 +63,12 @@ CASES = [
     (tc, "FOLD_OP_LIMIT", 27, _census(60, 2, 1), 4 * 7,
      (tc, "_count_by_blocks")),
     # k = 3 runs by blocks: 4 moduli x (1 multiply-mod + 1 pass of gathers) x
-    # C(8, 2) pairs of residues, the fold's 4 x (7 + 7 * 7) products
+    # C(8, 2) pairs of residues, below the fold's 1 x 7 x (17 + 19 + 23 + 29)
     (tc, "FOLD_OP_LIMIT", 100, _census(60, 3, 1), 4 * (7 + 7 * 7),
      (tc, "_count_by_blocks")),
-    # 4^40 passes int64, so the fold counts: 2 moduli x (4 + 4 * 14 products
-    # of up to 2 residues, then 36 folds of 13 x 4) x 2 words per count
-    (tc, "FOLD_OP_LIMIT", 1000, _census(30, 40, 1), 2 * (4 + 4 * 14 + 36 * 13 * 4) * 2,
+    # the fold counts: 38 folds of 4 residues over the moduli 11 and 13, x 2
+    # words per count, as 4^40 passes int64
+    (tc, "FOLD_OP_LIMIT", 1000, _census(30, 40, 1), 38 * 4 * (11 + 13) * 2,
      (tc, "_count_products_congruent_one")),
     (tc, "DIRECT_OP_LIMIT", 100, lambda: tc.count_direct(CensusParams(60, 3, 2)), 7**3 * 4**2,
      (tc, "itertools")),
@@ -165,6 +167,17 @@ def test_command_refuses_before_lambda_is_built(argv, limit, monkeypatch, capsys
     monkeypatch.setattr(pt.PrimeInterval, "reciprocal_sum", Tripwire())
     assert cli.main(argv) == 3
     assert json.loads(capsys.readouterr().err)["error"]["code"] == "capacity"
+
+
+def test_census_refuses_the_fold_by_its_histogram_figure(capsys):
+    # k - 2 scatters of the |P| residues over the histogram of each 3-prime
+    # modulus m: (k - 2) * |P| * sum m, one word per count as 10^15 < 2^63
+    assert cli.main(["census", "--y", "100", "--k", "15", "--ell", "3"]) == 3
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    st = interval_stats(100)
+    figure = 13 * len(st.product_primes) * sum(m for m, _c, _w in oracle_multisets(st.modulus_primes, 3))
+    assert figure == 404320800
+    assert message == f"residue fold products over the 3-prime moduli: {figure}, over the cap {tc.FOLD_OP_LIMIT}"
 
 
 def test_character_table_limit_holds_for_a_cached_table(monkeypatch):

@@ -356,17 +356,22 @@ def test_numpy_fold_matches_reference_fold(y, k, ell):
         assert got == _reference_fold(st.product_primes, k, m), (m, combo)
 
 
-def test_fold_in_slices_matches_reference(monkeypatch):
-    # slices of 5 products force several sort-merges per fold
-    import sunitlab.tuple_census as tc
-
+def test_quotient_plan_in_slices_matches_reference(monkeypatch):
+    # slices of 5 k-products take one first index at a time: 7 slices at
+    # (60, 2, 2) and 14 at (150, 3, 3), each passed over every quotient
     monkeypatch.setattr(tc, "_FOLD_CHUNK", 5)
-    st = interval_stats(60)
-    want = sum(
-        w * _reference_fold(st.product_primes, 4, m)
-        for m, _c, w in oracle_multisets(st.modulus_primes, 2)
-    )
-    assert congruence_solutions(st.product_primes, st.modulus_primes, 4, 2) == want
+    _run_plan(monkeypatch, "quotient")
+    for y, k in ((60, 2), (150, 3)):
+        st = interval_stats(y)
+        want = sum(
+            w * _reference_fold(st.product_primes, k, m)
+            for m, _c, w in oracle_multisets(st.modulus_primes, k)
+        )
+        assert congruence_solutions(st.product_primes, st.modulus_primes, k, k) == want, y
+        moduli = list(combinations_with_replacement(st.modulus_primes, k))
+        pairs = [(r, m) for *_, r, m in oracle_congruence_pairs(st.product_primes, moduli, k)]
+        got = tc.congruence_solutions(st.product_primes, st.modulus_primes, k, k, listing=True)
+        assert _listed(st.product_primes, st.modulus_primes, got) == pairs, y
 
 
 def test_fold_exact_past_int64():
@@ -556,18 +561,25 @@ def _brute_census(p_primes, q_primes, k, ell):
     )
 
 
-@pytest.mark.parametrize("y", [12, 30, 60, 150, 300])
-@pytest.mark.parametrize("ell", [1, 2, 3])
-@pytest.mark.parametrize("k", [3, 4, 5, 6])
+@pytest.mark.parametrize(
+    "k,ell,y",
+    [(k, ell, y) for k in (3, 4, 5, 6) for ell in (1, 2, 3) for y in (12, 30, 60, 150, 300)]
+    # 4^40 = 2^80 ordered tuples: the blocks count in Python ints
+    + [(40, 1, 30), (40, 2, 30)],
+)
 def test_blocks_match_reference_fold_past_k2(y, k, ell, monkeypatch):
     # at most 3 modulus primes, spread evenly, and 1 where the reference folds
-    # reach about 10^5 residues per modulus (k + ell >= 8 at y >= 150)
+    # reach about 10^5 residues per modulus (k + ell >= 8 at y >= 150); at
+    # k = 40 both of y = 30's, whose moduli stay below 13^2
     st = interval_stats(y)
-    q_primes = st.modulus_primes[:: -(-len(st.modulus_primes) // (1 if k + ell >= 8 else 3))]
+    spread = 3 if k + ell < 8 or k == 40 else 1
+    q_primes = st.modulus_primes[:: -(-len(st.modulus_primes) // spread)]
     want = sum(
         w * _reference_fold(st.product_primes, k, m)
         for m, _c, w in oracle_multisets(q_primes, ell)
     )
+    if (k, ell) == (40, 1):
+        assert want == 221636398685820811511780 > 2**63
     # 2^15: one slice of multisets; 20 and 1: slices by first index, with
     # blocks of a few moduli or of one
     for block in (1 << 15, 20, 1):
@@ -667,14 +679,15 @@ def test_every_plan_counts_and_lists_explicit_lists_as_brute_force(k, ell, monke
         assert _listed(p_primes, q_primes, got) == pairs, plan
 
 
-def test_fold_counts_past_int64_where_the_blocks_estimate_less():
+def test_blocks_count_past_int64_where_they_estimate_less():
     # 95003 divides 3^41 * 5^42 - 1, so the tuples of 41 threes and 42 fives,
-    # C(83, 41) > 2^63 of them, all count; the blocks' estimate, 82 x 83, is
-    # half the fold's (its counts take 2 words), but int64 would wrap
+    # C(83, 41) > 2^63 of them, all count; the blocks' estimate, 82 x 83 x 2
+    # words, is far below the fold's 81 x 2 x 95003 x 2, and they count in
+    # Python ints where int64 would wrap
     q = 95003
     want = sum(math.comb(83, a) for a in range(84) if pow(3, a, q) * pow(5, 83 - a, q) % q == 1)
     assert want == math.comb(83, 41) > 2**63
-    assert tc._plan((3, 5), (q,), 83, 1, False) == "fold"
+    assert tc._plan((3, 5), (q,), 83, 1, False) == "modulus"
     assert congruence_solutions((3, 5), (q,), 83, 1) == want
 
 
@@ -757,12 +770,15 @@ def test_count_plans_match_count_direct(y, k, ell, monkeypatch):
 
 @pytest.mark.parametrize("y,k", [(1000, 2), (3000, 2), (300, 3), (600, 3)])
 def test_quotient_plan_matches_the_fold(y, k, monkeypatch):
+    # no run can fold these cells (k = 2, or fold figures of 2*10^10 and
+    # more); the forced fold witnesses (1000, 2) and (300, 3) only, as its
+    # dense histograms take seconds at the other two
     st = interval_stats(y)
     counts = {}
-    for plan in ("modulus", "fold", "quotient"):
+    for plan in ("modulus", "quotient") + ("fold",) * (y in (1000, 300)):
         _run_plan(monkeypatch, plan)
         counts[plan] = congruence_solutions(st.product_primes, st.modulus_primes, k, k)
-    assert counts["quotient"] == counts["modulus"] == counts["fold"]
+    assert set(counts.values()) == {counts["quotient"]}
     if y == 3000:
         assert counts["quotient"] == 330
 
@@ -785,7 +801,7 @@ def test_quotient_plan_matches_the_fold(y, k, monkeypatch):
         (6000, 2, 1, True, "modulus"),  # construct-6000
         (1e4, 2, 1, False, "modulus"),
         (1000, 4, 2, False, "modulus"),
-        # fold: 4^40 passes int64; residue products collapse below m
+        # fold: long tuples whose residue products fill the residues mod m
         (30, 40, 1, False, "fold"),
         (12, 40, 1, False, "fold"),
         (100, 19, 2, False, "fold"),
