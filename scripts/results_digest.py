@@ -10,7 +10,9 @@ block dumped with sorted keys, as the report-determinism criterion compares
 it; a command that exits non-zero is digested by its exit code and stderr
 line instead, so refusals compare too.  With --compare the same commands
 also run from a second checkout; a differing digest is marked and the exit
-status is 1.
+status is 1.  Each command's wall seconds, from launch to exit, go to stderr
+as one `seconds  name` line (with --compare, the second checkout's after a
+comma); this script imports no numpy, so they are timings from a small parent.
 
     python3 scripts/results_digest.py
     python3 scripts/results_digest.py --compare ../parent --cmd "census --y 3e4 --k 2 --ell 2"
@@ -24,6 +26,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -33,17 +36,20 @@ sys.dont_write_bytecode = True  # leave no __pycache__ in bench/
 from workloads import WORKLOADS, job_argv  # noqa: E402
 
 
-def digest(src: Path, argv: list[str], workdir: Path) -> str:
+def digest(src: Path, argv: list[str], workdir: Path) -> tuple[str, float]:
+    """The sha256 of the command's results block, and its wall seconds."""
     env = dict(os.environ, PYTHONPATH=str(src / "src"), PYTHONDONTWRITEBYTECODE="1")
+    start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "sunitlab", *argv],
         capture_output=True, text=True, cwd=workdir, env=env,
     )
+    seconds = time.perf_counter() - start
     if proc.returncode:
         block = {"exit": proc.returncode, "stderr": proc.stderr}
     else:
         block = json.loads(proc.stdout)["results"]
-    return hashlib.sha256(json.dumps(block, sort_keys=True).encode()).hexdigest()
+    return hashlib.sha256(json.dumps(block, sort_keys=True).encode()).hexdigest(), seconds
 
 
 def main() -> int:
@@ -61,14 +67,16 @@ def main() -> int:
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv in commands:
-            sha = digest(args.src.resolve(), argv, Path(tmp))
-            line = f"{sha}  {name}"
+            sha, seconds = digest(args.src.resolve(), argv, Path(tmp))
+            line, timing = f"{sha}  {name}", f"{seconds:.2f} s"
             if args.compare is not None:
-                other = digest(args.compare.resolve(), argv, Path(tmp))
+                other, other_seconds = digest(args.compare.resolve(), argv, Path(tmp))
+                timing += f", {other_seconds:.2f} s compared"
                 if other != sha:
                     differ += 1
                     line += f"  DIFFERS from {other}"
             print(line, flush=True)
+            print(f"{timing}  {name}", file=sys.stderr, flush=True)
     if differ:
         print(f"{differ} of {len(commands)} results blocks differ", file=sys.stderr)
     return 1 if differ else 0

@@ -178,8 +178,12 @@ def _check_character_work(st: PrimeStats, ts) -> None:
     x^t coefficient of the product over modulus primes p of
     1 + (p-1)x/(1 - px), because phi(p^e) = p^(e-1)(p-1).  Every q in Q_t
     has phi(q) >= 2^(t-1), so no degree past the cap's bit length is expanded.
-    Q_t is enumerated (enumerate_Qt) only when max(q)^t passes the modulus
-    cap, to name the least modulus past it.
+    Before the expansion, as in check_power_capacity, the sum is bounded
+    below by the sum over t of |Q_t| (min q - 1)^t, as phi(q) >= (min q - 1)^t
+    on Q_t; once that bound's bit length passes both 64 and the cap's, the
+    refusal says "at least 2^N" and the product is not expanded.  Q_t is
+    enumerated (enumerate_Qt) only when max(q)^t passes the modulus cap, to
+    name the least modulus past it.
     """
     top = max(ts, default=0)
     if st.modulus_primes and top > CHARACTER_WORK_LIMIT.bit_length():
@@ -187,13 +191,18 @@ def _check_character_work(st: PrimeStats, ts) -> None:
             f"character tables over Q_{top} hold at least 2^{top - 1} points "
             f"(phi(q) >= 2^(t-1)), over the cap {CHARACTER_WORK_LIMIT}"
         )
+    what = f"character tables over Q_t, t in {list(ts)}, hold {{}} points (sum of phi(q))"
+    if st.modulus_primes:
+        n, least = len(st.modulus_primes), st.modulus_primes[0] - 1
+        bits = sum(math.comb(n + t - 1, t) * least**t for t in ts).bit_length()
+        if bits > max(64, CHARACTER_WORK_LIMIT.bit_length()):
+            raise CapacityError(what.format(f"at least 2^{bits - 1}") + f", over the cap {CHARACTER_WORK_LIMIT}")
     coeffs = [1] + [0] * top
     for p in st.modulus_primes:
         tail = 0  # coefficients of coeffs/(1 - px), one degree behind
         for d, c in enumerate(coeffs):
             tail, coeffs[d] = c + p * tail, c + (p - 1) * tail
     total = sum(coeffs[t] for t in ts)
-    what = f"character tables over Q_t, t in {list(ts)}, hold {{}} points (sum of phi(q))"
     check_capacity(what, total, CHARACTER_WORK_LIMIT)
     for t in ts:
         if st.modulus_primes and st.modulus_primes[-1] ** t > CHARACTER_MODULUS_LIMIT:
@@ -514,28 +523,25 @@ class MomentReport:
     class_size: int
 
 
-def _merge(values: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort (value, count) pairs by value and add up the counts of equal values."""
-    order = np.argsort(values)
-    values, counts = values[order], counts[order]
-    starts = np.flatnonzero(np.diff(values, prepend=-1))
-    return values[starts], np.add.reduceat(counts, starts)
-
-
 def moment_primitive_sum_exact(q: int, table: RepresentationTable) -> int:
     """Integer value of sum over primitive chi mod q of |sum_n a(n) chi(n)|^2.
 
     Uses the orthogonality identity per divisor-modulus and Moebius inversion
     over conductors; requires every n in the table coprime to q, which holds
     here because product-range primes cannot divide modulus-range products.
-    One _merge tallies the table by residue mod q, and each divisor c
-    tallies those.  The divisors c with mu(q/c) != 0 keep p^e or p^(e-1) of
-    each p^e || q, and (c, mu(q/c), phi(c)) is built up prime by prime.
+    One scatter-add tallies the counts by residue mod q into a dense array of
+    length q, and each divisor c folds it, as c | q, into its c residues.  A
+    sum of squared tallies is at most total^2, so the tally is int64 while
+    total^2 < 2^63 and Python ints (object) past that, by the same code.  The
+    divisors c with mu(q/c) != 0 keep p^e or p^(e-1) of each p^e || q, and
+    (c, mu(q/c), phi(c)) is built up prime by prime.
     """
     factors = factorize(q)
-    residues, by_residue = _merge(table.products % q, table.counts)
+    dtype = np.int64 if table.total**2 < 2**63 else object
+    tally = np.zeros(q, dtype)
+    np.add.at(tally, (table.products % q).astype(np.intp), table.counts.astype(dtype))
     for p in factors:
-        if np.any(residues % p == 0):
+        if tally[::p].any():
             raise ValidationError(
                 f"representation support shares prime {p} with modulus {q}"
             )
@@ -549,8 +555,8 @@ def moment_primitive_sum_exact(q: int, table: RepresentationTable) -> int:
     total = 0
     for c, mu, phi in terms:
         # the pairs m == n (mod c): the squared count of each residue class of c
-        tallies = by_residue if c == q else _merge(residues % c, by_residue)[1]
-        total += mu * phi * sum(v * v for v in tallies.tolist())
+        tallies = tally.reshape(-1, c).sum(axis=0)
+        total += mu * phi * int(tallies @ tallies)
     return total
 
 
@@ -560,8 +566,9 @@ def moment_check(t: int, y: float) -> tuple[MomentReport, MomentReport]:
 
     "2t": sum over q in Q_t, primitive chi mod q of |S_chi|^(2t), reference
     y^t * P^(2t).  "4t": exponent 4t, reference (t*y*P)^(2t), stated without
-    the q/phi(q) weight.  The exact identities reduce |Q_t| * (N_t + N_2t)
-    products of the two tables, refused past FOLD_OP_LIMIT before either is built.
+    the q/phi(q) weight.  The exact identities reduce and tally |Q_t| *
+    (N_t + N_2t) products of the two tables (moment_primitive_sum_exact), a
+    figure refused past FOLD_OP_LIMIT before either table is built.
     """
     st = interval_stats(y)
     _check_character_work(st, [t])

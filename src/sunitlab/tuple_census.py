@@ -462,6 +462,7 @@ def _plan(p_primes, q_primes, k: int, ell: int, listing: bool) -> str:
         gathers = span // min(q_primes) ** ell + 1
         multisets = math.comb(n + k - 2, k - 1)
         plan, ops = "modulus", max(moduli * (k - 2 + -(-gathers // 2)) * multisets, span)
+        what = "pair search residues" if listing else "residue products by blocks"
         if not listing:
             words = (n**k).bit_length() // 64 + 1
             ops *= words
@@ -471,8 +472,7 @@ def _plan(p_primes, q_primes, k: int, ell: int, listing: bool) -> str:
                     for j in range(1, ell + 1):
                         sums[j] += q * sums[j - 1]
                 if (fold := (k - 2) * n * sums[ell] * words) < ops:
-                    plan, ops = "fold", fold
-        what = "pair search residues" if listing else "residue fold products"
+                    plan, ops, what = "fold", fold, "residue fold products"
         work[plan] = (what + f" over the {ell}-prime moduli: {{}}", ops)
     if k == ell and max(max(p_primes) ** k, largest) < 2**63:
         passes = len(_quotients(p_primes, q_primes, k)) * math.comb(n + k - 1, k) + moduli

@@ -8,6 +8,7 @@ that tripped it.
 
 import importlib
 import json
+import math
 import re
 from argparse import Namespace
 from pathlib import Path
@@ -97,7 +98,7 @@ CASES = [
     # y = 100: Q_1 holds 6 moduli, and the tables of a_1 and a_2 hold the 10
     # product primes and their 55 pairs
     (tc, "FOLD_OP_LIMIT", 389, lambda: cl.moment_check(1, 100), 6 * (10 + 55),
-     (cl, "_merge")),
+     (cl, "representation_counts")),
     (cl, "CHARACTER_WORK_LIMIT", 100,
      lambda: cl.large_sieve_check(
          LargeSieveInstance(length=3, coefficients=(1, 1, 1), modulus_bound=20),
@@ -178,6 +179,19 @@ def test_census_refuses_the_fold_by_its_histogram_figure(capsys):
     figure = 13 * len(st.product_primes) * sum(m for m, _c, _w in oracle_multisets(st.modulus_primes, 3))
     assert figure == 404320800
     assert message == f"residue fold products over the 3-prime moduli: {figure}, over the cap {tc.FOLD_OP_LIMIT}"
+
+
+def test_census_refuses_the_blocks_by_their_own_figure(capsys):
+    # at k = 14 the blocks estimate less than the fold, so the refusal names
+    # them: per 3-prime modulus, k - 2 multiply-mods and one pass of partner
+    # gathers (g = 44 // 29^3 + 1 = 1) for each 13-multiset of the |P| residues
+    assert cli.main(["census", "--y", "100", "--k", "14", "--ell", "3"]) == 3
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    st = interval_stats(100)
+    moduli = sum(1 for _ in oracle_multisets(st.modulus_primes, 3))
+    figure = moduli * (12 + 1) * math.comb(len(st.product_primes) + 12, 13)
+    assert figure == 362121760
+    assert message == f"residue products by blocks over the 3-prime moduli: {figure}, over the cap {tc.FOLD_OP_LIMIT}"
 
 
 def test_character_table_limit_holds_for_a_cached_table(monkeypatch):

@@ -433,11 +433,17 @@ def _exact_primitive_moment(q, products, counts):
     return trace // phi
 
 
-@pytest.mark.parametrize("q", [11, 13, 143])
-def test_moment_exact_past_int64(q):
-    # P^40 = 4^40 = 2^80 ordered tuples: a class of residues tallied in int64 would wrap
-    rep = representation_counts(40, 30)
-    assert rep.counts.dtype == object and rep.total == 2**80
+@pytest.mark.parametrize(
+    "q,t",
+    [(q, t) for t in (40, 15, 16) for q in (11, 13, 143)],
+    ids=[f"{q}" if t == 40 else f"{q}-t{t}" for t in (40, 15, 16) for q in (11, 13, 143)],
+)
+def test_moment_exact_past_int64(q, t):
+    # P^t = 4^t ordered tuples.  At t = 40 the counts are Python ints; at
+    # t = 15 and 16 they are int64, and the sums of squared tallies, up to
+    # total^2 = 2^60 and 2^64, are exact in an int64 tally only at t = 15
+    rep = representation_counts(t, 30)
+    assert rep.counts.dtype == (object if t == 40 else np.int64) and rep.total == 4**t
     want = _exact_primitive_moment(q, rep.products.tolist(), rep.counts.tolist())
     assert moment_primitive_sum_exact(q, rep) == want
 
@@ -511,6 +517,25 @@ def test_character_work_estimate_is_the_phi_sum(y, monkeypatch):
         monkeypatch.setattr(cl, "CHARACTER_WORK_LIMIT", phi_sum - 1)
         with pytest.raises(CapacityError, match=str(phi_sum)):
             cl._check_character_work(st, [t])
+
+
+def test_character_work_refused_by_its_lower_bound():
+    # y = 10^6, t in 1..27: sum_t |Q_t| (min q - 1)^t has 776 bits, so the
+    # refusal names 2^775 without expanding the product over the modulus primes
+    st = interval_stats(10**6)
+    ts = range(1, 28)
+    with pytest.raises(CapacityError) as refusal:
+        cl._check_character_work(st, ts)
+    assert f"t in {list(ts)}, hold at least 2^775 points (sum of phi(q))" in str(refusal.value)
+    # the exact sum: prod_p (1 - x)/(1 - px) = (1 - x)^|Q| * sum_t h_t x^t,
+    # h_t the complete homogeneous sums of the modulus primes
+    h = [1] + [0] * 27
+    for p in st.modulus_primes:
+        for d in range(1, 28):
+            h[d] += p * h[d - 1]
+    n = len(st.modulus_primes)
+    exact = sum((-1) ** j * math.comb(n, j) * h[t - j] for t in ts for j in range(t + 1))
+    assert 2**775 <= exact
 
 
 @pytest.mark.parametrize(

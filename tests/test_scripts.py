@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -73,3 +74,17 @@ def test_results_digest_compares_a_refusal():
     proc = run_script("results_digest.py", "--no-jobs", "--cmd", cmd, "--compare", str(ROOT))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"{hashlib.sha256(block).hexdigest()}  {cmd}\n"
+
+
+def test_results_digest_times_each_command():
+    # stdout keeps its digest lines; stderr carries one timing line per command
+    cmds = ["verify --s-primes 2,3 --limit 100", "census --y 30 --k 2 --ell 1"]
+    argv = [arg for cmd in cmds for arg in ("--cmd", cmd)]
+    for extra, timing in (([], r"\d+\.\d\d s"), (["--compare", str(ROOT)], r"\d+\.\d\d s, \d+\.\d\d s compared")):
+        proc = run_script("results_digest.py", "--no-jobs", *argv, *extra)
+        assert proc.returncode == 0, proc.stderr
+        assert [line.split("  ")[1] for line in proc.stdout.splitlines()] == cmds
+        lines = proc.stderr.splitlines()
+        assert len(lines) == len(cmds)
+        for line, cmd in zip(lines, cmds):
+            assert re.fullmatch(rf"{timing}  {re.escape(cmd)}", line), line
