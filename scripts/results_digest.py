@@ -13,9 +13,12 @@ also run from a second checkout; a differing digest is marked and the exit
 status is 1.  Each command's wall seconds, from launch to exit, go to stderr
 as one `seconds  name` line (with --compare, the second checkout's after a
 comma); this script imports no numpy, so they are timings from a small parent.
+With --timeout SECONDS a command still running after that many seconds is
+killed and digested as {"timeout": SECONDS}, and its timing says "timeout".
 
     python3 scripts/results_digest.py
     python3 scripts/results_digest.py --compare ../parent --cmd "census --y 3e4 --k 2 --ell 2"
+    python3 scripts/results_digest.py --compare ../parent --timeout 60 --cmd "diagnose qt --y 1e8 --t 2"
 """
 
 import argparse
@@ -36,16 +39,21 @@ sys.dont_write_bytecode = True  # leave no __pycache__ in bench/
 from workloads import WORKLOADS, job_argv  # noqa: E402
 
 
-def digest(src: Path, argv: list[str], workdir: Path) -> tuple[str, float]:
-    """The sha256 of the command's results block, and its wall seconds."""
+def digest(src: Path, argv: list[str], workdir: Path, timeout: float | None) -> tuple[str, str]:
+    """The sha256 of the command's results block, and its wall time as text."""
     env = dict(os.environ, PYTHONPATH=str(src / "src"), PYTHONDONTWRITEBYTECODE="1")
     start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "sunitlab", *argv],
-        capture_output=True, text=True, cwd=workdir, env=env,
-    )
-    seconds = time.perf_counter() - start
-    if proc.returncode:
+    try:  # past the timeout, run() kills the child and waits for it
+        proc = subprocess.run(
+            [sys.executable, "-m", "sunitlab", *argv],
+            capture_output=True, text=True, cwd=workdir, env=env, timeout=timeout,
+        )
+    except subprocess.TimeoutExpired:
+        proc = None
+    seconds = f"{time.perf_counter() - start:.2f} s"
+    if proc is None:
+        block, seconds = {"timeout": timeout}, seconds + " (timeout)"
+    elif proc.returncode:
         block = {"exit": proc.returncode, "stderr": proc.stderr}
     else:
         block = json.loads(proc.stdout)["results"]
@@ -58,6 +66,7 @@ def main() -> int:
     ap.add_argument("--compare", type=Path, help="second checkout; exit 1 on any differing digest")
     ap.add_argument("--no-jobs", action="store_true", help="skip the benchmark jobs; digest only --cmd")
     ap.add_argument("--cmd", action="append", default=[], help="extra sunitlab command line (repeatable)")
+    ap.add_argument("--timeout", type=float, metavar="SECONDS", help="kill a command running this long")
     args = ap.parse_args()
 
     jobs = [] if args.no_jobs else [job for workload in WORKLOADS.values() for job in workload]
@@ -67,11 +76,11 @@ def main() -> int:
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv in commands:
-            sha, seconds = digest(args.src.resolve(), argv, Path(tmp))
-            line, timing = f"{sha}  {name}", f"{seconds:.2f} s"
+            sha, timing = digest(args.src.resolve(), argv, Path(tmp), args.timeout)
+            line = f"{sha}  {name}"
             if args.compare is not None:
-                other, other_seconds = digest(args.compare.resolve(), argv, Path(tmp))
-                timing += f", {other_seconds:.2f} s compared"
+                other, other_timing = digest(args.compare.resolve(), argv, Path(tmp), args.timeout)
+                timing += f", {other_timing} compared"
                 if other != sha:
                     differ += 1
                     line += f"  DIFFERS from {other}"

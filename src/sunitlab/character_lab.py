@@ -27,9 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    CapacityError, ToleranceError, ValidationError, check_capacity, check_power_capacity, finite_float,
-)
+from .errors import ToleranceError, ValidationError, check_capacity, check_power_capacity, finite_float
 from .prime_tools import PrimeStats, _packed, _primitive_root, factorize, interval_stats
 from . import tuple_census
 from .tuple_census import (
@@ -164,48 +162,49 @@ def _walk(st: PrimeStats, t: int, ascending: bool = False):
 
 
 def _primitive_power_sum(table: CharacterTable, sums: np.ndarray, k: int) -> float:
-    """Sum over the primitive characters chi mod m of |S_chi|^k (inf past the double range)."""
+    """Sum over the primitive characters chi mod m of |S_chi|^k (inf past the
+    double range).  From k = 2^64 every double's k-th power is already 0, 1 or
+    inf, so a larger k is taken as 2^64 and never converted to a float."""
     with np.errstate(over="ignore"):
-        return float(np.sum(np.abs(sums[table.primitive_mask]) ** k))
+        return float(np.sum(np.abs(sums[table.primitive_mask]) ** min(k, 2**64)))
 
 
 def _check_character_work(st: PrimeStats, ts) -> None:
     """The check every character route makes first, before any table: refuse
-    work over Q_t for t in ts that transforms more than CHARACTER_WORK_LIMIT
-    grid points in all, or that meets a modulus past CHARACTER_MODULUS_LIMIT.
+    work over Q_t for t in ts (ascending) that transforms more than
+    CHARACTER_WORK_LIMIT grid points in all, or that meets a modulus past
+    CHARACTER_MODULUS_LIMIT.
 
     A table mod q has phi(q) points, and the sum of phi(q) over Q_t is the
     x^t coefficient of the product over modulus primes p of
-    1 + (p-1)x/(1 - px), because phi(p^e) = p^(e-1)(p-1).  Every q in Q_t
-    has phi(q) >= 2^(t-1), so no degree past the cap's bit length is expanded.
-    Before the expansion, as in check_power_capacity, the sum is bounded
-    below by the sum over t of |Q_t| (min q - 1)^t, as phi(q) >= (min q - 1)^t
-    on Q_t; once that bound's bit length passes both 64 and the cap's, the
-    refusal says "at least 2^N" and the product is not expanded.  Q_t is
-    enumerated (enumerate_Qt) only when max(q)^t passes the modulus cap, to
-    name the least modulus past it.
+    1 + (p-1)x/(1 - px), because phi(p^e) = p^(e-1)(p-1).  Its lower bound
+    for check_capacity: past t = 64, |Q_t| 2^(t-1) for the top t, as
+    phi(q) >= 2^(t-1) on Q_t; else the sum over t of |Q_t| (min q - 1)^t, as
+    phi(q) >= (min q - 1)^t.  Q_t is enumerated (enumerate_Qt) only when
+    max(q)^t passes the modulus cap, to name the least modulus past it.
     """
-    top = max(ts, default=0)
-    if st.modulus_primes and top > CHARACTER_WORK_LIMIT.bit_length():
-        raise CapacityError(
-            f"character tables over Q_{top} hold at least 2^{top - 1} points "
-            f"(phi(q) >= 2^(t-1)), over the cap {CHARACTER_WORK_LIMIT}"
-        )
-    what = f"character tables over Q_t, t in {list(ts)}, hold {{}} points (sum of phi(q))"
-    if st.modulus_primes:
-        n, least = len(st.modulus_primes), st.modulus_primes[0] - 1
-        bits = sum(math.comb(n + t - 1, t) * least**t for t in ts).bit_length()
-        if bits > max(64, CHARACTER_WORK_LIMIT.bit_length()):
-            raise CapacityError(what.format(f"at least 2^{bits - 1}") + f", over the cap {CHARACTER_WORK_LIMIT}")
-    coeffs = [1] + [0] * top
-    for p in st.modulus_primes:
-        tail = 0  # coefficients of coeffs/(1 - px), one degree behind
-        for d, c in enumerate(coeffs):
-            tail, coeffs[d] = c + p * tail, c + (p - 1) * tail
-    total = sum(coeffs[t] for t in ts)
-    check_capacity(what, total, CHARACTER_WORK_LIMIT)
+    if not st.modulus_primes:
+        return
+    top = ts[-1] if ts else 0
+    shown = list(ts) if len(ts[:65]) <= 64 else f"[{ts[0]}, ..., {top}]"  # len() of a range stops at 2^63
+    what = f"character tables over Q_t, t in {shown}, hold {{}} points (sum of phi(q))"
+    n, least = len(st.modulus_primes), st.modulus_primes[0] - 1
+    if top > 64:
+        low = top - 1 + tuple_census._multiset_bits(n, top)
+    else:
+        low = sum(math.comb(n + t - 1, t) * least**t for t in ts).bit_length() - 1
+
+    def total():
+        coeffs = [1] + [0] * top
+        for p in st.modulus_primes:
+            tail = 0  # coefficients of coeffs/(1 - px), one degree behind
+            for d, c in enumerate(coeffs):
+                tail, coeffs[d] = c + p * tail, c + (p - 1) * tail
+        return sum(coeffs[t] for t in ts)
+
+    check_capacity(what, total, CHARACTER_WORK_LIMIT, low)
     for t in ts:
-        if st.modulus_primes and st.modulus_primes[-1] ** t > CHARACTER_MODULUS_LIMIT:
+        if st.modulus_primes[-1] ** t > CHARACTER_MODULUS_LIMIT:
             least = min(m for m in enumerate_Qt(t, st.y).moduli if m > CHARACTER_MODULUS_LIMIT)
             check_capacity("character table modulus {}", least, CHARACTER_MODULUS_LIMIT)
 
@@ -621,18 +620,20 @@ def tail_shape(params: CensusParams) -> tuple[TailShapeReport, TailShapeReport]:
     """The "low" and "high" reports; both ranges are admitted before either walks."""
     st = interval_stats(params.y)
     k, ell, y = params.k, params.ell, params.y
-    low = [t for t in range(1, ell + 1) if t <= k / 4]
-    ranges = {"low": low, "high": list(range(len(low) + 1, ell + 1))}
+    split = min(ell, k // 4)
+    ranges = {"low": range(1, split + 1), "high": range(split + 1, ell + 1)}
     for t_values in ranges.values():
         _check_character_work(st, t_values)
     lam, big_p = float(st.recip_sum), st.prime_count
+    # each reference multiplies an integer power by floats; one of 1024 bits
+    # or more has no float copy, so it is not formed and the reference is None
     shapes = {
-        "low": (4 * ell / y, lambda: big_p**k * lam**ell / math.log(y)),
-        "high": (4 / y, lambda: ell ** (k - ell) * (4 * lam * big_p) ** ell * y ** (k / 2)),
+        "low": (4 * ell / y, (big_p, k), lambda: big_p**k * lam**ell / math.log(y)),
+        "high": (4 / y, (ell, k - ell), lambda: ell ** (k - ell) * (4 * lam * big_p) ** ell * y ** (k / 2)),
     }
     reports = []
-    for which, (base, shape) in shapes.items():
-        terms, reference = {}, finite_float(shape)
+    for which, (base, (b, e), shape) in shapes.items():
+        terms, reference = {}, finite_float(shape) if e * (b.bit_length() - 1) < 1024 else None
         for t in ranges[which]:
             walk = _walk(st, t, ascending=True)
             moment = sum((_primitive_power_sum(table, sums, k) for _q, _w, table, sums in walk), 0.0)

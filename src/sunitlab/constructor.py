@@ -386,9 +386,12 @@ def run_construction(y: float, k: int | None = None, ell: int | None = None, **p
 
     st = interval_stats(y)
     if st.product_primes and st.modulus_primes:
-        # every quotient is at least (min p^k - 1) / max q^ell
-        least = k * math.log2(min(st.product_primes)) - ell * math.log2(max(st.modulus_primes))
-        check_capacity("bits of every quotient u0: at least {}", math.floor(least) + 1, U0_BITS_LIMIT)
+        # every quotient is at least (min p^k - 1) / max q^ell, whose bits are at
+        # least (k - ell) floor(log2 p) + ell log2(p/q) >= (k - ell) floor(log2 p) + ell // q
+        p, q = min(st.product_primes), max(st.modulus_primes)
+        low = ((k - ell) * (p.bit_length() - 1) + ell // q).bit_length() - 1
+        check_capacity("bits of the least possible quotient u0: {}",
+                       lambda: math.floor(k * math.log2(p) - ell * math.log2(q)) + 1, U0_BITS_LIMIT, low)
     pairs = solve_congruence_pairs(y, k, ell)
     census = congruence_solutions(st.product_primes, st.modulus_primes, k, ell)
     listed = _ordered_count(pairs.r_rows, pairs.m_rows, pairs.products.dtype)

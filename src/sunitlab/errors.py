@@ -73,29 +73,28 @@ def _power_of_two(w: int) -> decimal.Decimal:
     return decimal.Decimal(2) ** w
 
 
-def check_capacity(what: str, estimate: int | float, cap: int) -> None:
+def check_capacity(what: str, estimate, cap: int, low: int = 0) -> None:
     """Refuse work whose estimate passes its cap, before the work starts.
 
-    ``what`` names the estimate, with ``{}`` where its value goes.  Integers
-    are written through digits(), which the int-to-str digit limit does not
-    bind: a large t makes a multiset count thousands of digits long.
+    ``what`` names the estimate, with ``{}`` where its value goes; the
+    estimate may be a function of none.  ``low`` is a proven lower bound on
+    its log2: once low passes both 64 and the cap's bit length, the refusal
+    says "at least 2^low" and the estimate is never formed.  Integers are
+    written through digits(), which the int-to-str digit limit does not bind.
     """
+    if low > max(64, cap.bit_length()):
+        raise CapacityError(what.format(f"at least 2^{low}") + f", over the cap {cap}")
+    estimate = estimate() if callable(estimate) else estimate
     if estimate > cap:
         value = digits(estimate) if isinstance(estimate, int) else estimate
         raise CapacityError(f"{what.format(value)}, over the cap {cap}")
 
 
 def check_power_capacity(what: str, terms, cap: int) -> None:
-    """check_capacity of the product of base**exp over the (base, exp) terms.
-
-    The product is at least 2^low, low = sum of exp * floor(log2 base).  When
-    low passes both 64 and the cap's bit length, the powers are not expanded
-    (a huge exponent would take minutes) and the message says "at least 2^low".
-    """
-    low = sum(e * (b.bit_length() - 1) for b, e in terms)
-    if all(b for b, _e in terms) and low > max(64, cap.bit_length()):
-        raise CapacityError(what.format(f"at least 2^{low}") + f", over the cap {cap}")
-    check_capacity(what, math.prod(b**e for b, e in terms), cap)
+    """check_capacity of the product of base**exp over the (base, exp) terms,
+    at least 2^(sum of exp * floor(log2 base)), or 0 when a base is 0."""
+    low = sum(e * (b.bit_length() - 1) for b, e in terms) if all(b for b, _e in terms) else 0
+    check_capacity(what, lambda: math.prod(b**e for b, e in terms), cap, low)
 
 
 def finite_float(compute) -> float | None:

@@ -154,16 +154,51 @@ def _ordered_count(r_rows: np.ndarray, m_rows: np.ndarray, dtype) -> int:
     return sum((_row_weights(r_rows, dtype) * _row_weights(m_rows, dtype)).tolist())
 
 
+def _multiset_bits(n: int, t: int) -> int:
+    """A lower bound on log2 C(n + t - 1, t), the t-multisets (t >= 1) of n
+    items, in integers: C(N, t) >= (N/t)^t and C(N, n - 1) >= (N/(n - 1))^(n - 1)
+    for N = n + t - 1; 0 for n <= 1."""
+    if n < 2:
+        return 0
+    big = n + t - 1
+    return max(t * ((big // t).bit_length() - 1), (n - 1) * ((big // (n - 1)).bit_length() - 1))
+
+
+def _power_bits(b: int, e: int) -> int:
+    """(b**e).bit_length() for b >= 1 without forming b**e: square and multiply
+    on bounds lo * 2^s <= b^e <= hi * 2^s truncated to e.bit_length() + 64
+    bits, whose relative error stays below 2^-62; b**e is formed only when they
+    straddle a power of two.
+    """
+    lo = hi = 1
+    shift, width = 0, e.bit_length() + 64
+    for bit in bin(e)[2:]:
+        lo, hi, shift = lo * lo, hi * hi, 2 * shift
+        if bit == "1":
+            lo, hi = lo * b, hi * b
+        cut = max(0, hi.bit_length() - width)
+        lo, hi, shift = lo >> cut, -(-hi >> cut), shift + cut
+    if lo.bit_length() == hi.bit_length():
+        return lo.bit_length() + shift
+    return (b**e).bit_length()
+
+
 def _check_multisets(cap: int, what: str, *classes: tuple[int, int], per: int = 1) -> int:
     """Number of ways to pick one t-multiset (t >= 1) of n items from each (n, t)
-    class; refused when ``per`` units of work for each pass ``cap``.
+    class; refused when ``per`` units of work for each pass ``cap``, without
+    forming the count once its _multiset_bits bound has passed.
     """
     for _n, t in classes:
         if t < 1:
             raise ValidationError(f"need multisets of t >= 1 primes, got t={t}")
-    size = math.prod(math.comb(n + t - 1, t) for n, t in classes)
-    check_capacity(what + ": {}", size * per, cap)
-    return size
+
+    def size():
+        return math.prod(math.comb(n + t - 1, t) for n, t in classes)
+
+    empty = not (per and all(n for n, _t in classes))  # a factor 0 makes the figure 0
+    low = 0 if empty else sum(_multiset_bits(n, t) for n, t in classes) + per.bit_length() - 1
+    check_capacity(what + ": {}", lambda: size() * per, cap, low)
+    return size()
 
 
 def _exact_bits(params: CensusParams, st: PrimeStats) -> int:
@@ -453,35 +488,40 @@ def _plan(p_primes, q_primes, k: int, ell: int, listing: bool) -> str:
     k = 1): one pass over the k-products per quotient u, then a sorted join
     against the moduli.
     """
-    n = len(p_primes)
-    largest = max(q_primes) ** ell
-    moduli = math.comb(len(q_primes) + ell - 1, ell)
-    work = {}
-    if k >= 2 and largest <= MODULUS_LIMIT:
-        span = max(p_primes) - min(p_primes)
+    n, top_p, top_q = len(p_primes), max(p_primes), max(q_primes)
+    work = {}  # plan: (what, figure or a function forming it, lower bound on its log2)
+    # a prime is at least 2: past the limit's bit length ell never forms q^ell
+    if k >= 2 and ell < MODULUS_LIMIT.bit_length() and top_q**ell <= MODULUS_LIMIT:
+        span = top_p - min(p_primes)
         gathers = span // min(q_primes) ** ell + 1
-        multisets = math.comb(n + k - 2, k - 1)
-        plan, ops = "modulus", max(moduli * (k - 2 + -(-gathers // 2)) * multisets, span)
+        per = math.comb(len(q_primes) + ell - 1, ell) * (k - 2 + -(-gathers // 2))
+        words = 1 if listing else _power_bits(n, k) // 64 + 1
+        plan, low = "modulus", (per * words).bit_length() - 1 + _multiset_bits(n, k - 1)
+
+        def ops():
+            return max(per * math.comb(n + k - 2, k - 1), span) * words
+
         what = "pair search residues" if listing else "residue products by blocks"
-        if not listing:
-            words = (n**k).bit_length() // 64 + 1
-            ops *= words
-            if k > 2:  # at k = 2 the fold has no scatter: the blocks always count
-                sums = [1] + [0] * ell  # sums[j]: the sum of the j-prime moduli
-                for q in q_primes:
-                    for j in range(1, ell + 1):
-                        sums[j] += q * sums[j - 1]
-                if (fold := (k - 2) * n * sums[ell] * words) < ops:
-                    plan, ops, what = "fold", fold, "residue fold products"
-        work[plan] = (what + f" over the {ell}-prime moduli: {{}}", ops)
-    if k == ell and max(max(p_primes) ** k, largest) < 2**63:
+        if not listing and k > 2:  # at k = 2 the fold has no scatter: the blocks always count
+            sums = [1] + [0] * ell  # sums[j]: the sum of the j-prime moduli
+            for q in q_primes:
+                for j in range(1, ell + 1):
+                    sums[j] += q * sums[j - 1]
+            fold = (k - 2) * n * sums[ell] * words
+            if fold.bit_length() <= low or fold < ops():  # below 2^low, the blocks are not formed
+                plan, ops, low, what = "fold", lambda: fold, fold.bit_length() - 1, "residue fold products"
+        work[plan] = (what + f" over the {ell}-prime moduli: {{}}", ops, low)
+    if k == ell and k < 63 and max(top_p, top_q) ** k < 2**63:
+        moduli = math.comb(len(q_primes) + ell - 1, ell)
         passes = len(_quotients(p_primes, q_primes, k)) * math.comb(n + k - 1, k) + moduli
-        work["quotient"] = (f"quotient passes over the {k}-prime products: {{}}", passes)
+        work["quotient"] = (f"quotient passes over the {k}-prime products: {{}}", lambda: passes, 0)
     if not work:  # past MODULUS_LIMIT at k >= 2, past int64 products at k = 1
-        check_capacity("modulus {}", largest, MODULUS_LIMIT)
-        check_capacity(f"{k}-prime products in int64: {{}}", max(p_primes) ** k, 2**63 - 1)
-    plan = min(work, key=lambda name: work[name][1])
-    check_capacity(*work[plan], PAIR_OP_LIMIT if listing else FOLD_OP_LIMIT)
+        check_capacity("modulus {}", lambda: top_q**ell, MODULUS_LIMIT, ell * (top_q.bit_length() - 1))
+        check_capacity(f"{k}-prime products in int64: {{}}", lambda: top_p**k, 2**63 - 1, k * (top_p.bit_length() - 1))
+    # two plans only at k = ell < 63, where every figure is small
+    plan = min(work, key=lambda name: work[name][1]()) if len(work) > 1 else next(iter(work))
+    what, figure, low = work[plan]
+    check_capacity(what, figure, PAIR_OP_LIMIT if listing else FOLD_OP_LIMIT, low)
     return plan
 
 

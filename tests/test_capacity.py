@@ -23,7 +23,7 @@ import sunitlab.prime_tools as pt
 import sunitlab.smooth_verifier as sv
 import sunitlab.tuple_census as tc
 from sunitlab.character_lab import LargeSieveInstance
-from sunitlab.errors import CapacityError
+from sunitlab.errors import CapacityError, check_capacity
 from sunitlab.prime_tools import interval_stats
 from sunitlab.tuple_census import CensusParams
 
@@ -231,6 +231,73 @@ def test_direct_count_refused_for_a_huge_k_without_expanding(monkeypatch):
     monkeypatch.setattr(tc, "_census_result", Tripwire())
     with pytest.raises(CapacityError, match=r"at least 2\^20000001 tuples"):
         tc.count_direct(CensusParams(30, 10_000_000, 1))
+
+
+_comb = math.comb
+
+
+def _big_comb(n, t):
+    """math.comb for the small binomials a refusal may form; a tripwire past 64 factors."""
+    if min(t, n - t) > 64:
+        raise AssertionError(f"C({n}, {t}) was formed before the capacity refusal")
+    return _comb(n, t)
+
+
+HUGE_ROWS = {
+    "qt": (lambda: cl.enumerate_Qt(10**6, 10**6), r"prime factors over Q_1000000: at least 2\^\d+,"),
+    "pairs": (lambda: tc.congruence_solutions(*_intervals(100), 10**8, 1, listing=True),
+              r"pair search residues over the 1-prime moduli: at least 2\^\d+,"),
+    "modulus": (lambda: tc.congruence_solutions(*_intervals(10**5), 10**6, 10**6), r"modulus at least 2\^\d+,"),
+    "u0": (lambda: constructor.run_construction(100, 10**1000, 10**1000),
+           r"bits of the least possible quotient u0: at least 2\^\d+,"),
+    "tails": (lambda: cl.tail_shape(CensusParams(100, 4 * 10**9, 10**9)),
+              r"t in \[1, \.\.\., 1000000000\], hold at least 2\^\d+ points"),
+}
+
+
+def _intervals(y):
+    st = interval_stats(y)
+    return st.product_primes, st.modulus_primes
+
+
+@pytest.mark.parametrize("row", sorted(HUGE_ROWS))
+def test_huge_figures_refused_without_expanding(row, monkeypatch):
+    # every binomial and power is bounded below first; past 2^64 none is formed
+    run, message = HUGE_ROWS[row]
+    for y in (100, 10**5):
+        interval_stats(y)  # sieved before the tripwires
+    monkeypatch.setattr(math, "comb", _big_comb)
+    for engine in ("_multiset_rows", "_count_by_blocks", "_count_products_congruent_one", "_matches_by_quotient"):
+        monkeypatch.setattr(tc, engine, Tripwire())
+    monkeypatch.setattr(cl, "CharacterTable", Tripwire())
+    with pytest.raises(CapacityError, match=message) as refusal:
+        run()
+    assert len(str(refusal.value)) < 200
+
+
+def test_fold_figure_past_a_huge_k_is_exact(monkeypatch):
+    # (100, 10^8, 1): the blocks' figure is bounded past 2^64 and not formed;
+    # the fold's, below 2^64, is exact, its words read off without 10^(10^8)
+    monkeypatch.setattr(math, "comb", _big_comb)
+    p_primes, q_primes = _intervals(100)
+    assert len(p_primes) == 10
+    words = 332_192_810 // 64 + 1  # 10^(10^8) has floor(10^8 log2 10) + 1 bits
+    figure = (10**8 - 2) * len(p_primes) * sum(q_primes) * words
+    assert figure < 2**64
+    with pytest.raises(CapacityError, match=f"residue fold products over the 1-prime moduli: {figure},"):
+        tc.congruence_solutions(p_primes, q_primes, 10**8, 1)
+
+
+def test_check_capacity_forms_no_estimate_past_its_bound():
+    cap = 10**6
+    with pytest.raises(CapacityError, match=r"^work at least 2\^65, over the cap 1000000$"):
+        check_capacity("work {}", Tripwire(), cap, low=65)
+    # at the bound the estimate is formed, and decides alone
+    check_capacity("work {}", lambda: cap, cap, low=64)
+    with pytest.raises(CapacityError, match=r"^work 1000001, over the cap 1000000$"):
+        check_capacity("work {}", lambda: cap + 1, cap, low=64)
+    # past 64 bits the cap's own bit length is the bar
+    check_capacity("work {}", lambda: 2**80, 2**90, low=80)
 
 
 def _capacity_table():

@@ -16,7 +16,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import sunitlab
 import sunitlab.constructor as constructor
@@ -861,18 +861,21 @@ def test_reports_are_deterministic_modulo_timing(capsys):
 # required flags; up to three more flags follow, drawn from every flag with
 # valid, boundary and junk values (a later flag overrides an earlier one),
 # and at most one rare token.  k, ell and t reach 1000, where exact values
-# outgrow the double range; --trials and --Q reach 10^5, past their caps.
+# outgrow the double range, and HUGE: 10^8, 10^9 and a 1,000-digit integer,
+# whose powers and binomials no run may form; --trials and --Q reach 10^5,
+# past their caps.
 Y = ["2", "5", "10", "30", "60", "nan", "inf", "-1", "1e300"]
+HUGE = ["100000000", "1000000000", "9" * 1000]
 BASE = {
-    "census": {"--y": Y, "--k": ["1", "2", "3", "1000"], "--ell": ["1", "2"]},
+    "census": {"--y": Y, "--k": ["1", "2", "3", "1000", *HUGE], "--ell": ["1", "2", *HUGE]},
     "construct": {"--y": Y},
     "verify": {"--s-primes": ["2,3,5", "2,3,5,7"], "--limit": ["100", "1000"]},
-    "diagnose": {"--y": Y, "--seed": ["1", "7"], "--trials": ["1", "3"], "--t": ["1", "2", "1000"]},
+    "diagnose": {"--y": Y, "--seed": ["1", "7"], "--trials": ["1", "3"], "--t": ["1", "2", "1000", *HUGE]},
 }
 COMMON_FLAGS = {
     "--y": Y,
-    "--k": ["1", "2", "3", "0", "-1", "x", "1000"],
-    "--ell": ["1", "2", "0", "x", "1000"],
+    "--k": ["1", "2", "3", "0", "-1", "x", "1000", *HUGE],
+    "--ell": ["1", "2", "0", "x", "1000", *HUGE],
     "--alpha": ["1/3", "1/2", "2", "1/0"],
     "--beta": ["1/4", "1/5", "0"],
     "--limit": ["100", "1000", "0", "-5", "9223372036854775806", "9223372036854775807"],
@@ -884,7 +887,7 @@ COMMAND_FLAGS = {
     "census": {"--method": ["exact", "direct", "characters", "sampled", "exact,characters", "psychic"]},
     "construct": {},
     "verify": {"--s-primes": ["2,3,5", "2,4", "", "x"], "--check-a": ["390", "0"]},
-    "diagnose": {"--t": ["1", "2", "0", "-1", "1000"], "--q": ["1", "7", "0"],
+    "diagnose": {"--t": ["1", "2", "0", "-1", "1000", *HUGE], "--q": ["1", "7", "0"],
                  "--Q": ["1", "5", "0", "100000"], "--trials": ["1", "3", "0", "100000"]},
 }
 TOPICS = ["all", "large-sieve", "moments", "tails", "qt", "decomposition", "bogus"]
@@ -909,6 +912,13 @@ def _argv(draw):
 
 @given(argv=_argv(), max_sieve=st.sampled_from([None, "1000", "20", "0", "abc"]))
 @settings(max_examples=600, derandomize=True, database=None, deadline=None)
+# words of the grammar that a float of k overflowed on, that formed 7^k, or
+# whose range of t overflowed len()
+@example(argv=["construct", "--y", "60", "--k", HUGE[2], "--ell", "1"], max_sieve=None)
+@example(argv=["diagnose", "tails", "--y", "60", "--k", HUGE[2], "--ell", HUGE[2]], max_sieve=None)
+@example(argv=["diagnose", "tails", "--y", "60", "--k", HUGE[2], "--ell", "2"], max_sieve=None)
+@example(argv=["diagnose", "tails", "--y", "60", "--k", HUGE[0], "--ell", "2"], max_sieve=None)
+@example(argv=["diagnose", "decomposition", "--y", "60", "--k", HUGE[0], "--ell", "1"], max_sieve=None)
 def test_any_argv_and_env_keep_the_cli_contract(argv, max_sieve):
     with tempfile.TemporaryDirectory() as tmp:
         argv = [tok.format(missing=Path(tmp) / "missing") for tok in argv]

@@ -76,6 +76,24 @@ def test_results_digest_compares_a_refusal():
     assert proc.stdout == f"{hashlib.sha256(block).hexdigest()}  {cmd}\n"
 
 
+def test_results_digest_kills_a_command_past_its_timeout(tmp_path):
+    # a checkout whose command never ends: it is killed, digested as a timeout, and reaped
+    pkg, pid_file = tmp_path / "src" / "sunitlab", tmp_path / "pid"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "__main__.py").write_text(
+        f"import os, time\nopen({str(pid_file)!r}, 'w').write(str(os.getpid()))\ntime.sleep(600)\n"
+    )
+    cmd = "census --y 30 --k 2 --ell 1"
+    proc = run_script("results_digest.py", "--no-jobs", "--cmd", cmd, "--src", str(tmp_path), "--timeout", "2")
+    assert proc.returncode == 0, proc.stderr
+    block = json.dumps({"timeout": 2.0}, sort_keys=True).encode()
+    assert proc.stdout == f"{hashlib.sha256(block).hexdigest()}  {cmd}\n"
+    assert re.fullmatch(rf"\d+\.\d\d s \(timeout\)  {re.escape(cmd)}\n", proc.stderr), proc.stderr
+    with pytest.raises(ProcessLookupError):  # no child is left running, nor as a zombie
+        os.kill(int(pid_file.read_text()), 0)
+
+
 def test_results_digest_times_each_command():
     # stdout keeps its digest lines; stderr carries one timing line per command
     cmds = ["verify --s-primes 2,3 --limit 100", "census --y 30 --k 2 --ell 1"]

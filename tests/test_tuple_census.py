@@ -842,3 +842,15 @@ def test_exact_bits_bound_every_exact_value_of_a_census_record(y, k, ell):
         max(v.numerator.bit_length(), v.denominator.bit_length()) for v in values if v is not None
     )
     assert actual <= tc._exact_bits(params, st)
+
+
+@given(n=st.integers(1, 2000), t=st.integers(1, 2000))
+@settings(max_examples=300, deadline=None)
+def test_multiset_bits_bound_the_binomial_below(n, t):
+    assert tc._multiset_bits(n, t) <= math.comb(n + t - 1, t).bit_length() - 1
+
+
+@given(b=st.integers(1, 10**6), e=st.integers(0, 3000))
+@settings(max_examples=300, deadline=None)
+def test_power_bits_is_the_bit_length_of_the_power(b, e):
+    assert tc._power_bits(b, e) == (b**e).bit_length()
