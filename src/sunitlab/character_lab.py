@@ -176,8 +176,10 @@ def _check_character_work(st: PrimeStats, ts) -> None:
     CHARACTER_MODULUS_LIMIT.
 
     A table mod q has phi(q) points, and the sum of phi(q) over Q_t is the
-    x^t coefficient of the product over modulus primes p of
-    1 + (p-1)x/(1 - px), because phi(p^e) = p^(e-1)(p-1).  Its lower bound
+    x^t coefficient of the product over the |Q| modulus primes p of
+    1 + (p-1)x/(1 - px) = (1 - x)/(1 - px), because phi(p^e) = p^(e-1)(p-1):
+    the sum over j of (-1)^j C(|Q|, j) h_(t-j), with h the class sums
+    (tuple_census._class_sums).  Its lower bound
     for check_capacity: past t = 64, |Q_t| 2^(t-1) for the top t, as
     phi(q) >= 2^(t-1) on Q_t; else the sum over t of |Q_t| (min q - 1)^t, as
     phi(q) >= (min q - 1)^t.  Q_t is enumerated (enumerate_Qt) only when
@@ -195,12 +197,8 @@ def _check_character_work(st: PrimeStats, ts) -> None:
         low = sum(math.comb(n + t - 1, t) * least**t for t in ts).bit_length() - 1
 
     def total():
-        coeffs = [1] + [0] * top
-        for p in st.modulus_primes:
-            tail = 0  # coefficients of coeffs/(1 - px), one degree behind
-            for d, c in enumerate(coeffs):
-                tail, coeffs[d] = c + p * tail, c + (p - 1) * tail
-        return sum(coeffs[t] for t in ts)
+        sums = tuple_census._class_sums(st.modulus_primes, top)
+        return sum((-1) ** j * math.comb(n, j) * sums[t - j] for t in ts for j in range(t + 1))
 
     check_capacity(what, total, CHARACTER_WORK_LIMIT, low)
     for t in ts:
@@ -638,7 +636,7 @@ def tail_shape(params: CensusParams) -> tuple[TailShapeReport, TailShapeReport]:
             walk = _walk(st, t, ascending=True)
             moment = sum((_primitive_power_sum(table, sums, k) for _q, _w, table, sums in walk), 0.0)
             terms[t] = finite_float(lambda: base**t * lam ** (ell - t) * moment)
-        lhs = None if None in terms.values() else sum(terms.values())
+        lhs = None if None in terms.values() else sum(terms.values(), 0.0)
         ratio = finite_float(lambda: lhs / reference) if lhs is not None and reference else None
         reports.append(TailShapeReport(
             which=which, k=k, ell=ell, y=y, terms=terms, lhs=lhs, reference=reference, ratio=ratio,

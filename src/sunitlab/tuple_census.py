@@ -281,24 +281,9 @@ def _tree_inverses(r: np.ndarray, m: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _multiset_slices(n: int, t: int, dtype):
-    """Yield the t-multisets (t >= 1) of n columns in slices by first index of
-    about _BLOCK_ELEMENTS multisets, as (columns, weights): each index column,
-    contiguous, and each multiset's weight in ``dtype`` (a listing reads
-    none).  At t = 1 the multisets are the columns in order, weight 1 each:
-    one slice, (None, None).
-    """
-    if t == 1:
-        yield None, None
-        return
-    for rows in _row_slices(n, t, _BLOCK_ELEMENTS):
-        # np.take gathers 4x faster along a contiguous index
-        yield rows.T.copy(), _row_weights(rows, dtype)
-
-
 def _gather(a: np.ndarray, columns, c: int) -> np.ndarray:
     """a's entries at each multiset's c-th index (a itself when the multisets
-    are the columns, which _multiset_slices marks with columns None)."""
+    are the columns, which _count_by_blocks marks with columns None)."""
     return a if columns is None else np.take(a, columns[c], axis=1)
 
 
@@ -313,10 +298,11 @@ def _count_by_blocks(p_primes, q_primes, k: int, ell: int, listing: bool = False
     groups of _BLOCK_ELEMENTS // |P| (at least 1), one row per modulus, with
     the residues p mod m (units: P and Q share no prime) and their inverses by
     _tree_inverses.  The multisets come in slices of about _BLOCK_ELEMENTS
-    (_multiset_slices; at k = 2 the columns themselves), and a group in
-    blocks of _BLOCK_ELEMENTS // (slice) moduli.  Per block and slice: the
-    product s of the inverses along each multiset (k - 2 multiply-mods), and
-    the partners of s read off a table of P over [min P, max P]: a partner is
+    (_row_slices, as contiguous index columns; at k = 2 the columns
+    themselves, rows None), and a group in blocks of _BLOCK_ELEMENTS //
+    (slice) moduli.  Per block and slice: the product s of the inverses along
+    each multiset (k - 2 multiply-mods), and the partners of s read off a
+    table of P over [min P, max P]: a partner is
     c0 + j*m, with c0 = min P + ((s - min P) mod m), so
     (max P - min P) // min m + 1 gathers find them all.  A count weighs each
     hit by w, from the index rows; a listing reads the partner's index off
@@ -343,8 +329,10 @@ def _count_by_blocks(p_primes, q_primes, k: int, ell: int, listing: bool = False
     for g in range(0, len(m_rows), size):
         moduli, tally = all_moduli[g : g + size], counts[g : g + size]
         inverses = _tree_inverses(p % moduli, moduli)
-        for columns, weights in _multiset_slices(n, t, counts.dtype):
-            height = max(1, _BLOCK_ELEMENTS // (n if weights is None else len(weights)))
+        for rows in _row_slices(n, t, _BLOCK_ELEMENTS) if t > 1 else [None]:
+            # np.take gathers 4x faster along a contiguous index
+            columns, weights = (None, None) if rows is None else (rows.T.copy(), _row_weights(rows, counts.dtype))
+            height = max(1, _BLOCK_ELEMENTS // (n if rows is None else len(rows)))
             for b in range(0, len(moduli), height):
                 block, m = slice(b, b + height), moduli[b : b + height]
                 offsets = _gather(inverses[block], columns, 0)
@@ -462,6 +450,17 @@ def _multisets(primes: Sequence[int], t: int, size: int | None = None):
         yield rows, products, _row_weights(rows)  # no local: a caller that drops them frees them
 
 
+def _class_sums(primes: Sequence[int], t: int) -> list[int]:
+    """h_0, ..., h_t, with h_j the sum of the j-prime moduli of primes (the
+    products of their j-multisets), from the power sums p_i by Newton's
+    identities j h_j = sum over i <= j of p_i h_(j-i), exact in integers."""
+    powers = [sum(map(pow, primes, itertools.repeat(i))) for i in range(1, t + 1)]
+    sums = [1]
+    for j in range(1, t + 1):
+        sums.append(sum(powers[i - 1] * sums[j - i] for i in range(1, j + 1)) // j)
+    return sums
+
+
 def _quotients(p_primes, q_primes, k: int) -> range:
     """A range holding every quotient u = (r - 1)/m of a k-product r of
     p_primes by a k-product m of q_primes (k = ell)."""
@@ -477,13 +476,18 @@ def _plan(p_primes, q_primes, k: int, ell: int, listing: bool) -> str:
     MODULUS_LIMIT, so residue products stay in int64): per modulus, k - 2
     multiply-mods and ceil(g/2) passes of partner gathers, for
     g = (max P - min P) // min m + 1, per (k-1)-multiset of P, or the
-    max P - min P entries of its partner table when those are more; at every
-    CLI interval g <= 2.  The residue fold ("fold",
+    max P - min P entries of its partner table when those are more, or in a
+    count the k - 2 Python passes of each group of moduli (_multiset_rows'
+    and the multiply-mods'), each charged as a block of _BLOCK_ELEMENTS; at
+    every CLI interval g <= 2.  A listing does not charge its passes: its
+    cap is PAIR_OP_LIMIT, under which a block each would refuse k > 78 even
+    for one modulus, and construct's u0 cap, min P^k / 2^31 < 2^454, keeps
+    its k below 310.  The residue fold ("fold",
     _count_products_congruent_one; counts at k >= 3): k - 2 scatters of the
     |P| residues over each modulus m's histogram, (k - 2)|P| sum m, with sum m
-    the x^ell coefficient of prod_q 1/(1 - qx); it counts when the blocks
-    estimate more.  Once |P|^k >= 2^63 counts are Python ints, and either
-    count figure takes each unit once per 64-bit word of a count.  By
+    from _class_sums; it counts when the blocks estimate more.  Once
+    |P|^k >= 2^63 counts are Python ints, and either count figure takes each
+    unit once per 64-bit word of a count.  By
     quotient (k = ell, every product and modulus in int64; the one plan at
     k = 1): one pass over the k-products per quotient u, then a sorted join
     against the moduli.
@@ -494,20 +498,18 @@ def _plan(p_primes, q_primes, k: int, ell: int, listing: bool) -> str:
     if k >= 2 and ell < MODULUS_LIMIT.bit_length() and top_q**ell <= MODULUS_LIMIT:
         span = top_p - min(p_primes)
         gathers = span // min(q_primes) ** ell + 1
-        per = math.comb(len(q_primes) + ell - 1, ell) * (k - 2 + -(-gathers // 2))
+        moduli = math.comb(len(q_primes) + ell - 1, ell)
+        per = moduli * (k - 2 + -(-gathers // 2))
+        passes = 0 if listing else -(-moduli // max(1, _BLOCK_ELEMENTS // n)) * (k - 2) * _BLOCK_ELEMENTS
         words = 1 if listing else _power_bits(n, k) // 64 + 1
         plan, low = "modulus", (per * words).bit_length() - 1 + _multiset_bits(n, k - 1)
 
         def ops():
-            return max(per * math.comb(n + k - 2, k - 1), span) * words
+            return max(per * math.comb(n + k - 2, k - 1), span, passes) * words
 
         what = "pair search residues" if listing else "residue products by blocks"
         if not listing and k > 2:  # at k = 2 the fold has no scatter: the blocks always count
-            sums = [1] + [0] * ell  # sums[j]: the sum of the j-prime moduli
-            for q in q_primes:
-                for j in range(1, ell + 1):
-                    sums[j] += q * sums[j - 1]
-            fold = (k - 2) * n * sums[ell] * words
+            fold = (k - 2) * n * _class_sums(q_primes, ell)[ell] * words
             if fold.bit_length() <= low or fold < ops():  # below 2^low, the blocks are not formed
                 plan, ops, low, what = "fold", lambda: fold, fold.bit_length() - 1, "residue fold products"
         work[plan] = (what + f" over the {ell}-prime moduli: {{}}", ops, low)
@@ -525,30 +527,38 @@ def _plan(p_primes, q_primes, k: int, ell: int, listing: bool) -> str:
     return plan
 
 
-def _matches_by_quotient(p_primes, q_primes, k: int, ell: int):
-    """The (r, m) multisets with r == 1 (mod m) as index rows (r_rows into
-    p_primes, m_rows into q_primes), found quotient by quotient (k = ell).
+def _matches_by_quotient(p_primes, q_primes, k: int, ell: int, listing: bool = False):
+    """Ordered tuples behind the (r, m) multisets with r == 1 (mod m), sum
+    w(r) w(m), found quotient by quotient (k = ell); with ``listing``, the
+    multisets as index rows (r_rows into p_primes, m_rows into q_primes).
 
     The k-products come in slices of about _FOLD_CHUNK; per slice and quotient
     u, (r - 1)/u over the r == 1 (mod u) is looked up among the sorted moduli,
-    which are distinct (Q holds distinct primes), so one match at most.
+    which are distinct (Q holds distinct primes), so one match at most.  A
+    count holds only the moduli and their weights and adds w(r) w(m) per hit,
+    exact in int64 while k! l! < 2^63, else in Python ints (object).
     """
-    m_rows, moduli = next(_multisets(q_primes, ell))[:2]
+    # a count takes no index rows, so none is held next to the sort
+    *m_rows, moduli, m_weights = next(_multisets(q_primes, ell))[0 if listing else 1 :]
     order = np.argsort(moduli)
-    moduli = moduli[order]
+    dtype = np.int64 if math.factorial(k) * math.factorial(ell) < 2**63 else object
+    moduli, m_weights, m_rows = moduli[order], m_weights[order].astype(dtype), [rows[order] for rows in m_rows]
+    del order
     quotients = _quotients(p_primes, q_primes, k)
-    r_parts, m_parts = [np.zeros((0, k), dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for r_rows, r1, weights in _multisets(p_primes, k, _FOLD_CHUNK):
-        del weights  # unread: freed before the passes over the quotients
+    total, r_parts, m_parts = 0, [np.zeros((0, k), dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for r_rows, r1, r_weights in _multisets(p_primes, k, _FOLD_CHUNK):
         r1 -= 1  # r - 1, once per slice
         for u in quotients:
             sel = np.flatnonzero(r1 % u == 0)
             v = r1[sel] // u
             at = np.minimum(np.searchsorted(moduli, v), len(moduli) - 1)
             hit = moduli[at] == v
-            r_parts.append(r_rows[sel[hit]])
-            m_parts.append(order[at[hit]])
-    return np.concatenate(r_parts), m_rows[np.concatenate(m_parts)]
+            if listing:
+                r_parts.append(r_rows[sel[hit]])
+                m_parts.append(at[hit])
+            else:
+                total += sum((r_weights[sel[hit]] * m_weights[at[hit]]).tolist())
+    return (np.concatenate(r_parts), m_rows[0][np.concatenate(m_parts)]) if listing else total
 
 
 def congruence_solutions(
@@ -568,9 +578,10 @@ def congruence_solutions(
     refused with ValidationError.  _plan picks by modulus (k >= 2), by
     residue fold or by quotient (k = ell, and so every k = 1) and refuses
     over FOLD_OP_LIMIT (counting) or PAIR_OP_LIMIT (listing) before any
-    work.  By modulus, _count_by_blocks counts and lists; the fold,
-    _count_products_congruent_one per modulus, counts long tuples whose
-    residue products fill the residues mod m.
+    work.  The two listing kernels, _count_by_blocks by modulus and
+    _matches_by_quotient, share one contract: a count, or with ``listing``
+    the index rows; the fold, _count_products_congruent_one per modulus,
+    counts long tuples whose residue products fill the residues mod m.
     """
     if len(set(p_primes) | set(q_primes)) < len(p_primes) + len(q_primes):
         raise ValidationError("need two disjoint lists of distinct primes")
@@ -587,16 +598,12 @@ def congruence_solutions(
             weight * _count_products_congruent_one(p, k, m)
             for m, weight in zip(moduli.tolist(), weights.tolist())
         )
-    if plan == "modulus" and not listing:
-        return _count_by_blocks(p_primes, q_primes, k, ell)
-    if plan == "quotient":
-        r_rows, m_rows = _matches_by_quotient(p_primes, q_primes, k, ell)
-    else:
-        r_rows, m_rows = _count_by_blocks(p_primes, q_primes, k, ell, listing=True)
+    kernel = _matches_by_quotient if plan == "quotient" else _count_by_blocks
+    if not listing:
+        return kernel(p_primes, q_primes, k, ell)
+    r_rows, m_rows = kernel(p_primes, q_primes, k, ell, listing=True)
     bound = max(max(p_primes) ** k, math.factorial(k) * math.factorial(ell))
     dtype = np.int64 if bound < 2**63 else object
-    if not listing:
-        return _ordered_count(r_rows, m_rows, dtype)
     products = np.prod(np.asarray(p_primes, dtype=dtype)[r_rows], axis=1)
     moduli = np.prod(np.asarray(q_primes, dtype=dtype)[m_rows], axis=1)
     order = np.lexsort((products, moduli))

@@ -63,9 +63,10 @@ CASES = [
     # (g = 28 // 17 + 1 = 2), which is no less than the partner table's span 28
     (tc, "FOLD_OP_LIMIT", 27, _census(60, 2, 1), 4 * 7,
      (tc, "_count_by_blocks")),
-    # k = 3 runs by blocks: 4 moduli x (1 multiply-mod + 1 pass of gathers) x
-    # C(8, 2) pairs of residues, below the fold's 1 x 7 x (17 + 19 + 23 + 29)
-    (tc, "FOLD_OP_LIMIT", 100, _census(60, 3, 1), 4 * (7 + 7 * 7),
+    # k = 3 runs by blocks at y = 1000: 42 moduli x (1 multiply-mod + 1 pass
+    # of gathers) x C(74, 2) pairs of the 73 residues, below the fold's
+    # 1 x 73 x 15706 (the sum of the moduli) and the one group's one block
+    (tc, "FOLD_OP_LIMIT", 100, _census(1000, 3, 1), 42 * 2 * 2701,
      (tc, "_count_by_blocks")),
     # the fold counts: 38 folds of 4 residues over the moduli 11 and 13, x 2
     # words per count, as 4^40 passes int64
@@ -286,6 +287,20 @@ def test_fold_figure_past_a_huge_k_is_exact(monkeypatch):
     assert figure < 2**64
     with pytest.raises(CapacityError, match=f"residue fold products over the 1-prime moduli: {figure},"):
         tc.congruence_solutions(p_primes, q_primes, 10**8, 1)
+
+
+@pytest.mark.parametrize("ell,moduli", [(1, 3 + 5), (2, 9 + 15 + 25)])
+def test_one_product_prime_and_a_huge_k_refused_before_any_kernel(ell, moduli, monkeypatch):
+    # y = 10: P = {7}, Q = {3, 5}.  By blocks the one group of moduli would
+    # run k - 2 Python passes, each charged as a block of _BLOCK_ELEMENTS, so
+    # the fold's (k - 2) * |P| * sum m is the smaller figure, and over the cap
+    k = 10**8
+    p_primes, q_primes = _intervals(10)
+    for engine in ("_multiset_rows", "_count_by_blocks", "_count_products_congruent_one"):
+        monkeypatch.setattr(tc, engine, Tripwire())
+    figure = (k - 2) * len(p_primes) * moduli
+    with pytest.raises(CapacityError, match=f"^residue fold products over the {ell}-prime moduli: {figure},"):
+        tc.congruence_solutions(p_primes, q_primes, k, ell)
 
 
 def test_check_capacity_forms_no_estimate_past_its_bound():

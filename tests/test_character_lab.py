@@ -503,7 +503,7 @@ def test_tail_shape_structure_y60():
 def test_tail_shape_empty_range():
     rep, _high = tail_shape(CensusParams(30, 2, 1))  # t <= 1/2: nothing
     assert rep.terms == {}
-    assert rep.lhs == 0.0
+    assert rep.lhs == 0.0 and isinstance(rep.lhs, float)
 
 
 @pytest.mark.parametrize("y", [30, 100, 300])

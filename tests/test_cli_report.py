@@ -813,6 +813,13 @@ def test_diagnose_tails_defaults_plan(capsys):
     assert any("defaulted" in w for w in report["results"]["warnings"])
 
 
+def test_diagnose_tails_writes_an_empty_range_as_a_number(capsys):
+    # at k < 4 the low range holds no t; its lhs is 0.0, a JSON number as a nonempty range's is
+    tails = run_json(["diagnose", "tails", "--y", "60", "--k", "2", "--ell", "1"], capsys)["results"]["tails"]
+    assert tails["low"]["terms"] == {} and tails["low"]["lhs"] == 0.0
+    assert isinstance(tails["low"]["lhs"], float) and isinstance(tails["high"]["lhs"], float)
+
+
 def test_diagnose_empty_interval(capsys):
     report = run_json(["diagnose", "moments", "--y", "3"], capsys)
     assert report["results"]["moments"] == {}
@@ -919,6 +926,8 @@ def _argv(draw):
 @example(argv=["diagnose", "tails", "--y", "60", "--k", HUGE[2], "--ell", "2"], max_sieve=None)
 @example(argv=["diagnose", "tails", "--y", "60", "--k", HUGE[0], "--ell", "2"], max_sieve=None)
 @example(argv=["diagnose", "decomposition", "--y", "60", "--k", HUGE[0], "--ell", "1"], max_sieve=None)
+# one product prime (y = 10) and k = 10^8: the blocks' Python passes are charged
+@example(argv=["diagnose", "decomposition", "--y", "10", "--k", HUGE[0], "--ell", "2"], max_sieve=None)
 def test_any_argv_and_env_keep_the_cli_contract(argv, max_sieve):
     with tempfile.TemporaryDirectory() as tmp:
         argv = [tok.format(missing=Path(tmp) / "missing") for tok in argv]

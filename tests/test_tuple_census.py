@@ -413,12 +413,16 @@ def test_engine_answers_an_empty_list_without_a_plan(k, ell, monkeypatch):
 
 def test_fold_capacity(monkeypatch):
     # the count must refuse rather than grind: force a tiny budget.  At
-    # (60, 3, 1) the blocks estimate less than the fold, and the refusal names them
+    # (1000, 3, 1) the blocks estimate less than the fold, and the refusal
+    # names them: 42 moduli x (1 multiply-mod + 1 pass of gathers) x C(74, 2)
+    # pairs of the 73 residues, against the fold's 73 x 15706
     import sunitlab.tuple_census as tc
 
     monkeypatch.setattr(tc, "FOLD_OP_LIMIT", 10)
-    st = interval_stats(60)
-    with pytest.raises(CapacityError, match="residue products by blocks over the 1-prime moduli: 224,"):
+    st = interval_stats(1000)
+    for engine in ("_multiset_rows", "_count_by_blocks", "_count_products_congruent_one"):
+        monkeypatch.setattr(tc, engine, Tripwire())
+    with pytest.raises(CapacityError, match="residue products by blocks over the 1-prime moduli: 226884,"):
         congruence_solutions(st.product_primes, st.modulus_primes, 3, 1)
 
 
@@ -751,14 +755,57 @@ def test_pair_search_matches_the_reference_pair_loop(y, k, ell):
 @pytest.mark.parametrize("y", [12, 30, 60, 150, 300])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_quotient_count_matches_reference_fold(y, k):
-    # the k = ell cells of the fold grid above, over every modulus
+    # the k = ell cells of the fold grid above, over every modulus: the
+    # kernel's own count, and the weights of the rows it lists
     st = interval_stats(y)
     want = sum(
         w * _reference_fold(st.product_primes, k, m)
         for m, _c, w in oracle_multisets(st.modulus_primes, k)
     )
-    r_rows, m_rows = tc._matches_by_quotient(st.product_primes, st.modulus_primes, k, k)
+    assert tc._matches_by_quotient(st.product_primes, st.modulus_primes, k, k) == want
+    r_rows, m_rows = tc._matches_by_quotient(st.product_primes, st.modulus_primes, k, k, listing=True)
     assert tc._ordered_count(r_rows, m_rows, np.int64) == want
+
+
+@pytest.mark.parametrize("y,k", [(1000, 1), (3000, 1), (1000, 2), (3000, 2)])
+def test_quotient_count_lists_no_rows(y, k, monkeypatch):
+    # a count by quotient weighs its hits in place: no listed row is weighed again
+    st = interval_stats(y)
+    want = sum(
+        w * _reference_fold(st.product_primes, k, m)
+        for m, _c, w in oracle_multisets(st.modulus_primes, k)
+    )
+    assert tc._plan(st.product_primes, st.modulus_primes, k, k, False) == "quotient"
+    monkeypatch.setattr(tc, "_ordered_count", Tripwire())
+    assert congruence_solutions(st.product_primes, st.modulus_primes, k, k) == want
+
+
+@pytest.mark.parametrize(
+    "p_primes,q_primes,k",
+    [
+        ((11, 13, 17, 19), (3, 5, 7), 2),  # 2! 2! < 2^63: int64 terms
+        ((11, 13), (7,), 13),  # 13! 13! >= 2^63: Python-int terms
+    ],
+)
+def test_quotient_count_weighs_in_either_dtype(p_primes, q_primes, k):
+    # the count equals the ordered tuples by brute force and the weights of the listing
+    want = _brute_census(p_primes, q_primes, k, k)
+    assert tc._matches_by_quotient(p_primes, q_primes, k, k) == want
+    r_rows, m_rows = tc._matches_by_quotient(p_primes, q_primes, k, k, listing=True)
+    dtype = np.int64 if math.factorial(k) ** 2 < 2**63 else object
+    assert tc._ordered_count(r_rows, m_rows, dtype) == want
+
+
+def test_quotient_count_weighs_hits_in_python_ints(monkeypatch):
+    # no cell past 13! 13! >= 2^63 small enough to run has a hit, so every
+    # factorial is made to read 2^63: the weights and each term w(r) w(m) are
+    # then Python ints (object), and the count at (1000, 2, 2) is unchanged
+    st = interval_stats(1000)
+    want = tc._matches_by_quotient(st.product_primes, st.modulus_primes, 2, 2)
+    assert want > 0
+    monkeypatch.setattr(math, "factorial", lambda n: 2**63)
+    assert tc._row_weights(np.zeros((1, 2), dtype=np.int64)).dtype == object
+    assert tc._matches_by_quotient(st.product_primes, st.modulus_primes, 2, 2) == want
 
 
 @pytest.mark.parametrize("y,k,ell", [(20, 1, 1), (30, 2, 1), (30, 2, 2), (40, 2, 2), (40, 3, 1)])
@@ -854,3 +901,16 @@ def test_multiset_bits_bound_the_binomial_below(n, t):
 @settings(max_examples=300, deadline=None)
 def test_power_bits_is_the_bit_length_of_the_power(b, e):
     assert tc._power_bits(b, e) == (b**e).bit_length()
+
+
+@given(
+    primes=st.lists(st.sampled_from([p for p in range(2, 1000) if all(p % d for d in range(2, p))]),
+                    unique=True, max_size=8),
+    t=st.integers(0, 6),
+)
+@settings(max_examples=200, deadline=None)
+def test_class_sums_are_the_sums_of_the_multiset_products(primes, t):
+    sums = tc._class_sums(primes, t)
+    assert len(sums) == t + 1 and sums[0] == 1
+    for j in range(1, t + 1):
+        assert sums[j] == sum(m for _r, products, _w in tc._multisets(primes, j) for m in products.tolist())
