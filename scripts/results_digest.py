@@ -40,7 +40,8 @@ from workloads import WORKLOADS, job_argv  # noqa: E402
 
 # What no benchmark job runs: the report-determinism criterion's five
 # commands, each census plan (quotient, k = 1, the fold, Monte Carlo), the
-# listing plans, a tail range with no t, the decomposition, and three refusals
+# listing plans, a tail range with no t, the decomposition, four refusals
+# and a count by blocks past 64 bits over two product primes
 STANDING = [
     "census --y 30 --k 2 --ell 1 --method exact,direct,characters,sampled --samples 3000 --seed 42",
     "construct --y 30 --k 2 --ell 1 --limit 600",
@@ -58,6 +59,8 @@ STANDING = [
     "census --y 1e6 --k 2 --ell 1",
     "census --y 100 --k 15 --ell 3",
     "diagnose decomposition --y 1e8 --k 27 --ell 1",
+    "construct --y 1e8 --k 2 --ell 1",
+    "census --y 12 --k 2371 --ell 5",
 ]
 
 

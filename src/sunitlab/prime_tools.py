@@ -116,15 +116,23 @@ def _packed(values: np.ndarray) -> array:
     return out
 
 
-def _simple_sieve(limit: int) -> np.ndarray:
-    if limit < 2:
-        return np.array([], dtype=np.int64)
-    is_prime = np.ones(limit + 1, dtype=bool)
-    is_prime[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if is_prime[p]:
-            is_prime[p * p :: p] = False
-    return np.flatnonzero(is_prime).astype(np.int64)
+def _sieve(first: int, last: int):
+    """The primes in [first, last], one int64 array per segment of _SEGMENT
+    integers; the base primes, up to sqrt(last), come from this routine too."""
+    base = _primes_to(math.isqrt(last)).tolist() if last >= 4 else []  # below 4, none: the recursion ends
+    for seg_lo in range(max(first, 2), last + 1, _SEGMENT):
+        seg_hi = min(seg_lo + _SEGMENT - 1, last)
+        mask = np.ones(seg_hi - seg_lo + 1, dtype=bool)
+        for p in base:
+            start = max(p * p, -(-seg_lo // p) * p)
+            if start <= seg_hi:  # a larger base prime may still have a multiple here
+                mask[start - seg_lo :: p] = False
+        yield np.flatnonzero(mask) + seg_lo
+
+
+def _primes_to(last: int) -> np.ndarray:
+    """The primes up to last, as one int64 array."""
+    return np.concatenate([np.zeros(0, dtype=np.int64), *_sieve(2, last)])
 
 
 def sieve_interval(lo: float, hi: float) -> PrimeInterval:
@@ -136,27 +144,10 @@ def sieve_interval(lo: float, hi: float) -> PrimeInterval:
     if not 0 <= lo <= hi:  # also refuses nan
         raise ValidationError(f"need 0 <= lo <= hi, got lo={lo}, hi={hi}")
     check_capacity("sieve bound {}", hi, sieve_limit())
-
-    first = math.floor(lo) + 1  # smallest integer strictly above lo
-    last = math.floor(hi)  # largest integer at most hi
-    if last < 2 or last < first:
-        return PrimeInterval(lo, hi, array("q"))
-
-    first = max(first, 2)
-    base = _simple_sieve(math.isqrt(last))
     primes = array("q")
-    for seg_lo in range(first, last + 1, _SEGMENT):
-        seg_hi = min(seg_lo + _SEGMENT - 1, last)
-        mask = np.ones(seg_hi - seg_lo + 1, dtype=bool)
-        for p in base:
-            p = int(p)
-            start = max(p * p, ((seg_lo + p - 1) // p) * p)
-            if start > seg_hi:
-                continue
-            mask[start - seg_lo :: p] = False
-        if seg_lo <= 1:
-            mask[: 2 - seg_lo] = False
-        primes += _packed(np.flatnonzero(mask) + seg_lo)
+    # from the smallest integer strictly above lo to the largest at most hi
+    for segment in _sieve(math.floor(lo) + 1, math.floor(hi)):
+        primes += _packed(segment)
     return PrimeInterval(lo, hi, primes)
 
 
@@ -258,7 +249,7 @@ def _pollard_brent(n: int) -> int:
 @lru_cache(maxsize=1)
 def _trial_primes() -> np.ndarray:
     """The primes up to TRIAL_DIVISION_BOUND, sieved once (whatever SUNIT_MAX_SIEVE)."""
-    return _simple_sieve(TRIAL_DIVISION_BOUND)
+    return _primes_to(TRIAL_DIVISION_BOUND)
 
 
 def _trial_divisors(n: int) -> list[int]:
@@ -274,45 +265,39 @@ def _trial_divisors(n: int) -> list[int]:
     return primes[rem == 0].tolist()
 
 
-def factorize(n: int) -> dict[int, int]:
-    """Full prime factorization: trial division up to TRIAL_DIVISION_BOUND, then rho.
+_SMALL_PRIMES = tuple(_primes_to(1 << 10).tolist())
 
-    Past TRIAL_DIVISION_BOUND^2, where the wheel would try every candidate up
-    to the bound, it stops at the bound's square root, and _trial_divisors
-    finds the rest in one numpy pass.  Returns an ascending prime -> exponent
-    map; factorize(1) == {}.
+
+def factorize(n: int) -> dict[int, int]:
+    """Full prime factorization: trial division by the primes below 2^10, then
+    is_prime and rho on what is left.
+
+    A cofactor of at least _MR_VALID_BELOW, which is_prime cannot certify,
+    first loses its primes up to TRIAL_DIVISION_BOUND in one numpy pass
+    (_trial_divisors).  Returns an ascending prime -> exponent map;
+    factorize(1) == {}.
     """
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
     factors: dict[int, int] = {}
-    for p in (2, 3, 5):
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
-    d = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    stop = math.isqrt(TRIAL_DIVISION_BOUND) if n > TRIAL_DIVISION_BOUND**2 else TRIAL_DIVISION_BOUND
-    while d * d <= n and d <= stop:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += wheel[i]
-        i = (i + 1) % 8
-    if d * d <= n and d <= TRIAL_DIVISION_BOUND:  # the wheel stopped short
-        for p in _trial_divisors(n):
-            while n % p == 0:
-                factors[p] = factors.get(p, 0) + 1
-                n //= p
-    if n > 1:
-        stack = [n]
-        while stack:
-            m = stack.pop()
-            if is_prime(m):
-                factors[m] = factors.get(m, 0) + 1
-                continue
-            g = _pollard_brent(m)
-            stack.extend((g, m // g))
+    for p in _trial_divisors(n) if n >= _MR_VALID_BELOW else ():
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            factors[m] = factors.get(m, 0) + 1
+            continue
+        g = _pollard_brent(m)
+        stack.extend((g, m // g))
     return dict(sorted(factors.items()))
 
 

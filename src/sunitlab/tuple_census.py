@@ -487,7 +487,9 @@ def _plan(p_primes, q_primes, k: int, ell: int, listing: bool) -> str:
     |P| residues over each modulus m's histogram, (k - 2)|P| sum m, with sum m
     from _class_sums; it counts when the blocks estimate more.  Once
     |P|^k >= 2^63 counts are Python ints, and either count figure takes each
-    unit once per 64-bit word of a count.  By
+    multiset product or scatter once per 64-bit word of a count; a Python
+    pass, over residues and index columns, is charged once whatever the
+    width.  By
     quotient (k = ell, every product and modulus in int64; the one plan at
     k = 1): one pass over the k-products per quotient u, then a sorted join
     against the moduli.
@@ -505,7 +507,7 @@ def _plan(p_primes, q_primes, k: int, ell: int, listing: bool) -> str:
         plan, low = "modulus", (per * words).bit_length() - 1 + _multiset_bits(n, k - 1)
 
         def ops():
-            return max(per * math.comb(n + k - 2, k - 1), span, passes) * words
+            return max(per * math.comb(n + k - 2, k - 1) * words, span, passes)
 
         what = "pair search residues" if listing else "residue products by blocks"
         if not listing and k > 2:  # at k = 2 the fold has no scatter: the blocks always count
@@ -583,8 +585,14 @@ def congruence_solutions(
     the index rows; the fold, _count_products_congruent_one per modulus,
     counts long tuples whose residue products fill the residues mod m.
     """
-    if len(set(p_primes) | set(q_primes)) < len(p_primes) + len(q_primes):
+    try:
+        primes = np.concatenate([np.asarray(p_primes, dtype=np.int64), np.asarray(q_primes, dtype=np.int64)])
+    except OverflowError:  # a prime past int64 stays exact as a Python int
+        primes = np.array([*p_primes, *q_primes], dtype=object)
+    primes.sort(kind="stable")  # merges the two ascending runs of the census in linear time
+    if (primes[1:] == primes[:-1]).any():
         raise ValidationError("need two disjoint lists of distinct primes")
+    del primes
     if not 1 <= ell <= k:
         raise ValidationError(f"need 1 <= ell <= k, got k={k}, ell={ell}")
     if not (p_primes and q_primes):  # (y/4, y/2] holds no prime for y < 4

@@ -128,7 +128,7 @@ CASES = [
      lambda: tc.count_sampled(CensusParams(60, 2, 1), 40, seed=1), 32,
      (mc, "_sampled_hits")),
     (pt, "DEFAULT_SIEVE_LIMIT", 500, lambda: pt.sieve_interval(10, 2000), 2000,
-     (pt, "_simple_sieve")),
+     (pt, "_sieve")),
     # Psi(1001, {2, 3}) as it grows: 1 and 9 powers of 2, then 9 of those times 3
     (sv, "SMOOTH_COUNT_LIMIT", 10, lambda: sv.enumerate_smooth_pairs((2, 3), 1000), 19,
      (sv, "_build_pair")),

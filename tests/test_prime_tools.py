@@ -27,6 +27,7 @@ from oracles import (
     oracle_primes_in,
     oracle_recip_sum,
 )
+from test_capacity import Tripwire
 
 
 @given(
@@ -143,6 +144,25 @@ def test_segment_crossing():
     assert list(sieve_interval(lo, hi).primes) == oracle_primes_in(lo, hi)
 
 
+@pytest.mark.parametrize("segment", [1, 2, 3, 4, 5, 8, 13])
+def test_segmented_sieve_matches_trial_division_across_segment_ends(segment, monkeypatch):
+    # the base primes come from the same routine, in segments of this width too
+    monkeypatch.setattr(pt, "_SEGMENT", segment)
+    for first, last in [(0, 60), (2, 2), (3, 4), (90, 131), (117, 124), (997, 1031), (5, 4)]:
+        segments = list(pt._sieve(first, last))
+        assert len(segments) == len(range(max(first, 2), last + 1, segment))
+        assert all(part.dtype == np.int64 for part in segments)
+        got = [p for part in segments for p in part.tolist()]
+        assert got == oracle_primes_in(first - 1, last)
+    assert list(sieve_interval(100.5, 300).primes) == oracle_primes_in(100.5, 300)
+
+
+def test_segmented_sieve_skips_a_base_prime_with_no_multiple_in_a_segment(monkeypatch):
+    # 121..124: no multiple of 5 or 7 falls in it, yet 11 still strikes 121
+    monkeypatch.setattr(pt, "_SEGMENT", 4)
+    assert [part.tolist() for part in pt._sieve(117, 124)] == [[], []]
+
+
 def test_is_prime_matches_oracle_small():
     for n in range(-3, 2000):
         assert is_prime(n) == oracle_is_prime(n), n
@@ -182,8 +202,32 @@ def test_factorize_small_goldens():
     assert factorize(2) == {2: 1}
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
     assert factorize(10**6) == {2: 6, 5: 6}
-    for n in range(1, 600):
+    # squares and cubes of primes past the trial bound 2^10, and two primes
+    # near 10^7: is_prime and rho take what trial division leaves
+    past_trial = [p**e for p in (1031, 65537, 999983) for e in (2, 3)]
+    for n in [*range(1, 600), *past_trial, 9999991**2, (10**7 - 9) * (10**7 + 19)]:
         assert factorize(n) == oracle_factorize(n)
+
+
+def test_factorize_makes_no_numpy_pass_below_the_primality_range(monkeypatch):
+    monkeypatch.setattr(pt, "_trial_divisors", Tripwire())
+    assert factorize(99_999_999_999_973) == {99_999_999_999_973: 1}
+    assert factorize((10**7 - 9) * (10**7 + 19)) == {10**7 - 9: 1, 10**7 + 19: 1}
+    assert factorize(3**5 * 9999991**3) == {3: 5, 9999991: 3}
+
+
+def test_factorize_divides_a_cofactor_past_the_primality_range_in_one_numpy_pass(monkeypatch):
+    calls = []
+    trial_divisors = pt._trial_divisors
+
+    def spy(n):
+        calls.append(n)
+        return trial_divisors(n)
+
+    monkeypatch.setattr(pt, "_trial_divisors", spy)
+    assert factorize(3**5 * 1031**2 * 9999991**4) == {3: 5, 1031: 2, 9999991: 4}
+    # the cofactor left by the primes below 2^10, which is_prime cannot certify
+    assert calls == [1031**2 * 9999991**4] and calls[0] >= pt._MR_VALID_BELOW
 
 
 def test_factorize_beyond_trial_bound():
@@ -200,8 +244,8 @@ def test_factorize_beyond_trial_bound():
         {10000019: 2},  # just past the bound squared: nothing to divide out
         {9999991: 3},
         {7: 2, 9999901: 1, 1_000_000_007: 1, 1_000_000_009: 1},
-        {7: 30},  # the wheel finds it all before the bound's square root
-        {7: 20, 3163: 1, 10000019: 1},  # under the bound squared once the wheel takes 7^20
+        {7: 30},  # trial division takes it all
+        {7: 20, 3163: 1, 10000019: 1},  # rho splits what trial division leaves
     ],
 )
 def test_factorize_past_the_square_of_the_trial_bound(factors):

@@ -392,6 +392,7 @@ def test_fold_exact_past_int64():
         ((7, 13, 19), (3, 5), 1, 2),  # ell > k
         ((7, 13, 19), (3, 5), 2, 0),  # ell < 1
         ((), (3,), 1, 2),  # refused before the empty list returns
+        ((2**63 + 29,), (2**63 + 29,), 1, 1),  # past int64
     ],
 )
 def test_engine_refuses_shared_or_repeated_primes_and_ell_past_k(p_primes, q_primes, k, ell, monkeypatch):
@@ -400,6 +401,46 @@ def test_engine_refuses_shared_or_repeated_primes_and_ell_past_k(p_primes, q_pri
     for listing in (False, True):
         with pytest.raises(ValidationError):
             congruence_solutions(p_primes, q_primes, k, ell, listing=listing)
+
+
+def test_engine_checks_its_input_without_a_python_set(monkeypatch):
+    st = interval_stats(10**5)
+    monkeypatch.setattr(tc, "set", Tripwire(), raising=False)
+    assert congruence_solutions(st.product_primes, st.modulus_primes, 2, 1) == 1_311_552
+    count = congruence_solutions(st.product_primes, st.modulus_primes, 1, 1)
+    r_rows, m_rows, products, moduli = congruence_solutions(st.product_primes, st.modulus_primes, 1, 1, listing=True)
+    assert count > 0 and len(r_rows) == len(m_rows) == count
+    assert ((products - 1) % moduli == 0).all()
+
+
+@pytest.mark.parametrize(
+    "primes",
+    [(2**53 + 5,), (2**60 + 33, 2**60 + 91), (2**63 + 29,)],
+    ids=["past-2^53", "one-double", "past-int64"],
+)
+def test_engine_keeps_large_primes_beside_an_empty_list_exact(primes, monkeypatch):
+    # 2^60 + 33 and 2^60 + 91 are primes that round to the same float64
+    monkeypatch.setattr(tc, "_plan", Tripwire())
+    for p_primes, q_primes in ((primes, ()), ((), primes)):
+        assert congruence_solutions(p_primes, q_primes, 1, 1) == 0
+        assert all(len(column) == 0 for column in congruence_solutions(p_primes, q_primes, 1, 1, listing=True))
+
+
+def test_engine_tells_apart_primes_that_share_a_double():
+    assert float(2**60 + 33) == float(2**60 + 91)
+    assert congruence_solutions((2**60 + 91,), (2**60 + 33,), 1, 1) == 0
+
+
+def test_a_pass_is_charged_once_whatever_the_width_of_the_count(monkeypatch):
+    # y = 12: P = {7, 11}.  The counts pass 64 bits, and the k - 2 passes of
+    # the one group of moduli are no longer charged once per word
+    monkeypatch.setattr(tc, "_count_by_blocks", Tripwire())
+    st = interval_stats(12)
+    for k, ell in ((1000, 6), (2371, 5)):
+        assert tc._plan(st.product_primes, st.modulus_primes, k, ell, False) == "modulus"
+    st = interval_stats(10)  # P = {7}: 9,998 passes alone pass the cap
+    with pytest.raises(CapacityError):
+        tc._plan(st.product_primes, st.modulus_primes, 10000, 6, False)
 
 
 @pytest.mark.parametrize("k,ell", [(1, 1), (2, 1), (3, 3)])
