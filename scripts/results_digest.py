@@ -2,15 +2,17 @@
 """Print the sha256 of each command's parsed `results` block, one `sha256  name` line.
 
 The commands are the benchmark's jobs (bench/workloads.py, at seed 1), the
-STANDING commands below, and any extra `sunitlab` command line given with
---cmd (--no-jobs leaves only these).  Each runs as `python -m sunitlab` in a
-fresh process, from a scratch directory, with the `src/` of --src on its
-path.  The digest is taken over the results
-block dumped with sorted keys, as the report-determinism criterion compares
-it; a command that exits non-zero is digested by its exit code and stderr
-line instead, so refusals compare too.  With --compare the same commands
-also run from a second checkout; a differing digest is marked and the exit
-status is 1.  Each command's wall seconds, from launch to exit, go to stderr
+STANDING commands below, the plan table, and any extra `sunitlab` command
+line given with --cmd (--no-jobs leaves only these).  Each runs as
+`python -m sunitlab` in a fresh process, from a scratch directory, with the
+`src/` of --src on its path; the plan table (PLAN_TABLE) runs the same way,
+as `python -c`, and its lines are its results block.  The digest is taken
+over the results block dumped with sorted keys, as the report-determinism
+criterion compares it; a command that exits non-zero is digested by its
+exit code and stderr line instead, so refusals compare too.  With --compare
+the same commands also run from a second checkout; a differing digest is
+marked, the plan table's moved lines follow its line, and the exit status
+is 1.  Each command's wall seconds, from launch to exit, go to stderr
 as one `seconds  name` line (with --compare, the second checkout's after a
 comma); this script imports no numpy, so they are timings from a small parent.
 With --timeout SECONDS a command still running after that many seconds is
@@ -40,8 +42,9 @@ from workloads import WORKLOADS, job_argv  # noqa: E402
 
 # What no benchmark job runs: the report-determinism criterion's five
 # commands, each census plan (quotient, k = 1, the fold, Monte Carlo), the
-# listing plans, a tail range with no t, the decomposition, four refusals
-# and a count by blocks past 64 bits over two product primes
+# listing plans, a tail range with no t, the decomposition, five refusals
+# (one a character census past its rounding bound) and a count by blocks
+# past 64 bits over two product primes
 STANDING = [
     "census --y 30 --k 2 --ell 1 --method exact,direct,characters,sampled --samples 3000 --seed 42",
     "construct --y 30 --k 2 --ell 1 --limit 600",
@@ -61,17 +64,60 @@ STANDING = [
     "diagnose decomposition --y 1e8 --k 27 --ell 1",
     "construct --y 1e8 --k 2 --ell 1",
     "census --y 12 --k 2371 --ell 5",
+    "census --y 60 --k 18 --ell 1 --method characters",
 ]
 
 
-def digest(src: Path, argv: list[str], workdir: Path, timeout: float | None) -> tuple[str, str]:
-    """The sha256 of the command's results block, and its wall time as text."""
+# One line per cell: the census planner's plan or "refused" for each y, k up
+# to 60 and on a quarter-decade grid to 10^8, ell up to 6, counting and
+# listing; then the character census's admission for ell <= 3 and k <= 60.
+# It reads only figures: a character table asked for means admitted
+PLAN_TABLE = """
+import json
+import sunitlab.character_lab as cl
+from sunitlab.errors import CapacityError
+from sunitlab.prime_tools import interval_stats
+from sunitlab.tuple_census import CensusParams, _plan
+
+class Admitted(Exception):
+    pass
+
+def table(*args):
+    raise Admitted
+
+cl.CharacterTable, lines = table, []
+for y in (5, 10, 12, 20, 30, 60, 100, 300, 1000):
+    st = interval_stats(y)
+    for k in [*range(1, 61), *(round(10 ** (j / 4)) for j in range(8, 33))]:
+        for ell in range(1, min(k, 6) + 1):
+            for mode in ("count", "list"):
+                try:
+                    plan = _plan(st.product_primes, st.modulus_primes, k, ell, mode == "list")
+                except CapacityError:
+                    plan = "refused"
+                lines.append(f"plan {y} {k} {ell} {mode}: {plan}")
+for y in (12, 20, 30, 40, 60, 100, 150, 200, 300, 500):
+    for ell in (1, 2, 3):
+        for k in range(ell, 61):
+            try:
+                cl.census_via_characters(CensusParams(y, k, ell))
+                admission = "admitted"
+            except Admitted:
+                admission = "admitted"
+            except CapacityError:
+                admission = "refused"
+            lines.append(f"characters {y} {k} {ell}: {admission}")
+print(json.dumps({"results": lines}))
+"""
+
+
+def digest(src: Path, argv: list[str], workdir: Path, timeout: float | None) -> tuple[object, str]:
+    """The results block of `python *argv` in a fresh process, and its wall time as text."""
     env = dict(os.environ, PYTHONPATH=str(src / "src"), PYTHONDONTWRITEBYTECODE="1")
     start = time.perf_counter()
     try:  # past the timeout, run() kills the child and waits for it
         proc = subprocess.run(
-            [sys.executable, "-m", "sunitlab", *argv],
-            capture_output=True, text=True, cwd=workdir, env=env, timeout=timeout,
+            [sys.executable, *argv], capture_output=True, text=True, cwd=workdir, env=env, timeout=timeout,
         )
     except subprocess.TimeoutExpired:
         proc = None
@@ -82,7 +128,23 @@ def digest(src: Path, argv: list[str], workdir: Path, timeout: float | None) -> 
         block = {"exit": proc.returncode, "stderr": proc.stderr}
     else:
         block = json.loads(proc.stdout)["results"]
-    return hashlib.sha256(json.dumps(block, sort_keys=True).encode()).hexdigest(), seconds
+    return block, seconds
+
+
+def sha256(block) -> str:
+    return hashlib.sha256(json.dumps(block, sort_keys=True).encode()).hexdigest()
+
+
+def moved(theirs, ours) -> list[str]:
+    """`moved  cell: theirs -> ours` for each plan-table line that changed."""
+    if not (isinstance(theirs, list) and isinstance(ours, list)):
+        return []
+    lines = []
+    for was, now in zip(theirs, ours):
+        if was != now:
+            cell, was = was.split(": ")
+            lines.append(f"moved  {cell}: {was} -> {now.split(': ')[1]}")
+    return lines
 
 
 def main() -> int:
@@ -97,19 +159,23 @@ def main() -> int:
     jobs = [] if args.no_jobs else [job for workload in WORKLOADS.values() for job in workload]
     commands = [(job.name, job_argv(job, 1)) for job in jobs]
     commands += [(cmd, shlex.split(cmd)) for cmd in ([] if args.no_jobs else STANDING) + args.cmd]
+    commands = [(name, ["-m", "sunitlab", *argv]) for name, argv in commands]
+    if not args.no_jobs:
+        commands.insert(len(jobs) + len(STANDING), ("plan-table", ["-c", PLAN_TABLE]))
 
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv in commands:
-            sha, timing = digest(args.src.resolve(), argv, Path(tmp), args.timeout)
-            line = f"{sha}  {name}"
+            block, timing = digest(args.src.resolve(), argv, Path(tmp), args.timeout)
+            line, lines = f"{sha256(block)}  {name}", []
             if args.compare is not None:
                 other, other_timing = digest(args.compare.resolve(), argv, Path(tmp), args.timeout)
                 timing += f", {other_timing} compared"
-                if other != sha:
+                if other != block:
                     differ += 1
-                    line += f"  DIFFERS from {other}"
-            print(line, flush=True)
+                    line += f"  DIFFERS from {sha256(other)}"
+                    lines = moved(other, block)
+            print("\n".join([line, *lines]), flush=True)
             print(f"{timing}  {name}", file=sys.stderr, flush=True)
     if differ:
         print(f"{differ} of {len(commands)} results blocks differ", file=sys.stderr)

@@ -41,7 +41,6 @@ from .tuple_census import (
     representation_counts,
 )
 
-CHARACTER_COUNT_LIMIT = 2**53
 CHARACTER_MODULUS_LIMIT = 1_000_000
 CHARACTER_WORK_LIMIT = 100_000_000
 QT_LIMIT = 2_000_000
@@ -53,6 +52,9 @@ SIEVE_MAX_BOUND = 20
 
 IDENTITY_TOL = 1e-9
 ROUNDING_TOL = 1e-2
+# the character census's rounding budget, in units of 2^-53: ordered tuples
+# times the roundings each carries (census_via_characters)
+CHARACTER_COUNT_LIMIT = int(2**53 * ROUNDING_TOL)
 
 
 def _prime_power_generators(p: int, e: int) -> list[tuple[int, int, bool]]:
@@ -211,22 +213,29 @@ def census_via_characters(params: CensusParams):
     """Census recomputed by character orthogonality; must equal count_exact.
 
     For each modulus m = q_1*...*q_l the tuple count with product 1 mod m is
-    (1/phi(m)) * sum over chi mod m of S_chi^k.  The float accumulation is
-    rounded to the nearest integer under a 10^-2 guard.  The P^k * Q^l
-    ordered tuples bound the count and every |S_chi|^k; past
-    CHARACTER_COUNT_LIMIT = 2^53 a double no longer holds every integer, so
-    such runs are refused before any table is built.
+    (1/phi(m)) * sum over chi mod m of S_chi^k; the weighted counts are added
+    by math.fsum and rounded under ROUNDING_TOL.  Before any table, P^k * Q^l
+    ordered tuples are refused past CHARACTER_COUNT_LIMIT // F: then the
+    total's error, at most 2^-53 P^k Q^l F to first order, stays below the
+    guard.  With |S_chi| <= P and L = l (bit length of max q + 2) >= the sum
+    of log2(order) + 2 over the generators, F = k (21 L + 10) + L + 20: the
+    transform, by Higham's FFT bound (Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., Thm 24.2: log2(n) eta, eta < 7u) taken three times
+    for Bluestein's and generic-radix passes, plus two scalings, carried k
+    times by the power; the power, 8k; numpy's pairwise sum, L + 17; the
+    weight, 1/phi(m) and the fsum, 3.
     """
     st = interval_stats(params.y)
     p, q, k, ell = st.prime_count, len(st.modulus_primes), params.k, params.ell
-    what = f"character census over P^k * Q^l = {p}^{k} * {q}^{ell} = {{}} ordered tuples"
-    check_power_capacity(what, ((p, k), (q, ell)), CHARACTER_COUNT_LIMIT)
+    levels = ell * (max(st.modulus_primes, default=1).bit_length() + 2)
+    roundings = k * (21 * levels + 10) + levels + 20
+    what = f"character census within ROUNDING_TOL over P^k * Q^l = {p}^{k} * {q}^{ell} = {{}} ordered tuples"
+    check_power_capacity(what, ((p, k), (q, ell)), CHARACTER_COUNT_LIMIT // roundings)
     _check_character_work(st, [ell])
 
     def count():
-        total = 0j
-        for _m, weight, table, sums in _walk(st, ell):
-            total += weight * complex(np.sum(sums ** k)) / table.totient
+        terms = [weight * complex(np.sum(sums**k)) / table.totient for _m, weight, table, sums in _walk(st, ell)]
+        total = complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
         rounded = round(total.real)
         if abs(total - rounded) >= ROUNDING_TOL:
             raise ToleranceError(

@@ -363,32 +363,34 @@ def _count_by_blocks(p_primes, q_primes, k: int, ell: int, listing: bool = False
     return sum(w * c for w, c in zip(m_weights.tolist(), counts.tolist()))
 
 
-def _count_products_congruent_one(p: np.ndarray, k: int, m: int) -> int:
-    """Number of ordered k-tuples (k >= 2) of the primes p whose product is
-    1 mod m, for m coprime to every p.
+def _count_by_fold(p_primes, q_primes, k: int, ell: int) -> int:
+    """What _count_by_blocks counts, by residue fold (no listing).
 
-    The products of j factors are a histogram over the residues mod m,
-    folded k-2 times: each distinct residue v of one factor, of count c,
-    scatters the support s to s*v mod m, adding c times its count (no
-    collisions: x -> x*v is one-to-one mod m).  The support is the residues
-    of one factor at the first fold, then read off the histogram, so k <= 3
-    never scans the whole array.  The last factor is read off instead of
-    folded: v completes a tuple exactly when the other k-1 factors multiply
-    to v^-1, and every v^-1 comes off one _tree_inverses row.  int64 residue products are exact because
-    m < MODULUS_LIMIT = 2^31; counts are Python ints whenever n^k tuples
-    could pass 2^63.
+    Per modulus m, the products of j factors are a histogram over the
+    residues mod m, folded k-2 times: each distinct residue v of one factor,
+    of count c, scatters the support s to s*v mod m, adding c times its count
+    (no collisions: x -> x*v is one-to-one mod m).  The last factor is read
+    off instead of folded: v completes a tuple exactly when the other k-1
+    factors multiply to v^-1, and every v^-1 comes off one _tree_inverses
+    row.  int64 residue products are exact because m < MODULUS_LIMIT = 2^31;
+    counts are int64 while |P|^k < 2^63, else Python ints (object).
     """
-    values, counts = np.unique(p % m, return_counts=True)
-    counts = counts.astype(np.int64 if len(p) ** k < 2**63 else object)
-    hist = np.zeros(m, dtype=counts.dtype)
-    hist[values] = counts
-    for fold in range(k - 2):
-        support = np.flatnonzero(hist) if fold else values
-        tuples, hist = hist[support], np.zeros(m, dtype=counts.dtype)
-        for v, c in zip(values.tolist(), counts.tolist()):
-            hist[support * v % m] += tuples * c
-    inverses = _tree_inverses(values[None, :], np.array([[m]], dtype=np.int64))[0]
-    return int(np.sum(counts * hist[inverses]))
+    p = np.asarray(p_primes, dtype=np.int64)
+    dtype = np.int64 if len(p) ** k < 2**63 else object
+    moduli, m_weights = next(_multisets(q_primes, ell))[1:]
+    total = 0
+    for m, weight in zip(moduli.tolist(), m_weights.tolist()):
+        hist = np.bincount(p % m, minlength=m).astype(dtype)
+        values = np.flatnonzero(hist)
+        counts = hist[values]
+        for _ in range(k - 2):
+            support = np.flatnonzero(hist)
+            tuples, hist = hist[support], np.zeros(m, dtype=dtype)
+            for v, c in zip(values.tolist(), counts.tolist()):
+                hist[support * v % m] += tuples * c
+        inverses = _tree_inverses(values[None, :], np.array([[m]], dtype=np.int64))[0]
+        total += weight * int(np.sum(counts * hist[inverses]))
+    return total
 
 
 def count_exact(params: CensusParams) -> CensusResult:
@@ -470,7 +472,8 @@ def _quotients(p_primes, q_primes, k: int) -> range:
 
 def _plan(p_primes, q_primes, k: int, ell: int, listing: bool) -> str:
     """The eligible plan with the smaller work estimate, refused over its cap,
-    for nonempty P and Q and 1 <= ell <= k.
+    for nonempty P and Q and 1 <= ell <= k: the key of one of the three
+    kernels that congruence_solutions calls under one contract.
 
     By modulus ("modulus", _count_by_blocks; k >= 2 and every modulus below
     MODULUS_LIMIT, so residue products stay in int64): per modulus, k - 2
@@ -482,17 +485,16 @@ def _plan(p_primes, q_primes, k: int, ell: int, listing: bool) -> str:
     every CLI interval g <= 2.  A listing does not charge its passes: its
     cap is PAIR_OP_LIMIT, under which a block each would refuse k > 78 even
     for one modulus, and construct's u0 cap, min P^k / 2^31 < 2^454, keeps
-    its k below 310.  The residue fold ("fold",
-    _count_products_congruent_one; counts at k >= 3): k - 2 scatters of the
-    |P| residues over each modulus m's histogram, (k - 2)|P| sum m, with sum m
-    from _class_sums; it counts when the blocks estimate more.  Once
-    |P|^k >= 2^63 counts are Python ints, and either count figure takes each
-    multiset product or scatter once per 64-bit word of a count; a Python
-    pass, over residues and index columns, is charged once whatever the
-    width.  By
-    quotient (k = ell, every product and modulus in int64; the one plan at
-    k = 1): one pass over the k-products per quotient u, then a sorted join
-    against the moduli.
+    its k below 310.  The residue fold ("fold", _count_by_fold; counts at
+    k >= 3): k - 2 scatters of the |P| residues over each modulus m's
+    histogram, (k - 2)|P| sum m, with sum m from _class_sums; it counts when
+    the blocks estimate more.  Once |P|^k >= 2^63 counts are Python ints,
+    and either count figure takes each multiset product or scatter once per
+    64-bit word of a count; a Python pass, over residues and index columns,
+    is charged once whatever the width.  By quotient ("quotient",
+    _matches_by_quotient; k = ell, every product and modulus in int64; the
+    one plan at k = 1): one pass over the k-products per quotient u, then a
+    sorted join against the moduli.
     """
     n, top_p, top_q = len(p_primes), max(p_primes), max(q_primes)
     work = {}  # plan: (what, figure or a function forming it, lower bound on its log2)
@@ -580,10 +582,10 @@ def congruence_solutions(
     refused with ValidationError.  _plan picks by modulus (k >= 2), by
     residue fold or by quotient (k = ell, and so every k = 1) and refuses
     over FOLD_OP_LIMIT (counting) or PAIR_OP_LIMIT (listing) before any
-    work.  The two listing kernels, _count_by_blocks by modulus and
-    _matches_by_quotient, share one contract: a count, or with ``listing``
-    the index rows; the fold, _count_products_congruent_one per modulus,
-    counts long tuples whose residue products fill the residues mod m.
+    work.  The three kernels, _count_by_blocks, _count_by_fold and
+    _matches_by_quotient, share one contract, (p_primes, q_primes, k, ell),
+    and return a count, or with ``listing`` the index rows (the fold never
+    lists); one table maps each plan to its kernel.
     """
     try:
         primes = np.concatenate([np.asarray(p_primes, dtype=np.int64), np.asarray(q_primes, dtype=np.int64)])
@@ -598,15 +600,9 @@ def congruence_solutions(
     if not (p_primes and q_primes):  # (y/4, y/2] holds no prime for y < 4
         r_rows, m_rows = np.zeros((0, k), dtype=np.int64), np.zeros((0, ell), dtype=np.int64)
         return (r_rows, m_rows, r_rows[:, 0], m_rows[:, 0]) if listing else 0
-    plan = _plan(p_primes, q_primes, k, ell, listing)
-    if plan == "fold":
-        p = np.asarray(p_primes, dtype=np.int64)
-        moduli, weights = next(_multisets(q_primes, ell))[1:]
-        return sum(
-            weight * _count_products_congruent_one(p, k, m)
-            for m, weight in zip(moduli.tolist(), weights.tolist())
-        )
-    kernel = _matches_by_quotient if plan == "quotient" else _count_by_blocks
+    # read at call time, so a kernel replaced on the module is the one called
+    kernels = {"modulus": _count_by_blocks, "fold": _count_by_fold, "quotient": _matches_by_quotient}
+    kernel = kernels[_plan(p_primes, q_primes, k, ell, listing)]
     if not listing:
         return kernel(p_primes, q_primes, k, ell)
     r_rows, m_rows = kernel(p_primes, q_primes, k, ell, listing=True)

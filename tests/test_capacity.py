@@ -71,7 +71,7 @@ CASES = [
     # the fold counts: 38 folds of 4 residues over the moduli 11 and 13, x 2
     # words per count, as 4^40 passes int64
     (tc, "FOLD_OP_LIMIT", 1000, _census(30, 40, 1), 38 * 4 * (11 + 13) * 2,
-     (tc, "_count_products_congruent_one")),
+     (tc, "_count_by_fold")),
     (tc, "DIRECT_OP_LIMIT", 100, lambda: tc.count_direct(CensusParams(60, 3, 2)), 7**3 * 4**2,
      (tc, "itertools")),
     # 40 samples x (k + ell) = 3 draws each
@@ -268,7 +268,7 @@ def test_huge_figures_refused_without_expanding(row, monkeypatch):
     for y in (100, 10**5):
         interval_stats(y)  # sieved before the tripwires
     monkeypatch.setattr(math, "comb", _big_comb)
-    for engine in ("_multiset_rows", "_count_by_blocks", "_count_products_congruent_one", "_matches_by_quotient"):
+    for engine in ("_multiset_rows", "_count_by_blocks", "_count_by_fold", "_matches_by_quotient"):
         monkeypatch.setattr(tc, engine, Tripwire())
     monkeypatch.setattr(cl, "CharacterTable", Tripwire())
     with pytest.raises(CapacityError, match=message) as refusal:
@@ -296,7 +296,7 @@ def test_one_product_prime_and_a_huge_k_refused_before_any_kernel(ell, moduli, m
     # the fold's (k - 2) * |P| * sum m is the smaller figure, and over the cap
     k = 10**8
     p_primes, q_primes = _intervals(10)
-    for engine in ("_multiset_rows", "_count_by_blocks", "_count_products_congruent_one"):
+    for engine in ("_multiset_rows", "_count_by_blocks", "_count_by_fold"):
         monkeypatch.setattr(tc, engine, Tripwire())
     figure = (k - 2) * len(p_primes) * moduli
     with pytest.raises(CapacityError, match=f"^residue fold products over the {ell}-prime moduli: {figure},"):

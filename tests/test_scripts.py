@@ -1,9 +1,11 @@
 """Smoke runs of the experiment scripts in scripts/, each as its own process."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -106,3 +108,29 @@ def test_results_digest_times_each_command():
         assert len(lines) == len(cmds)
         for line, cmd in zip(lines, cmds):
             assert re.fullmatch(rf"{timing}  {re.escape(cmd)}", line), line
+
+
+def test_results_digest_plan_table_shows_exactly_the_moved_lines(tmp_path, monkeypatch):
+    # a copy of src/ with PAIR_OP_LIMIT at 0 refuses every listing, and no
+    # count nor character census reads that cap: exactly the listing lines
+    # that had a plan move, each to "refused"
+    shutil.copytree(ROOT / "src", tmp_path / "src")
+    census = tmp_path / "src" / "sunitlab" / "tuple_census.py"
+    text = census.read_text()
+    assert text.count("PAIR_OP_LIMIT = 5_000_000\n") == 1
+    census.write_text(text.replace("PAIR_OP_LIMIT = 5_000_000\n", "PAIR_OP_LIMIT = 0\n"))
+    # the script puts bench/ on the path and writes no bytecode; both are undone after the test
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    spec = importlib.util.spec_from_file_location("results_digest", ROOT / "scripts" / "results_digest.py")
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+
+    argv = ["-c", digest.PLAN_TABLE]
+    theirs, _seconds = digest.digest(ROOT, argv, tmp_path, 120)
+    ours, _seconds = digest.digest(tmp_path, argv, tmp_path, 120)
+    assert len(theirs) == 8910 + 1770 and theirs[0] == "plan 5 1 1 count: quotient"
+    want = [f"moved  {line} -> refused" for line in theirs
+            if " list: " in line and not line.endswith(": refused")]
+    assert want and digest.moved(theirs, ours) == want
+    assert digest.moved(theirs, theirs) == []

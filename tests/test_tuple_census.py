@@ -17,7 +17,6 @@ from sunitlab.errors import CapacityError, ValidationError
 from sunitlab.prime_tools import interval_stats
 from sunitlab.tuple_census import (
     CensusParams,
-    _count_products_congruent_one,
     congruence_solutions,
     count_direct,
     count_exact,
@@ -348,12 +347,14 @@ def _reference_fold(p_primes, k, m):
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_numpy_fold_matches_reference_fold(y, k, ell):
     st = interval_stats(y)
-    p = np.asarray(st.product_primes, dtype=np.int64)
-    multisets = list(oracle_multisets(st.modulus_primes, ell))
-    # all multisets up to 40, else 40 spread evenly: the reference is slow at y = 300
-    for m, combo, _w in multisets[:: -(-len(multisets) // 40)]:
-        got = _count_products_congruent_one(p, k, m)
-        assert got == _reference_fold(st.product_primes, k, m), (m, combo)
+    # every modulus prime while they make at most 40 multisets, else primes
+    # spread evenly until they do: the reference is slow at y = 300
+    step = 1
+    while math.comb(len(st.modulus_primes[::step]) + ell - 1, ell) > 40:
+        step += 1
+    q_primes = st.modulus_primes[::step]
+    want = sum(w * _reference_fold(st.product_primes, k, m) for m, _c, w in oracle_multisets(q_primes, ell))
+    assert tc._count_by_fold(st.product_primes, q_primes, k, ell) == want, q_primes
 
 
 def test_quotient_plan_in_slices_matches_reference(monkeypatch):
@@ -396,7 +397,7 @@ def test_fold_exact_past_int64():
     ],
 )
 def test_engine_refuses_shared_or_repeated_primes_and_ell_past_k(p_primes, q_primes, k, ell, monkeypatch):
-    for engine in ("_plan", "_count_by_blocks", "_count_products_congruent_one", "_matches_by_quotient"):
+    for engine in ("_plan", "_count_by_blocks", "_count_by_fold", "_matches_by_quotient"):
         monkeypatch.setattr(tc, engine, Tripwire())
     for listing in (False, True):
         with pytest.raises(ValidationError):
@@ -461,7 +462,7 @@ def test_fold_capacity(monkeypatch):
 
     monkeypatch.setattr(tc, "FOLD_OP_LIMIT", 10)
     st = interval_stats(1000)
-    for engine in ("_multiset_rows", "_count_by_blocks", "_count_products_congruent_one"):
+    for engine in ("_multiset_rows", "_count_by_blocks", "_count_by_fold"):
         monkeypatch.setattr(tc, engine, Tripwire())
     with pytest.raises(CapacityError, match="residue products by blocks over the 1-prime moduli: 226884,"):
         congruence_solutions(st.product_primes, st.modulus_primes, 3, 1)
@@ -474,7 +475,7 @@ def test_modulus_limit_refused_before_any_fold(monkeypatch):
     def no_folds(*args):
         raise AssertionError("a residue fold ran before the refusal")
 
-    monkeypatch.setattr(tc, "_count_products_congruent_one", no_folds)
+    monkeypatch.setattr(tc, "_count_by_fold", no_folds)
     monkeypatch.setattr(tc, "_count_by_blocks", no_folds)
     st = interval_stats(3000)
     with pytest.raises(CapacityError, match=str(1499**3)):
@@ -754,6 +755,25 @@ def _listed(p_primes, q_primes, columns):
 def _run_plan(monkeypatch, plan):
     """Make the engine run ``plan``, whatever the planner would pick."""
     monkeypatch.setattr(tc, "_plan", lambda *args: plan)
+
+
+@pytest.mark.parametrize(
+    "plan,kernel", [("modulus", "_count_by_blocks"), ("fold", "_count_by_fold"), ("quotient", "_matches_by_quotient")]
+)
+def test_each_plan_runs_its_kernel_as_the_module_holds_it(plan, kernel, monkeypatch):
+    # the engine reads its kernel table at call time: a kernel replaced on the
+    # module, as a tripwire is, is the one that runs, under the one contract
+    st = interval_stats(60)
+    p_primes, q_primes = st.product_primes, st.modulus_primes
+    _run_plan(monkeypatch, plan)
+    calls = []
+    monkeypatch.setattr(tc, kernel, lambda *args, **kwargs: calls.append((args, kwargs)) or 7)
+    assert congruence_solutions(p_primes, q_primes, 2, 2) == 7
+    assert calls == [((p_primes, q_primes, 2, 2), {})]
+    monkeypatch.setattr(tc, kernel, Tripwire())
+    for listing in (False, True) if plan != "fold" else (False,):
+        with pytest.raises(AssertionError, match="the work started"):
+            congruence_solutions(p_primes, q_primes, 2, 2, listing=listing)
 
 
 def _plans(k, ell):
